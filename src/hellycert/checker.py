@@ -28,6 +28,7 @@ from .config import DEFAULT, Tolerances
 from .dr import eq3_lower_bounds
 from .errors import HellyError, MalformedCertificate
 from .geometry import (
+    _hpolytope_volume,
     facets_from_vertices,
     hpolytope_from_arrays,
     polar_of_points,
@@ -321,9 +322,7 @@ def check_certificate(
         star = polar_of_points(cert.x_points)
         star_verts = vertex_enumeration(star, tolerances).vertices
         polar_reach = float(np.linalg.norm(star_verts @ cert.e2_shape, axis=1).max())
-        from .geometry import VPolytope
-
-        vol_g = volume(VPolytope(star_verts, check_extreme=False), tolerances)
+        vol_g = _hpolytope_volume(star, star_verts, tolerances)
     except HellyError:
         pass
     items.append(

@@ -115,7 +115,9 @@ def run_trial(spec: TrialSpec) -> ExperimentRow:
     if spec.oracle:
         _, best_vol = oracle_min_subfamily(poly, k=2 * spec.d)
         if math.isfinite(best_vol):
-            oracle_ratio = best_vol / cert.vol_f
+            # best_vol is in the input frame, cert.vol_f in the normalized one
+            input_vol_f = cert.vol_f * abs(float(np.linalg.det(cert.map_matrix)))
+            oracle_ratio = best_vol / input_vol_f
     wall = (time.perf_counter() - start) * 1e3
     return ExperimentRow(
         d=spec.d,

@@ -5,6 +5,14 @@ recursive pyramid volume, polar bodies, and ellipsoid primitives. Everything
 here is deterministic and dimension-capped; the combinatorial routines are
 exponential on purpose (they are the trusted ground truth the rest of the
 library is checked against).
+
+Volume follows Lasserre's facet recursion with each face of the lattice
+memoized by its vertex-index set, so a face shared by many facets is
+evaluated once (Bueler, Enge and Fukuda, "Exact volume computation for
+polytopes: a practical study", 2000). Polar bodies such as X* are built in
+H-form, and their volume is taken from that form, from the vertices the
+caller already enumerated; the V-form path through `facets_from_vertices`
+is kept as the reference.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .errors import (
 from .lp import LPStatus, lp_solve
 
 _COMBO_CHUNK = 200_000
+_DEDUPE_BLOCK = 256
 
 
 def unit_ball_volume(d: int) -> float:
@@ -251,19 +260,32 @@ def ensure_bounded(poly: HPolytope) -> None:
         direction[k] = 0.0
 
 
-def _dedupe_points(points: np.ndarray, tol: float) -> np.ndarray:
-    if points.shape[0] <= 1:
-        return points
-    diff = points[:, None, :] - points[None, :, :]
-    close = (diff * diff).sum(axis=2) <= tol * tol
-    keep = []
-    seen = np.zeros(points.shape[0], dtype=bool)
-    for i in range(points.shape[0]):
-        if seen[i]:
-            continue
-        keep.append(i)
-        seen |= close[i]
-    return points[keep]
+def _dedupe_points(
+    points: np.ndarray, tol: float, kept: np.ndarray | None = None
+) -> np.ndarray:
+    """`kept` followed by each point farther than tol from every point kept
+    before it, in input order.
+
+    Distances are taken a block of rows at a time, so memory stays bounded
+    when a degenerate vertex is found from very many d-subsets.
+    """
+    if kept is None:
+        kept = points[:0]
+    for start in range(0, points.shape[0], _DEDUPE_BLOCK):
+        block = points[start : start + _DEDUPE_BLOCK]
+        if kept.shape[0]:
+            diff = block[:, None, :] - kept[None, :, :]
+            block = block[((diff * diff).sum(axis=2) > tol * tol).all(axis=1)]
+        diff = block[:, None, :] - block[None, :, :]
+        close = (diff * diff).sum(axis=2) <= tol * tol
+        keep = close.sum(axis=1) == 1  # a point with no near neighbour stays
+        seen = np.zeros(block.shape[0], dtype=bool)
+        for i in np.flatnonzero(~keep):
+            if not seen[i]:
+                keep[i] = True
+                seen |= close[i]
+        kept = np.vstack([kept, block[keep]])
+    return kept
 
 
 def _dedupe_halfspaces(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -289,7 +311,7 @@ def _vertex_array(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> np.ndarr
     ensure_bounded(poly)
     a, b = poly.normals, poly.offsets
     m, d = a.shape
-    found = []
+    verts = np.empty((0, d))
     combos = itertools.combinations(range(m), d)
     while True:
         chunk = np.array(list(itertools.islice(combos, _COMBO_CHUNK)), dtype=int)
@@ -303,11 +325,9 @@ def _vertex_array(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> np.ndarr
             continue
         pts = np.linalg.solve(sub_a[good], sub_b[good][..., None])[..., 0]
         feas = np.all(pts @ a.T <= b[None, :] + tolerances.incidence, axis=1)
-        if feas.any():
-            found.append(pts[feas])
-    if not found:
+        verts = _dedupe_points(pts[feas], tolerances.dedupe, verts)
+    if not verts.shape[0]:
         raise Degenerate("no vertices found")
-    verts = _dedupe_points(np.vstack(found), tolerances.dedupe)
     return verts
 
 
@@ -343,11 +363,26 @@ def facets_from_vertices(verts: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarr
 
 
 def _volume_recursive(
-    verts: np.ndarray, a: np.ndarray, b: np.ndarray, tolerances: Tolerances
+    verts: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    tolerances: Tolerances,
+    idx: np.ndarray | None = None,
+    memo: dict | None = None,
 ) -> float:
+    """Volume of conv(verts) in its own chart, by pyramids over its facets.
+
+    `idx` holds the global indices of `verts` in the top-level vertex list
+    and `memo` maps (dimension, vertex indices) to face volumes already
+    computed; both start fresh at the top-level call. A face's volume is
+    fixed by its vertex set, so a face shared by several parents is
+    evaluated once.
+    """
     d = verts.shape[1]
     if d == 1:
         return float(verts.max() - verts.min())
+    if memo is None:
+        idx, memo = np.arange(verts.shape[0]), {}
     apex = verts.mean(axis=0)
     total = 0.0
     slack = b - a @ apex
@@ -359,23 +394,37 @@ def _volume_recursive(
         on_facet = incidence[:, i] >= -tolerances.incidence
         if on_facet.sum() < d:
             continue
-        face_verts = verts[on_facet]
-        _, _, vh = np.linalg.svd(a[i][None, :])
-        chart = vh[1:].T  # (d, d-1), orthonormal basis of the facet plane
-        origin = face_verts[0]
-        sub_verts = (face_verts - origin) @ chart
-        sub_a_raw = np.delete(a, i, axis=0) @ chart
-        sub_b_raw = np.delete(b, i, axis=0) - np.delete(a, i, axis=0) @ origin
-        norms = np.linalg.norm(sub_a_raw, axis=1)
-        keep = norms > 1e-12
-        if not keep.any():
-            continue
-        sub_a = sub_a_raw[keep] / norms[keep, None]
-        sub_b = sub_b_raw[keep] / norms[keep]
-        sub_a, sub_b = _dedupe_halfspaces(sub_a, sub_b, tolerances.dedupe)
-        area = _volume_recursive(sub_verts, sub_a, sub_b, tolerances)
+        # The dimension keeps a vertex set that only touches this half-space
+        # apart from the same set met elsewhere as a lower-dimensional face.
+        key = (d - 1, idx[on_facet].tobytes())
+        area = memo.get(key)
+        if area is None:
+            face_verts = verts[on_facet]
+            _, _, vh = np.linalg.svd(a[i][None, :])
+            chart = vh[1:].T  # (d, d-1), orthonormal basis of the facet plane
+            origin = face_verts[0]
+            sub_verts = (face_verts - origin) @ chart
+            sub_a_raw = np.delete(a, i, axis=0) @ chart
+            sub_b_raw = np.delete(b, i, axis=0) - np.delete(a, i, axis=0) @ origin
+            norms = np.linalg.norm(sub_a_raw, axis=1)
+            keep = norms > 1e-12
+            if not keep.any():
+                continue
+            sub_a = sub_a_raw[keep] / norms[keep, None]
+            sub_b = sub_b_raw[keep] / norms[keep]
+            sub_a, sub_b = _dedupe_halfspaces(sub_a, sub_b, tolerances.dedupe)
+            area = _volume_recursive(
+                sub_verts, sub_a, sub_b, tolerances, idx[on_facet], memo
+            )
+            memo[key] = area
         total += height * area / d
     return total
+
+
+def _hpolytope_volume(poly: HPolytope, verts: np.ndarray, tolerances: Tolerances) -> float:
+    """Volume of an H-polytope whose vertices `verts` are already known."""
+    a, b = _dedupe_halfspaces(poly.normals, poly.offsets, tolerances.dedupe)
+    return _volume_recursive(verts, a, b, tolerances)
 
 
 def volume(body, tolerances: Tolerances = DEFAULT) -> float:
@@ -383,16 +432,19 @@ def volume(body, tolerances: Tolerances = DEFAULT) -> float:
 
     H-form: vertices are enumerated, then the volume is assembled from
     facet pyramids over the vertex centroid, recursing on facets down to
-    intervals. V-form: the outer description is reconstructed first.
+    intervals (Lasserre's recursion). Faces are keyed by their vertex-index
+    sets and memoized within the call, so each face of the lattice is
+    evaluated once however many facets share it. V-form: the outer
+    description is reconstructed first; this is the reference path, since
+    the pipeline and the checker take the volume of the polar X* from its
+    H-form.
     """
     if isinstance(body, Ellipsoid):
         return ellipsoid_volume(body)
     if isinstance(body, Simplex):
         return body.volume()
     if isinstance(body, HPolytope):
-        verts = _vertex_array(body, tolerances)
-        a, b = _dedupe_halfspaces(body.normals, body.offsets, tolerances.dedupe)
-        return _volume_recursive(verts, a, b, tolerances)
+        return _hpolytope_volume(body, _vertex_array(body, tolerances), tolerances)
     if isinstance(body, VPolytope):
         verts = body.vertices
         if verts.shape[0] == verts.shape[1] + 1:

@@ -37,6 +37,7 @@ from .geometry import (
     HPolytope,
     Simplex,
     VPolytope,
+    _hpolytope_volume,
     facets_from_vertices,
     max_ellipsoid_in_simplex,
     polar_of_points,
@@ -391,7 +392,7 @@ def assemble_subfamily(
             f"(quadratic value {reach:.6f})"
         )
 
-    vol_g = volume(VPolytope(verts, check_extreme=False), tolerances)
+    vol_g = _hpolytope_volume(x_star, verts, tolerances)
     vol_f = volume(inst.normalized, tolerances)
     ratio = vol_g / vol_f
     bound = explicit_bound(d)

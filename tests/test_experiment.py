@@ -11,11 +11,15 @@ from hellycert.bounds import explicit_bound
 from hellycert.experiment import (
     ExperimentRow,
     TrialSpec,
+    _build_instance,
     grid_specs,
     rows_to_csv,
     run_experiment,
     run_trial,
 )
+from hellycert.geometry import volume
+from hellycert.oracle import oracle_min_subfamily
+from hellycert.pipeline import select
 
 
 def strip_wall(row: ExperimentRow) -> tuple:
@@ -54,6 +58,18 @@ class TestSingleTrial:
         assert row.status == "ok"
         assert math.isfinite(row.oracle_ratio)
         assert row.oracle_ratio <= row.ratio * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_oracle_ratio_in_input_frame(self, seed):
+        spec = TrialSpec(d=2, m=8, seed=seed, generator="warped", oracle=True)
+        row = run_trial(spec)
+        assert row.status == "ok"
+        poly = _build_instance(spec)
+        _, best_vol = oracle_min_subfamily(poly, k=4)
+        cert = select(poly, seed=seed)
+        vol_poly = volume(poly)
+        assert row.oracle_ratio == pytest.approx(best_vol / vol_poly, rel=1e-9)
+        assert row.oracle_ratio <= volume(cert.subfamily()) / vol_poly * (1.0 + 1e-9)
 
     def test_oracle_skipped_by_default(self):
         row = run_trial(TrialSpec(d=2, m=8, seed=1))

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from hellycert import geometry
 from hellycert.config import DEFAULT
 from hellycert.errors import (
     CapExceeded,
@@ -42,6 +43,8 @@ from hellycert.geometry import (
     vertex_enumeration,
     volume,
 )
+from hellycert.generators import gen_tangent_random
+from hellycert.pipeline import select
 
 # ---------------------------------------------------------------- oracles
 
@@ -213,18 +216,52 @@ def test_cross_polytope_vertices():
 # ------------------------------------------------------------------ volume
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_cube_volume(d):
     assert volume(cube(d)) == pytest.approx(2.0**d, rel=1e-9)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+# d=6 in H-form is left out: brute-force vertex enumeration walks C(64, 6)
+# facet subsets (minutes); the vertex-form test below covers d=6.
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_cross_polytope_volume(d):
     signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * d)).reshape(d, -1).T
     poly = hpolytope_from_arrays(signs, np.full(2**d, 1.0))
     # row normalization rescales both sides, so this is still conv{+-e_i}
     want = 2.0**d / math.factorial(d)
     assert volume(poly) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("d", [3, 5, 6])
+def test_cross_polytope_volume_vertex_form(d):
+    body = VPolytope(np.vstack([np.eye(d), -np.eye(d)]), check_extreme=False)
+    assert volume(body) == pytest.approx(2.0**d / math.factorial(d), rel=1e-9)
+
+
+@pytest.mark.parametrize("d, faces", [(3, 1 + 6 + 12), (4, 1 + 8 + 24 + 32)])
+def test_volume_evaluates_each_face_once(monkeypatch, d, faces):
+    calls = []
+    inner = geometry._volume_recursive
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_volume_recursive", counted)
+    assert volume(cube(d)) == pytest.approx(2.0**d, rel=1e-9)
+    # the cube itself, its facets, and so on down to its edges
+    assert len(calls) == faces
+
+
+@pytest.mark.parametrize("d, m", [(3, 8), (4, 10), (5, 10)])
+def test_polar_volume_half_space_form_matches_vertex_form(d, m):
+    # m is kept small at d=5 so the brute-force facet recovery of the
+    # vertex-form reference stays under a second per body.
+    for seed in range(3):
+        cert = select(gen_tangent_random(d, m, seed=seed), seed=seed)
+        star = polar_of_points(cert.x_points)
+        reference = volume(VPolytope(vertex_enumeration(star).vertices, check_extreme=False))
+        assert volume(star) == pytest.approx(reference, rel=1e-9)
 
 
 def test_polygon_volume_matches_shoelace():

@@ -2,11 +2,13 @@
 properties (bound, containments, determinism, affine invariance)."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from hellycert.bounds import explicit_bound, simplex_volume_floor
+from hellycert.checker import check_certificate
 from hellycert.dr import DRBasis, dr_select, eq3_lower_bounds
 from hellycert.errors import (
     DegenerateSimplex,
@@ -294,6 +296,16 @@ class TestSelectEndToEnd:
 
             verts = vertex_enumeration(polar_of_points(cert.x_points)).vertices
             assert np.linalg.norm(verts @ cert.e2_shape, axis=1).max() <= 1.0 + 1e-8
+
+    @pytest.mark.parametrize("d, m", [(5, 12), (5, 24), (6, 14)])
+    def test_high_dimension_finishes(self, d, m):
+        start = time.perf_counter()
+        cert = select(gen_tangent_random(d, m, seed=0))
+        report = check_certificate(cert)
+        assert report.passed
+        assert all(item.applicable for item in report.items)
+        assert cert.ratio <= explicit_bound(d) * (1.0 + 1e-9)
+        assert time.perf_counter() - start < 10.0
 
     def test_window_slack_recorded(self):
         cert = select(gen_tangent_random(3, 9, seed=1))
