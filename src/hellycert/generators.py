@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import Empty, GenerationFailed, Unbounded
+from .errors import GenerationFailed, Unbounded
 from .geometry import HPolytope, ensure_bounded, hpolytope_from_arrays
 
 RETRY_CAP = 1000
@@ -32,7 +32,7 @@ def gen_tangent_random(d: int, m: int, seed: int) -> HPolytope:
         poly = hpolytope_from_arrays(a / norms[:, None], np.ones(m), normalize=False)
         try:
             ensure_bounded(poly)
-        except (Unbounded, Empty):
+        except Unbounded:
             continue
         return poly
     raise GenerationFailed(f"no bounded tangent instance in {RETRY_CAP} tries")

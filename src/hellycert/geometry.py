@@ -13,6 +13,11 @@ polytopes: a practical study", 2000). Polar bodies such as X* are built in
 H-form, and their volume is taken from that form, from the vertices the
 caller already enumerated; the V-form path through `facets_from_vertices`
 is kept as the reference.
+
+Boundedness is one rank check and one small LP (Stiemke's theorem of the
+alternative): the normals must span R^d and some strictly positive
+combination of them must vanish. It does not test feasibility; the
+Chebyshev-center LP that every interior pre-check runs first raises Empty.
 """
 
 from __future__ import annotations
@@ -39,6 +44,10 @@ from .lp import LPStatus, lp_solve
 
 _COMBO_CHUNK = 200_000
 _DEDUPE_BLOCK = 256
+_INTERIOR_FLOOR = 1e-10  # inscribed radius below which a body counts as flat
+# smallest singular value of the normals, and smallest Stiemke weight, that
+# count as nonzero in the boundedness test
+_BOUNDED_FLOOR = 1e-9
 
 
 def unit_ball_volume(d: int) -> float:
@@ -246,18 +255,48 @@ def chebyshev_center(poly: HPolytope) -> tuple[np.ndarray, float]:
 
 
 def ensure_bounded(poly: HPolytope) -> None:
-    """Raise Unbounded unless the polytope is bounded (2d support LPs)."""
-    d = poly.dim
-    for k in range(d):
-        direction = np.zeros(d)
-        for sgn in (1.0, -1.0):
-            direction[k] = sgn
-            res = lp_solve(direction, a_ub=poly.normals, b_ub=poly.offsets, maximize=True)
-            if res.status == LPStatus.UNBOUNDED:
-                raise Unbounded(f"unbounded along coordinate {k}")
-            if res.status == LPStatus.INFEASIBLE:
-                raise Empty("intersection is empty")
-        direction[k] = 0.0
+    """Raise Unbounded unless the polytope is bounded, assuming it is nonempty.
+
+    A nonempty {x : Ax <= b} is bounded exactly when A has rank d and some
+    y > 0 has A^T y = 0 (Stiemke's theorem of the alternative). The rank
+    comes from one SVD. The weights come from one LP in m + 1 nonnegative
+    variables: with y = z + t*1, maximize t subject to A^T z + t*A^T 1 = 0
+    and 1.z + m*t = 1, which has d + 1 equality rows.
+
+    Feasibility is not tested: an empty intersection can pass. Callers that
+    need it run `chebyshev_center` first, which raises Empty.
+    """
+    a = poly.normals
+    m, d = a.shape
+    if m < d or np.linalg.svd(a, compute_uv=False)[-1] <= _BOUNDED_FLOOR:
+        raise Unbounded("normals have rank below the dimension: the body holds a line")
+    a_eq = np.zeros((d + 1, m + 1))
+    a_eq[:d, :m] = a.T
+    a_eq[:d, m] = a.sum(axis=0)
+    a_eq[d, :m] = 1.0
+    a_eq[d, m] = m
+    b_eq = np.zeros(d + 1)
+    b_eq[d] = 1.0
+    cost = np.zeros(m + 1)
+    cost[m] = 1.0
+    res = lp_solve(cost, a_eq=a_eq, b_eq=b_eq, nonneg=np.ones(m + 1, dtype=bool), maximize=True)
+    if res.status != LPStatus.OPTIMAL or res.value <= _BOUNDED_FLOOR:
+        raise Unbounded("no strictly positive combination of the normals vanishes")
+
+
+def _interior_point(poly: HPolytope) -> tuple[np.ndarray, float]:
+    """Chebyshev center and radius of a bounded full-dimensional polytope.
+
+    Raises Empty or Unbounded from the Chebyshev LP, then Degenerate when
+    the inscribed radius is below _INTERIOR_FLOOR, then Unbounded from
+    `ensure_bounded`. The order matters: only the Chebyshev LP sees
+    emptiness.
+    """
+    center, radius = chebyshev_center(poly)
+    if radius < _INTERIOR_FLOOR:
+        raise Degenerate(f"inscribed radius {radius:.3e} below {_INTERIOR_FLOOR:.0e}")
+    ensure_bounded(poly)
+    return center, radius
 
 
 def _dedupe_points(
@@ -305,10 +344,7 @@ def vertex_enumeration(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> VPo
 
 
 def _vertex_array(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> np.ndarray:
-    center, radius = chebyshev_center(poly)
-    if radius < 1e-10:
-        raise Degenerate(f"inscribed radius {radius:.3e} below 1e-10")
-    ensure_bounded(poly)
+    _interior_point(poly)
     a, b = poly.normals, poly.offsets
     m, d = a.shape
     verts = np.empty((0, d))

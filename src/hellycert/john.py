@@ -27,7 +27,7 @@ from .errors import (
     NoDecomposition,
     TooFewContacts,
 )
-from .geometry import Ellipsoid, HPolytope, chebyshev_center, ensure_bounded, hpolytope_from_arrays
+from .geometry import Ellipsoid, HPolytope, _interior_point, hpolytope_from_arrays
 from .nnls import nnls
 
 _CENTER_DECREMENT = 1e-11  # half squared Newton decrement (in 1/t-scaled units,
@@ -140,10 +140,7 @@ def inscribed_ellipsoid(
     """
     gap = tolerances.solver_gap if gap is None else gap
     cap = tolerances.newton_cap if newton_cap is None else newton_cap
-    center, radius = chebyshev_center(poly)
-    if radius < 1e-10:
-        raise Degenerate(f"inscribed radius {radius:.3e} below 1e-10")
-    ensure_bounded(poly)
+    center, radius = _interior_point(poly)
 
     barrier = _Barrier(poly.normals, poly.offsets)
     x = np.concatenate([_coeffs_of(0.9 * radius * np.eye(poly.dim), barrier.pairs), center])

@@ -14,7 +14,7 @@ import itertools
 import math
 
 from .errors import CapExceeded, HellyError
-from .geometry import HPolytope, ensure_bounded, volume
+from .geometry import HPolytope, volume
 
 __all__ = ["ORACLE_DIM_CAP", "ORACLE_FACET_CAP", "oracle_min_subfamily"]
 
@@ -49,7 +49,6 @@ def oracle_min_subfamily(
         for rows in itertools.combinations(range(m), size):
             sub = _subfamily(poly, rows)
             try:
-                ensure_bounded(sub)
                 vol = volume(sub)
             except HellyError:
                 continue  # unbounded, empty, or too flat to measure

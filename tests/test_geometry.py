@@ -44,6 +44,7 @@ from hellycert.geometry import (
     volume,
 )
 from hellycert.generators import gen_tangent_random
+from hellycert.lp import LPStatus, lp_solve
 from hellycert.pipeline import select
 
 # ---------------------------------------------------------------- oracles
@@ -101,6 +102,48 @@ def cube(d, r=1.0):
     return hpolytope_from_arrays(a, np.full(2 * d, r))
 
 
+def support_lp_bounded(poly):
+    """Boundedness by brute force: maximize +-x_k over the polytope for every k.
+
+    This is the 2d-support-LP probe `ensure_bounded` used before it became a
+    single Stiemke LP; the polytope must be nonempty.
+    """
+    for k in range(poly.dim):
+        for sgn in (1.0, -1.0):
+            direction = np.zeros(poly.dim)
+            direction[k] = sgn
+            res = lp_solve(direction, a_ub=poly.normals, b_ub=poly.offsets, maximize=True)
+            assert res.status != LPStatus.INFEASIBLE, "probe needs a nonempty polytope"
+            if res.status == LPStatus.UNBOUNDED:
+                return False
+    return True
+
+
+def boundedness_family(rng, kind, d):
+    """Unit-offset normals of one kind; every family contains the origin.
+
+    "random": Gaussian normals, bounded or not. "half-space": every normal
+    has a positive component along u. "lineality": every normal is
+    orthogonal to u. "near-half-space": normals in the plane orthogonal to u
+    that positively span it, tilted by a small +-eps along u, plus normals
+    with a positive u component; bounded exactly when the tilt is away from
+    u.
+    """
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))  # its last column is u
+    a = rng.normal(size=(int(rng.integers(d + 1, 3 * d + 2)), d))
+    if kind == "half-space":
+        a[:, -1] = np.abs(a[:, -1]) + 0.05
+    elif kind == "lineality":
+        a[:, -1] = 0.0
+    elif kind == "near-half-space":
+        plane = np.vstack([np.eye(d - 1), -np.eye(d - 1), rng.normal(size=(2, d - 1))])
+        eps = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-4, -2)
+        up = rng.normal(size=(int(rng.integers(1, 4)), d))
+        up[:, -1] = np.abs(up[:, -1]) + 0.1
+        a = np.vstack([np.hstack([plane, np.full((plane.shape[0], 1), -eps)]), up])
+    return hpolytope_from_arrays(a @ q.T, np.ones(a.shape[0]))
+
+
 # ------------------------------------------------------- basic containers
 
 
@@ -152,6 +195,69 @@ def test_empty_and_unbounded_detected():
         vertex_enumeration(hpolytope_from_arrays(a, np.array([1.0, -2.0])))
     with pytest.raises(Unbounded):
         vertex_enumeration(hpolytope_from_arrays(a, np.array([1.0, 1.0])))
+
+
+@pytest.mark.parametrize("kind", ["random", "half-space", "lineality", "near-half-space"])
+def test_ensure_bounded_matches_support_lp_probe(kind):
+    rng = np.random.default_rng(20261018)
+    verdicts = set()
+    for i in range(60):
+        poly = boundedness_family(rng, kind, d=2 + i % 3)
+        want = support_lp_bounded(poly)
+        try:
+            ensure_bounded(poly)
+            got = True
+        except Unbounded:
+            got = False
+        assert got == want, f"family {i}: probe says bounded={want}"
+        verdicts.add(want)
+    assert verdicts == ({True, False} if kind in ("random", "near-half-space") else {False})
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_ensure_bounded_solves_one_lp(monkeypatch, d):
+    poly = gen_tangent_random(d, 3 * d, seed=d)
+    calls = []
+    inner = geometry.lp_solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "lp_solve", counted)
+    ensure_bounded(poly)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_ensure_bounded_needs_more_half_spaces_than_dimensions(m):
+    rng = np.random.default_rng(m)
+    with pytest.raises(Unbounded):
+        ensure_bounded(hpolytope_from_arrays(rng.normal(size=(m, 3)), np.ones(m)))
+
+
+@pytest.mark.parametrize(
+    "normals, offsets",
+    [
+        # the slab |x1| <= 1, with a redundant x1 <= 2 so that m > d: rank 1
+        ([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]], [1.0, 1.0, 2.0]),
+        # a half-strip: rank 2, but no positive combination of normals vanishes
+        ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [1.0, 1.0, 1.0]),
+    ],
+)
+def test_ensure_bounded_rejects_strips(normals, offsets):
+    with pytest.raises(Unbounded):
+        ensure_bounded(hpolytope_from_arrays(np.array(normals), np.array(offsets)))
+
+
+def test_ensure_bounded_leaves_emptiness_to_chebyshev_center():
+    # x <= -1 and x >= 1 on the square: bounded normals, empty intersection
+    empty = hpolytope_from_arrays(
+        np.vstack([np.eye(2), -np.eye(2)]), np.array([-1.0, 1.0, -1.0, 1.0])
+    )
+    ensure_bounded(empty)
+    with pytest.raises(Empty):
+        vertex_enumeration(empty)
 
 
 def test_flat_polytope_detected():
