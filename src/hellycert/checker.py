@@ -28,16 +28,14 @@ from .config import DEFAULT, Tolerances
 from .dr import eq3_lower_bounds
 from .errors import HellyError, MalformedCertificate
 from .geometry import (
-    _hpolytope_volume,
-    facets_from_vertices,
+    Simplex,
+    _polytope_volume,
     hpolytope_from_arrays,
     polar_of_points,
     vertex_enumeration,
     volume,
 )
 from .pipeline import Certificate
-
-_CENTER_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -231,7 +229,7 @@ def check_certificate(
     # Contraction: ratio formula, its floor, the scaled shape, alignment,
     # the inscribed ellipsoid's center/tangency inside the base simplex.
     nu = float(np.linalg.norm(cert.u))
-    if nu <= _CENTER_FLOOR:
+    if nu <= tolerances.degenerate_ray:
         lam_want = 1.0
         align_err = 0.0
     else:
@@ -244,10 +242,13 @@ def check_certificate(
     centroid_err = float(
         np.linalg.norm(cert.u - cert.s1_vertices.mean(axis=0))
     )
-    fa1, fb1 = facets_from_vertices(cert.s1_vertices)
-    e1_support = fa1 @ cert.u + np.linalg.norm(fa1 @ cert.e1_shape, axis=1)
-    e1_out = float((e1_support - fb1).max())
-    e1_gap = float(np.abs(e1_support - fb1).max())  # tangency on every facet
+    try:
+        fa1, fb1 = Simplex(cert.s1_vertices).facets()
+        e1_support = fa1 @ cert.u + np.linalg.norm(fa1 @ cert.e1_shape, axis=1)
+        e1_out = float((e1_support - fb1).max())
+        e1_gap = float(np.abs(e1_support - fb1).max())  # tangency on every facet
+    except HellyError:
+        e1_out = e1_gap = math.inf  # a flat base simplex inscribes nothing
     contraction_ok = (
         lam_err <= 1e-9 * k
         and abs(align_err) <= 1e-8 * k
@@ -286,7 +287,7 @@ def check_certificate(
         and np.abs(cert.contact_points[cert.x_rows] - cert.x_points).max() <= 1e-12
     )
     try:
-        fa2, fb2 = facets_from_vertices(cert.s2_vertices)
+        fa2, fb2 = Simplex(cert.s2_vertices).facets()
         e2_out = float(
             (np.linalg.norm(fa2 @ cert.e2_shape, axis=1) - fb2).max()
         )
@@ -322,7 +323,7 @@ def check_certificate(
         star = polar_of_points(cert.x_points)
         star_verts = vertex_enumeration(star, tolerances).vertices
         polar_reach = float(np.linalg.norm(star_verts @ cert.e2_shape, axis=1).max())
-        vol_g = _hpolytope_volume(star, star_verts, tolerances)
+        vol_g = _polytope_volume(star_verts, star.normals, star.offsets, tolerances)
     except HellyError:
         pass
     items.append(

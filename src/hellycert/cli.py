@@ -217,6 +217,9 @@ def main(argv=None) -> int:
     except HellyError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -1,15 +1,16 @@
 """Exact-arithmetic-free convex geometry at desk scale.
 
 Polytopes in half-space and vertex form, brute-force vertex enumeration,
-recursive pyramid volume, polar bodies, and ellipsoid primitives. Everything
+triangulated volume, polar bodies, and ellipsoid primitives. Everything
 here is deterministic and dimension-capped; the combinatorial routines are
 exponential on purpose (they are the trusted ground truth the rest of the
 library is checked against).
 
-Volume follows Lasserre's facet recursion with each face of the lattice
-memoized by its vertex-index set, so a face shared by many facets is
-evaluated once (Bueler, Enge and Fukuda, "Exact volume computation for
-polytopes: a practical study", 2000). Polar bodies such as X* are built in
+Volume comes from a pulling triangulation of the vertex-facet incidence
+(Bueler, Enge and Fukuda, "Exact volume computation for polytopes: a
+practical study", 2000): each face is a vertex bitmask, triangulated once
+by coning its lowest vertex over its facets that miss it, and one batched
+determinant sums the simplices. Polar bodies such as X* are built in
 H-form, and their volume is taken from that form, from the vertices the
 caller already enumerated; the V-form path through `facets_from_vertices`
 is kept as the reference.
@@ -199,6 +200,18 @@ class Simplex:
         edges = self.vertices[1:] - self.vertices[0]
         return abs(float(np.linalg.det(edges))) / math.factorial(self.dim)
 
+    def facets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Unit normals and offsets of the facets; row i is opposite vertex i.
+
+        With C the inverse of the barycentric matrix [[v_i, 1]], the
+        barycentric coordinates of x are [x, 1] @ C, so facet i is
+        -C[:d, i].x <= C[d, i].
+        """
+        inv = np.linalg.inv(np.hstack([self.vertices, np.ones((self.dim + 1, 1))]))
+        a = -inv[:-1].T
+        norms = np.linalg.norm(a, axis=1)
+        return a / norms[:, None], inv[-1] / norms
+
 
 @dataclass(frozen=True, eq=False)
 class Ellipsoid:
@@ -327,12 +340,6 @@ def _dedupe_points(
     return kept
 
 
-def _dedupe_halfspaces(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.hstack([a, b[:, None]])
-    kept = _dedupe_points(rows, tol)
-    return kept[:, :-1], kept[:, -1]
-
-
 def vertex_enumeration(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> VPolytope:
     """All vertices of a bounded full-dimensional polytope, by brute force.
 
@@ -395,98 +402,83 @@ def facets_from_vertices(verts: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarr
             rows_b.append(-offset)
     if not rows_a:
         raise Degenerate("vertex set spans no full-dimensional hull")
-    return _dedupe_halfspaces(np.array(rows_a), np.array(rows_b), tol)
+    kept = _dedupe_points(np.column_stack([rows_a, rows_b]), tol)
+    return kept[:, :-1], kept[:, -1]
 
 
-def _volume_recursive(
-    verts: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    tolerances: Tolerances,
-    idx: np.ndarray | None = None,
-    memo: dict | None = None,
-) -> float:
-    """Volume of conv(verts) in its own chart, by pyramids over its facets.
+def _pull_face(face: int, dim: int, facet_masks: list[int], memo: dict) -> list[tuple]:
+    """Simplices of a pulling triangulation of one face, as vertex-index tuples.
 
-    `idx` holds the global indices of `verts` in the top-level vertex list
-    and `memo` maps (dimension, vertex indices) to face volumes already
-    computed; both start fresh at the top-level call. A face's volume is
-    fixed by its vertex set, so a face shared by several parents is
-    evaluated once.
+    `face` is the face's vertex set as a bitmask and `facet_masks` holds the
+    vertex set of every input half-space's hyperplane, in row order. The
+    facets of the face are the inclusion-maximal proper nonempty sets
+    face & mask; the face's lowest vertex is coned over the triangulation of
+    every facet that misses it. `memo` maps the vertex sets of faces already
+    triangulated to their simplices, so each face is triangulated once.
     """
-    d = verts.shape[1]
-    if d == 1:
-        return float(verts.max() - verts.min())
-    if memo is None:
-        idx, memo = np.arange(verts.shape[0]), {}
-    apex = verts.mean(axis=0)
-    total = 0.0
-    slack = b - a @ apex
-    incidence = verts @ a.T - b[None, :]  # (n, m), ~0 on the facet
-    for i in range(a.shape[0]):
-        height = float(slack[i])
-        if height <= tolerances.incidence:
+    size = face.bit_count()
+    if size <= dim:
+        return []  # lower-dimensional than its place in the lattice
+    apex_bit = face & -face
+    apex = (apex_bit.bit_length() - 1,)
+    if size == 2:
+        return [apex + (face.bit_length() - 1,)]  # an edge
+    candidates = dict.fromkeys(map(face.__and__, facet_masks))
+    candidates.pop(face, None)
+    candidates.pop(0, None)
+    simplices = []
+    for sub in candidates:
+        if sub & apex_bit or any(sub & other == sub != other for other in candidates):
             continue
-        on_facet = incidence[:, i] >= -tolerances.incidence
-        if on_facet.sum() < d:
-            continue
-        # The dimension keeps a vertex set that only touches this half-space
-        # apart from the same set met elsewhere as a lower-dimensional face.
-        key = (d - 1, idx[on_facet].tobytes())
-        area = memo.get(key)
-        if area is None:
-            face_verts = verts[on_facet]
-            _, _, vh = np.linalg.svd(a[i][None, :])
-            chart = vh[1:].T  # (d, d-1), orthonormal basis of the facet plane
-            origin = face_verts[0]
-            sub_verts = (face_verts - origin) @ chart
-            sub_a_raw = np.delete(a, i, axis=0) @ chart
-            sub_b_raw = np.delete(b, i, axis=0) - np.delete(a, i, axis=0) @ origin
-            norms = np.linalg.norm(sub_a_raw, axis=1)
-            keep = norms > 1e-12
-            if not keep.any():
-                continue
-            sub_a = sub_a_raw[keep] / norms[keep, None]
-            sub_b = sub_b_raw[keep] / norms[keep]
-            sub_a, sub_b = _dedupe_halfspaces(sub_a, sub_b, tolerances.dedupe)
-            area = _volume_recursive(
-                sub_verts, sub_a, sub_b, tolerances, idx[on_facet], memo
-            )
-            memo[key] = area
-        total += height * area / d
-    return total
+        tri = memo.get(sub)
+        if tri is None:
+            tri = memo[sub] = _pull_face(sub, dim - 1, facet_masks, memo)
+        simplices += [apex + s for s in tri]
+    return simplices
 
 
-def _hpolytope_volume(poly: HPolytope, verts: np.ndarray, tolerances: Tolerances) -> float:
-    """Volume of an H-polytope whose vertices `verts` are already known."""
-    a, b = _dedupe_halfspaces(poly.normals, poly.offsets, tolerances.dedupe)
-    return _volume_recursive(verts, a, b, tolerances)
+def _polytope_volume(
+    verts: np.ndarray, a: np.ndarray, b: np.ndarray, tolerances: Tolerances
+) -> float:
+    """Volume of the polytope with vertices `verts` and outer description
+    a x <= b, from a pulling triangulation of the vertex-facet incidence.
+
+    Duplicate and redundant rows need no cleaning: they give repeated or
+    non-maximal vertex sets, which the triangulation skips. The summation
+    order is fixed by the input: facet candidates in row order, each face
+    pulled at its lowest vertex index.
+    """
+    n, d = verts.shape
+    on = verts @ a.T - b[None, :] >= -tolerances.incidence  # (n, m)
+    facet_masks = [
+        int.from_bytes(np.packbits(col, bitorder="little").tobytes(), "little") for col in on.T
+    ]
+    simplices = _pull_face((1 << n) - 1, d, facet_masks, {})
+    idx = np.array(simplices, dtype=np.intp).reshape(-1, d + 1)
+    edges = verts[idx[:, 1:]] - verts[idx[:, :1]]
+    return float(np.abs(np.linalg.det(edges)).sum()) / math.factorial(d)
 
 
 def volume(body, tolerances: Tolerances = DEFAULT) -> float:
     """Euclidean volume of a bounded polytope (either description).
 
-    H-form: vertices are enumerated, then the volume is assembled from
-    facet pyramids over the vertex centroid, recursing on facets down to
-    intervals (Lasserre's recursion). Faces are keyed by their vertex-index
-    sets and memoized within the call, so each face of the lattice is
-    evaluated once however many facets share it. V-form: the outer
-    description is reconstructed first; this is the reference path, since
-    the pipeline and the checker take the volume of the polar X* from its
-    H-form.
+    H-form: vertices are enumerated, and the volume is the sum of the
+    simplices of a pulling triangulation of the vertex-facet incidence,
+    each face triangulated once. V-form: the outer description is
+    recovered first, then the same triangulation runs; this is the
+    reference path, since the pipeline and the checker take the volume of
+    the polar X* from its H-form.
     """
     if isinstance(body, Ellipsoid):
         return ellipsoid_volume(body)
     if isinstance(body, Simplex):
         return body.volume()
     if isinstance(body, HPolytope):
-        return _hpolytope_volume(body, _vertex_array(body, tolerances), tolerances)
+        return _polytope_volume(_vertex_array(body, tolerances), body.normals, body.offsets, tolerances)
     if isinstance(body, VPolytope):
         verts = body.vertices
-        if verts.shape[0] == verts.shape[1] + 1:
-            return Simplex(verts).volume()
         a, b = facets_from_vertices(verts, tolerances.incidence)
-        return _volume_recursive(verts, a, b, tolerances)
+        return _polytope_volume(verts, a, b, tolerances)
     raise TypeError(f"cannot take the volume of {type(body).__name__}")
 
 

@@ -37,8 +37,7 @@ from .geometry import (
     HPolytope,
     Simplex,
     VPolytope,
-    _hpolytope_volume,
-    facets_from_vertices,
+    _polytope_volume,
     max_ellipsoid_in_simplex,
     polar_of_points,
     vertex_enumeration,
@@ -47,7 +46,6 @@ from .geometry import (
 from .john import NormalizedInstance, normalize_position
 from .lp import LPStatus, lp_solve
 
-_CENTER_FLOOR = 1e-10
 _SAMPLE_CAP = 200
 
 _ARRAY_FIELDS = {
@@ -310,14 +308,16 @@ def caratheodory_reduce(point, vertices, coeffs, drop_tol: float = 1e-12):
     return support, out
 
 
-def contract_E1(e1: Ellipsoid, u: np.ndarray, w: np.ndarray):
+def contract_E1(
+    e1: Ellipsoid, u: np.ndarray, w: np.ndarray, tolerances: Tolerances = DEFAULT
+):
     """Contract the simplex ellipsoid toward the boundary point so its
     center lands on the origin.
 
     The ratio |w|/(|u|+|w|) does exactly that when w lies opposite u through
     the origin, and it never drops below 1/(d+1). A centered ellipsoid
-    (|u| below 1e-10) needs no contraction; see the pipeline notes for why
-    that branch cannot fire on selected simplices.
+    (|u| at most tolerances.degenerate_ray) needs no contraction; see the
+    pipeline notes for why that branch cannot fire on selected simplices.
     """
     u = np.asarray(u, dtype=float).ravel()
     w = np.asarray(w, dtype=float).ravel()
@@ -326,7 +326,7 @@ def contract_E1(e1: Ellipsoid, u: np.ndarray, w: np.ndarray):
         raise Misaligned("u must be the center of the ellipsoid being contracted")
     nu = float(np.linalg.norm(u))
     nw = float(np.linalg.norm(w))
-    if nu <= _CENTER_FLOOR:
+    if nu <= tolerances.degenerate_ray:
         return Ellipsoid(np.zeros(d), e1.shape), 1.0
     if nw <= 1e-14:
         raise Misaligned("contraction center sits at the origin")
@@ -375,7 +375,7 @@ def assemble_subfamily(
     g_indices = dec.source_indices[x_rows]
 
     s2 = np.vstack([w, dec.points[basis.indices]])
-    facet_a, facet_b = facets_from_vertices(s2)
+    facet_a, facet_b = Simplex(s2).facets()
     support = np.linalg.norm(facet_a @ e2.shape, axis=1)
     worst = float((support - facet_b).max())
     if worst > 1e-8:
@@ -392,7 +392,7 @@ def assemble_subfamily(
             f"(quadratic value {reach:.6f})"
         )
 
-    vol_g = _hpolytope_volume(x_star, verts, tolerances)
+    vol_g = _polytope_volume(verts, x_star.normals, x_star.offsets, tolerances)
     vol_f = volume(inst.normalized, tolerances)
     ratio = vol_g / vol_f
     bound = explicit_bound(d)
@@ -490,11 +490,11 @@ def select(
         basis = stage("select", _sample_selection, dec, seed)
         _, e1, u = stage("simplex", build_S1, basis, enforce_floor=False)
     nu = np.linalg.norm(u)
-    direction = -u / nu if nu > _CENTER_FLOOR else basis.basis[-1]
+    direction = -u / nu if nu > tolerances.degenerate_ray else basis.basis[-1]
     hull = VPolytope(dec.points, check_extreme=False)
     w, coeffs = stage("ray", ray_hit_boundary, hull, direction)
     cara_rows, cara_coeffs = stage("reduce", caratheodory_reduce, w, dec.points, coeffs)
-    e2, lam = stage("contract", contract_E1, e1, u, w)
+    e2, lam = stage("contract", contract_E1, e1, u, w, tolerances)
     return stage(
         "assemble",
         assemble_subfamily,

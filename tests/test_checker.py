@@ -212,6 +212,16 @@ class TestFaultInjection:
             },
         )
 
+    def test_repeated_selected_row(self, random_cert):
+        # a flat base simplex is reported, not raised
+        rows = random_cert.selected_rows.copy()
+        rows[1] = rows[0]
+        assert_flips(
+            random_cert,
+            replace(random_cert, selected_rows=rows),
+            {"selection_window", "simplex_floor", "contraction", "hull_chain"},
+        )
+
     def test_every_check_is_coverable(self, random_cert):
         # the corruptions above collectively reach every applicable check
         covered = {

@@ -105,6 +105,15 @@ class TestExitCodes:
         save_document(doc, path)
         assert main(["select", "--in", str(path)]) == 3
 
+    def test_out_of_memory_is_numeric_failure(self, cube3, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("hellycert.cli.select", exhausted)
+        assert main(["select", "--in", str(cube3)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_cap_exceeded_is_malformed_input(self, tmp_path):
         assert main(["gen", "--generator", "cube", "--d", "9", "--out", str(tmp_path / "x.json")]) == 2
 

@@ -2,13 +2,15 @@
 
 Oracles here deliberately avoid the library's own code paths: polygon areas
 come from the shoelace formula, 2-D tangent polytopes from an angular-sweep
-construction, and ellipsoid volumes from Monte Carlo rejection counts.
+construction, ellipsoid volumes from Monte Carlo rejection counts, and
+polytope volumes from Qhull (`scipy.spatial.ConvexHull`).
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.spatial
 
 from hellycert import geometry
 from hellycert.config import DEFAULT
@@ -43,7 +45,7 @@ from hellycert.geometry import (
     vertex_enumeration,
     volume,
 )
-from hellycert.generators import gen_tangent_random
+from hellycert.generators import gen_affine_warp, gen_tangent_random
 from hellycert.lp import LPStatus, lp_solve
 from hellycert.pipeline import select
 
@@ -344,19 +346,39 @@ def test_cross_polytope_volume_vertex_form(d):
     assert volume(body) == pytest.approx(2.0**d / math.factorial(d), rel=1e-9)
 
 
-@pytest.mark.parametrize("d, faces", [(3, 1 + 6 + 12), (4, 1 + 8 + 24 + 32)])
+@pytest.mark.parametrize("d, faces", [(3, 2**3 - 1), (4, 2**4 - 1)])
 def test_volume_evaluates_each_face_once(monkeypatch, d, faces):
     calls = []
-    inner = geometry._volume_recursive
+    inner = geometry._pull_face
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return inner(*args, **kwargs)
+    def counted(face, *args):
+        calls.append(face)
+        return inner(face, *args)
 
-    monkeypatch.setattr(geometry, "_volume_recursive", counted)
+    monkeypatch.setattr(geometry, "_pull_face", counted)
     assert volume(cube(d)) == pytest.approx(2.0**d, rel=1e-9)
-    # the cube itself, its facets, and so on down to its edges
+    assert len(set(calls)) == len(calls), "a face was triangulated twice"
+    # pulling one corner visits the faces through the opposite corner down
+    # to its edges: one per proper subset of coordinates fixed at that corner
     assert len(calls) == faces
+
+
+@pytest.mark.parametrize("d, m", [(2, 8), (3, 10), (4, 12), (5, 12)])
+@pytest.mark.parametrize("generator", ["tangent", "warped"])
+def test_volume_matches_qhull(d, m, generator):
+    for seed in range(2):
+        poly = gen_tangent_random(d, m, seed=seed)
+        if generator == "warped":
+            poly, _, _ = gen_affine_warp(poly, seed=seed + 100)
+        cert = select(poly, seed=seed)
+        bodies = [
+            (hpolytope_from_arrays(cert.norm_normals, cert.norm_offsets, normalize=False), cert.vol_f),
+            (polar_of_points(cert.x_points), cert.vol_g),
+        ]
+        for body, stored in bodies:
+            want = scipy.spatial.ConvexHull(vertex_enumeration(body).vertices).volume
+            assert volume(body) == pytest.approx(want, rel=1e-9)
+            assert stored == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("d, m", [(3, 8), (4, 10), (5, 10)])
@@ -542,3 +564,24 @@ def test_facets_of_cube_vertices():
     a, b = facets_from_vertices(corners)
     assert a.shape == (6, 3)
     np.testing.assert_allclose(np.sort(b), np.ones(6), atol=1e-12)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_simplex_facets_match_facet_recovery(d):
+    rng = np.random.default_rng(40 + d)
+    for _ in range(5):
+        verts = rng.normal(size=(d + 1, d))
+        if abs(np.linalg.det(verts[1:] - verts[0])) < 0.1:
+            continue
+        a, b = Simplex(verts).facets()
+        want_a, want_b = facets_from_vertices(verts)
+        got = np.column_stack([a, b])
+        want = np.column_stack([want_a, want_b])
+        assert got.shape == want.shape == (d + 1, d + 1)
+        np.testing.assert_allclose(
+            got[np.lexsort(got.T[::-1])], want[np.lexsort(want.T[::-1])], atol=1e-9
+        )
+        # row i is the facet opposite vertex i
+        sides = verts @ a.T - b
+        assert (np.diag(sides) < 0).all()
+        np.testing.assert_allclose(sides[~np.eye(d + 1, dtype=bool)], 0.0, atol=1e-9)
