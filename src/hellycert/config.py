@@ -7,7 +7,7 @@ defaults to 10x looser than the producer).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 VERSION = "0.1.0"
 
@@ -26,28 +26,24 @@ class Tolerances:
     feasibility: float = 1e-8      # membership / containment re-checks
     contact: float = 1e-7          # near-tangency admission for contact points
     decomposition: float = 1e-6    # identity / barycenter residual cap
-    solver_gap: float = 1e-9       # barrier duality-gap target (log-volume)
-    newton_cap: int = 500          # total damped-Newton step budget
+    solver_gap: float = 1e-9       # John solver duality gap at exit (log-volume)
+    newton_cap: int = 500          # John solver primal-dual iteration budget
     lp_pivot: float = 1e-9         # simplex pivot / reduced-cost threshold
     degenerate_ray: float = 1e-10  # |u| below which the ray direction is moot
     checker_scale: float = 10.0    # verification tolerance = producer x this
 
     def scaled(self, factor: float) -> "Tolerances":
-        """Return a copy with every float tolerance multiplied by factor."""
+        """Return a copy with every tolerance multiplied by factor; the
+        iteration budget `newton_cap` and the ratio `checker_scale` stay."""
         if factor <= 0:
             raise ValueError("tolerance scale must be positive")
         return replace(
             self,
-            incidence=self.incidence * factor,
-            dedupe=self.dedupe * factor,
-            spd_floor=self.spd_floor * factor,
-            unit_norm=self.unit_norm * factor,
-            feasibility=self.feasibility * factor,
-            contact=self.contact * factor,
-            decomposition=self.decomposition * factor,
-            solver_gap=self.solver_gap * factor,
-            lp_pivot=self.lp_pivot * factor,
-            degenerate_ray=self.degenerate_ray * factor,
+            **{
+                f.name: getattr(self, f.name) * factor
+                for f in fields(self)
+                if f.name not in ("newton_cap", "checker_scale")
+            },
         )
 
 

@@ -1,10 +1,17 @@
 """Largest inscribed ellipsoid, position normalization, contact weights.
 
-The solver maximizes log det A over symmetric A and center c subject to
-|A a_i| + a_i.c <= b_i, by damped Newton steps on the log-barrier along the
-standard path t -> mu t. It is self-contained (dense numpy linear algebra)
-and stops when the duality-gap proxy m/t reaches the configured target, so
-the log-volume suboptimality at exit is below that target.
+The solver maximizes log det E over symmetric E and center x subject to
+|E a_i| + a_i.x <= b_i by a primal-dual interior-point method on the
+optimality conditions, after Zhang and Gao, "On numerical solution of the
+maximum volume ellipsoid problem" (SIAM J. Optim. 14, 2003). Row weights
+y > 0 define the ellipsoid, E = (A^T Y A)^(-1/2) and h_i = |E a_i|, and
+slacks z > 0 close the constraints; Newton steps drive A^T (y h) = 0,
+b - A x - h - z = 0 and y z toward a shrinking centering target. Each step
+is taken in the frame where the current ellipsoid is the unit ball, so the
+linear algebra stays well conditioned however elongated the body is. The
+iteration stops when the log-volume duality gap sum y_i h_i z_i reaches the
+configured target and the residuals vanish; the ellipsoid is then shrunk
+about its center until every half-space holds exactly.
 
 Normalizing an instance maps the solved ellipsoid to the unit ball; the
 half-spaces then have unit normals and offsets >= 1, the near-tangent ones
@@ -30,101 +37,46 @@ from .errors import (
 from .geometry import Ellipsoid, HPolytope, _interior_point, hpolytope_from_arrays
 from .nnls import nnls
 
-_CENTER_DECREMENT = 1e-11  # half squared Newton decrement (in 1/t-scaled units,
-# so this is a log-volume accuracy) below which a stage counts as centered
-_PATH_MU = 10.0
+_START_REACH = 0.9  # the start ellipsoid goes this share of the way to the nearest facet
+_CENTERING = 0.1  # each step aims y z at this share of its current mean
+_CENTERING_FLOOR = 1e-3  # ... but never below this share of the target gap / m
+_STEP_FRACTION = 0.99  # share of the step to the boundary of y, z > 0 taken
+_RESIDUAL_STOP = 1e-12  # stationarity and slack residuals at exit, unit-ball frame
 _CONTACT_LADDER = (1e-6, 1e-5, 1e-4)  # escalation above the configured tolerance
 _GAP_LADDER = (1.0, 1e-2)  # solver gap tightening factors, in order
 
 
-def _sym_basis(d: int):
-    """Basis U_k of symmetric d x d matrices indexed by upper-triangle pairs."""
-    pairs = [(p, q) for p in range(d) for q in range(p, d)]
-    basis = np.zeros((len(pairs), d, d))
-    for k, (p, q) in enumerate(pairs):
-        basis[k, p, q] = 1.0
-        basis[k, q, p] = 1.0
-    return pairs, basis
+def _newton_step(a, y, z, r1, r2, floor):
+    """One damped primal-dual Newton step in the frame where the current
+    ellipsoid is the unit ball (so h = 1, A^T Y A = I and Q = A A^T);
+    returns (dx, y, z) after it.
 
-
-def _coeffs_of(mat: np.ndarray, pairs) -> np.ndarray:
-    return np.array([mat[p, q] for p, q in pairs])
-
-
-class _Barrier:
-    """Feasibility, value, gradient and Hessian of the barrier at (A, c)."""
-
-    def __init__(self, a: np.ndarray, b: np.ndarray):
-        self.a = a
-        self.b = b
-        self.m, self.d = a.shape
-        self.pairs, self.basis = _sym_basis(self.d)
-        self.n_sym = len(self.pairs)
-        # m_tens[i, :, k] = U_k a_i ; c_tens[i] = m_tens[i]^T m_tens[i]
-        self.m_tens = np.einsum("kpq,iq->ipk", self.basis, a)
-        self.c_tens = np.einsum("ipk,ipl->ikl", self.m_tens, self.m_tens)
-
-    def split(self, x: np.ndarray):
-        coeffs, c = x[: self.n_sym], x[self.n_sym :]
-        return np.einsum("k,kpq->pq", coeffs, self.basis), c
-
-    def state(self, x: np.ndarray):
-        """None when (A, c) is outside the domain (A not PD or some slack <= 0)."""
-        mat, c = self.split(x)
-        try:
-            chol = np.linalg.cholesky(mat)
-        except np.linalg.LinAlgError:
-            return None
-        y = self.a @ mat
-        norms = np.linalg.norm(y, axis=1)
-        slack = self.b - self.a @ c - norms
-        if slack.min() <= 0.0 or norms.min() <= 1e-300:
-            return None
-        logdet = 2.0 * float(np.log(np.diag(chol)).sum())
-        return mat, chol, y, norms, slack, logdet
-
-    def value(self, t: float, state) -> float:
-        # stage objective scaled by 1/t: -logdet A - (1/t) sum log s_i.
-        # Same minimizer and Newton direction as the unscaled barrier, but
-        # values stay O(1) at large t, so line-search comparisons do not
-        # drown in floating-point cancellation.
-        _, _, _, _, slack, logdet = state
-        return -logdet - float(np.log(slack).sum()) / t
-
-    def grad_hess(self, t: float, state):
-        mat, chol, y, norms, slack, _ = state
-        n_sym, d = self.n_sym, self.d
-        linv = np.linalg.solve(chol, np.eye(d))
-        w_inv = linv.T @ linv  # A^{-1}
-        g_logdet = -np.einsum("kpq,qp->k", self.basis, w_inv)
-        u_dir = y / norms[:, None]
-        mvec = np.einsum("ipk,ip->ik", self.m_tens, u_dir)  # d|Aa_i|/dA coeffs
-        inv_s = 1.0 / slack
-        g_rows = np.hstack([mvec, self.a])  # gradient of -s_i in (A, c)
-        grad = np.concatenate([g_logdet, np.zeros(d)]) + (inv_s @ g_rows) / t
-        p_tens = np.einsum("ab,kbc->kac", w_inv, self.basis)
-        h_logdet = np.einsum("kab,lba->kl", p_tens, p_tens)
-        hess = np.einsum("i,ik,il->kl", inv_s**2, g_rows, g_rows) / t
-        w2 = inv_s / (norms * t)
-        h_norm = np.einsum("i,ikl->kl", w2, self.c_tens) - np.einsum(
-            "i,ik,il->kl", w2, mvec, mvec
-        )
-        hess[:n_sym, :n_sym] += h_logdet + h_norm
-        return grad, hess
-
-
-def _newton_direction(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    n = hess.shape[0]
-    ridge = 0.0
-    for _ in range(8):
-        try:
-            chol = np.linalg.cholesky(hess + ridge * np.eye(n))
-        except np.linalg.LinAlgError:
-            ridge = max(ridge * 100.0, 1e-12 * abs(np.trace(hess)) / n + 1e-300)
-            continue
-        z = np.linalg.solve(chol, -grad)
-        return np.linalg.solve(chol.T, z)
-    raise NoConvergence("Newton system stayed indefinite under regularization")
+    Solves for v = dy / y, so the weights of inactive rows, which fall
+    toward zero, stay well scaled: G v = g0 + P dx with
+    G = Y (Q o Q) Y + diag(2 y z), then the d x d stationarity block for
+    dx. Each row's dz comes from the equation that is well conditioned
+    there: complementarity where y >= z, the linearized slack equation
+    elsewhere. The step goes to _STEP_FRACTION of the boundary of y, z > 0.
+    """
+    m, d = a.shape
+    r3 = max(_CENTERING * (y @ z) / m, floor) - y * z
+    qq = a @ a.T
+    qq *= qq
+    g_mat = qq * np.outer(y, y)
+    g_mat.flat[:: m + 1] += 2.0 * y * z
+    rhs = np.empty((m, d + 1))  # [g0, P]
+    rhs[:, 0] = 2.0 * (r3 - y * r2)
+    rhs[:, 1:] = (2.0 * y)[:, None] * a
+    sol = np.linalg.solve(g_mat, rhs)
+    v0, v_dx = sol[:, 0], sol[:, 1:]
+    rows = (y * (1.0 + z))[:, None] * a
+    lhs = rows.T @ v_dx
+    lhs.flat[:: d + 1] -= 1.0
+    dx = np.linalg.solve(lhs, a.T @ (0.5 * rhs[:, 0]) - r1 - rows.T @ v0)
+    v = v0 + v_dx @ dx
+    dz = np.where(y >= z, r3 / y - z * v, r2 - a @ dx + 0.5 * (qq @ (y * v)))
+    alpha = _STEP_FRACTION / max(_STEP_FRACTION, -v.min(), (-dz / z).max())
+    return alpha * dx, y * (1.0 + alpha * v), z + alpha * dz
 
 
 def inscribed_ellipsoid(
@@ -135,47 +87,61 @@ def inscribed_ellipsoid(
 ) -> Ellipsoid:
     """Maximum-volume ellipsoid inscribed in a bounded full-dimensional polytope.
 
+    The log volume of the result is within `gap` (default
+    `tolerances.solver_gap`) of the optimum, by the duality gap sum
+    y_i h_i z_i. `newton_cap` (default `tolerances.newton_cap`) bounds the
+    number of primal-dual iterations.
+
     Raises Empty / Unbounded / Degenerate from the LP pre-checks and
-    NoConvergence when the Newton budget runs out.
+    NoConvergence when the iteration budget runs out or the result fails
+    the feasibility re-check.
     """
     gap = tolerances.solver_gap if gap is None else gap
     cap = tolerances.newton_cap if newton_cap is None else newton_cap
     center, radius = _interior_point(poly)
 
-    barrier = _Barrier(poly.normals, poly.offsets)
-    x = np.concatenate([_coeffs_of(0.9 * radius * np.eye(poly.dim), barrier.pairs), center])
-    t = 1.0
-    steps = 0
-    while True:
-        for _ in range(200):
-            state = barrier.state(x)
-            assert state is not None  # iterates stay strictly feasible
-            grad, hess = barrier.grad_hess(t, state)
-            delta = _newton_direction(hess, grad)
-            decrement2 = max(float(-grad @ delta), 0.0)
-            if decrement2 / 2.0 <= _CENTER_DECREMENT:
+    # Iterates live in the Chebyshev frame (shifted to the center, scaled
+    # by the radius, so b0 >= 1); y0 and z0 are scaled to its unit normals.
+    a0 = poly.normals
+    b0 = (poly.offsets - a0 @ center) / radius
+    m, d = a0.shape
+    x = np.zeros(d)
+    floor = _CENTERING_FLOOR * gap / m
+    try:
+        # the current ellipsoid is {x + frame u : |u| <= 1}; start from
+        # uniform weights, scaled by _START_REACH
+        frame = np.linalg.inv(np.linalg.cholesky(a0.T @ a0)).T
+        reach = np.linalg.norm(a0 @ frame, axis=1)
+        scale = _START_REACH * float((b0 / reach).min())
+        frame *= scale
+        y0 = np.full(m, scale**-2)
+        z0 = b0 - scale * reach
+        for step in range(cap + 1):
+            # move to the frame where the current ellipsoid is the unit ball
+            raw = a0 @ frame
+            n = np.sqrt(np.einsum("ij,ij->i", raw, raw))
+            a, b, y, z = raw / n[:, None], (b0 - a0 @ x) / n, y0 * n * n, z0 / n
+            r1 = a.T @ y
+            r2 = b - 1.0 - z
+            if y @ z <= gap and max(np.abs(r1).max(), np.abs(r2).max()) <= _RESIDUAL_STOP:
                 break
-            f_here = barrier.value(t, state)
-            step, moved = 1.0, False
-            while step >= 1e-13:
-                trial = x + step * delta
-                trial_state = barrier.state(trial)
-                if trial_state is not None and barrier.value(t, trial_state) <= (
-                    f_here + 0.25 * step * float(grad @ delta)
-                ):
-                    x, moved = trial, True
-                    break
-                step *= 0.5
-            if not moved:
-                break  # stalled this close to the center; gap check governs
-            steps += 1
-            if steps > cap:
-                raise NoConvergence(f"Newton budget {cap} exhausted at t={t:.3e}")
-        if barrier.m / t <= gap:
-            break
-        t *= _PATH_MU
+            if step == cap:
+                raise NoConvergence(f"primal-dual budget {cap} exhausted")
+            dx, y, z = _newton_step(a, y, z, r1, r2, floor)
+            y0, z0 = y / (n * n), z * n
+            x = x + frame @ dx
+            frame = frame @ np.linalg.inv(np.linalg.cholesky((a.T * y) @ a)).T
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"primal-dual system broke down: {exc}") from exc
 
-    mat, c = barrier.split(x)
+    # the symmetric shape with the same image as frame, from its SVD so that
+    # its condition number is not squared as in sqrtm(frame @ frame.T)
+    u, s, _ = np.linalg.svd(frame)
+    mat = radius * (u * s) @ u.T
+    c = center + radius * x
+    # shrink about the center until every half-space holds exactly
+    reach = np.linalg.norm(poly.normals @ mat, axis=1)
+    mat *= min(1.0, max(float(((poly.offsets - poly.normals @ c) / reach).min()), 0.0))
     worst = float((np.linalg.norm(poly.normals @ mat, axis=1) + poly.normals @ c - poly.offsets).max())
     if worst > tolerances.feasibility:
         raise NoConvergence(f"returned ellipsoid violates a half-space by {worst:.3e}")

@@ -4,16 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hellycert import john
+from hellycert.config import DEFAULT
 from hellycert.errors import (
     Degenerate,
     Empty,
+    NoConvergence,
     NoDecomposition,
     Unbounded,
 )
 from hellycert.generators import gen_affine_warp, gen_cube, gen_tangent_random
 from hellycert.geometry import (
     Simplex,
+    chebyshev_center,
     ellipsoid_volume,
     facets_from_vertices,
     hpolytope_from_arrays,
@@ -30,6 +36,16 @@ from hellycert.john import (
     random_decomposition,
     verify_decomposition,
 )
+
+
+def worst_violation(poly, ell):
+    return float(
+        (
+            np.linalg.norm(poly.normals @ ell.shape, axis=1)
+            + poly.normals @ ell.center
+            - poly.offsets
+        ).max()
+    )
 
 
 def random_simplex_hpoly(rng, d, det_floor=0.1):
@@ -88,13 +104,95 @@ def test_solver_feasibility_of_result():
     rng_seeds = [(2, 8, 3), (3, 10, 4), (4, 14, 5)]
     for d, m, seed in rng_seeds:
         poly = gen_tangent_random(d, m, seed)
-        ell = inscribed_ellipsoid(poly)
-        worst = (
-            np.linalg.norm(poly.normals @ ell.shape, axis=1)
-            + poly.normals @ ell.center
-            - poly.offsets
-        ).max()
-        assert worst <= 1e-8
+        assert worst_violation(poly, inscribed_ellipsoid(poly)) <= 1e-8
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_solver_iteration_count(monkeypatch, d):
+    calls = []
+    inner = john._newton_step
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(john, "_newton_step", counted)
+    most = 0
+    for m in sorted({d + 2, 4 * d, 64}):
+        for seed in range(2):
+            base = gen_tangent_random(d, m, seed=100 * d + m + seed)
+            for poly in (base, gen_affine_warp(base, seed=seed)[0]):
+                calls.clear()
+                inscribed_ellipsoid(poly)
+                most = max(most, len(calls))
+    # these solves take at most 18 steps; 40 leaves headroom
+    assert 0 < most <= 40
+
+
+@pytest.mark.parametrize("inradius", [1e-3, 1e3])
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_solver_on_far_simplex_of_any_size(d, inradius):
+    rng = np.random.default_rng(700 + d)
+    verts = rng.normal(size=(d + 1, d))
+    _, r = chebyshev_center(hpolytope_from_arrays(*Simplex(verts).facets()))
+    verts = (verts - verts.mean(axis=0)) * (inradius / r) + 1e4 * np.ones(d) / math.sqrt(d)
+    simplex = Simplex(verts)
+    closed = max_ellipsoid_in_simplex(simplex)
+    solved = inscribed_ellipsoid(hpolytope_from_arrays(*simplex.facets()))
+    assert ellipsoid_volume(solved) == pytest.approx(ellipsoid_volume(closed), rel=1e-7)
+    np.testing.assert_allclose(solved.center, closed.center, rtol=0.0, atol=1e-6 * inradius)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_solver_on_ill_conditioned_cube(d):
+    warped, mat, _ = gen_affine_warp(gen_cube(d), seed=d, cond_cap=1e4)
+    ell = inscribed_ellipsoid(warped)
+    want = abs(np.linalg.det(mat)) * unit_ball_volume(d)
+    assert ellipsoid_volume(ell) == pytest.approx(want, rel=1e-8)
+    assert worst_violation(warped, ell) <= 0.0
+
+
+def test_solver_budget_exhaustion_raises():
+    # the iteration cap is a hard stop: an unfinished solve is never returned
+    poly = gen_affine_warp(gen_tangent_random(3, 10, seed=1), seed=1)[0]
+    for cap in (0, 2):
+        with pytest.raises(NoConvergence):
+            inscribed_ellipsoid(poly, newton_cap=cap)
+
+
+def test_solver_regression_far_center():
+    # acceptance-corpus body whose John ellipsoid sits more than a thousand
+    # Chebyshev radii from the Chebyshev center
+    base = gen_tangent_random(4, 6, seed=91)
+    warped, mat, _ = gen_affine_warp(base, seed=5091)
+    want = abs(np.linalg.det(mat)) * ellipsoid_volume(inscribed_ellipsoid(base))
+    ell = inscribed_ellipsoid(warped)
+    assert ellipsoid_volume(ell) == pytest.approx(want, rel=1e-8)
+    assert worst_violation(warped, ell) <= 0.0
+    rep = verify_decomposition(normalize_position(warped).decomposition)
+    assert rep.identity_residual <= 1e-6
+    assert rep.barycenter_norm <= 1e-6
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    d=st.integers(2, 5),
+    extra=st.integers(1, 12),
+    seed=st.integers(0, 10**6),
+    log_scale=st.floats(-3.0, 3.0),
+    log_cond=st.floats(0.0, 4.0),
+)
+def test_solver_property_feasible_and_certified(d, extra, seed, log_scale, log_cond):
+    """The ellipsoid fits, and its contacts resolve the identity with zero
+    barycenter: by John's theorem that decomposition certifies it is the
+    largest, whichever solver produced it."""
+    base = gen_tangent_random(d, d + extra, seed=seed)
+    warped, _, _ = gen_affine_warp(base, seed=seed, cond_cap=10.0**log_cond)
+    poly = hpolytope_from_arrays(warped.normals, warped.offsets * 10.0**log_scale)
+    assert worst_violation(poly, inscribed_ellipsoid(poly)) <= DEFAULT.feasibility
+    rep = verify_decomposition(normalize_position(poly).decomposition)
+    assert rep.identity_residual <= DEFAULT.decomposition
+    assert rep.barycenter_norm <= DEFAULT.decomposition
 
 
 # ------------------------------------------------------------------ weights
