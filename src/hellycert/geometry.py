@@ -17,8 +17,11 @@ is kept as the reference.
 
 Boundedness is one rank check and one small LP (Stiemke's theorem of the
 alternative): the normals must span R^d and some strictly positive
-combination of them must vanish. It does not test feasibility; the
-Chebyshev-center LP that every interior pre-check runs first raises Empty.
+combination of them must vanish. It does not test feasibility. Vertex
+enumeration rules out an empty or flat body first: with no LP when every
+half-space keeps the origin at least `_INTERIOR_FLOOR` inside (as in the
+normalized instance and in polars of points), and otherwise by the
+Chebyshev-center LP, which raises Empty.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ from .lp import LPStatus, lp_solve
 _COMBO_CHUNK = 200_000
 _DEDUPE_BLOCK = 256
 _INTERIOR_FLOOR = 1e-10  # inscribed radius below which a body counts as flat
+# d-subsets the brute-force vertex walk may try. At d=8 a volume costs about
+# 10 us per subset, walk and triangulation together (C(24, 8) = 735,471
+# subsets in about 8 s), so this is about 10 s there, and less below d=8.
+_SUBSET_BUDGET = 1_000_000
 # smallest singular value of the normals, and smallest Stiemke weight, that
 # count as nonzero in the boundedness test
 _BOUNDED_FLOOR = 1e-9
@@ -277,7 +284,8 @@ def ensure_bounded(poly: HPolytope) -> None:
     and 1.z + m*t = 1, which has d + 1 equality rows.
 
     Feasibility is not tested: an empty intersection can pass. Callers that
-    need it run `chebyshev_center` first, which raises Empty.
+    need it either know an interior point or run `chebyshev_center` first,
+    which raises Empty.
     """
     a = poly.normals
     m, d = a.shape
@@ -344,16 +352,31 @@ def vertex_enumeration(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> VPo
     """All vertices of a bounded full-dimensional polytope, by brute force.
 
     Every d-subset of facets is solved; feasible solutions are deduplicated.
-    Raises Empty / Unbounded / Degenerate from the LP pre-checks.
+    First an interior point rules out an empty or flat body: the origin,
+    when every half-space keeps it at least `_INTERIOR_FLOOR` inside, and
+    the Chebyshev center otherwise; then `ensure_bounded` runs. Raises
+    Empty / Unbounded / Degenerate from these checks, and CapExceeded,
+    before any subset is solved, when C(m, d) exceeds `_SUBSET_BUDGET`.
     """
     verts = _vertex_array(poly, tolerances)
     return VPolytope(verts, check_extreme=False)
 
 
 def _vertex_array(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> np.ndarray:
-    _interior_point(poly)
     a, b = poly.normals, poly.offsets
     m, d = a.shape
+    if (b / np.linalg.norm(a, axis=1)).min() >= _INTERIOR_FLOOR:
+        # the origin is an interior point of inradius at least the floor,
+        # so the Chebyshev LP could raise neither Empty nor Degenerate
+        ensure_bounded(poly)
+    else:
+        _interior_point(poly)
+    subsets = math.comb(m, d)
+    if subsets > _SUBSET_BUDGET:
+        raise CapExceeded(
+            f"vertex enumeration would try C({m}, {d}) = {subsets} d-subsets, "
+            f"above the budget of {_SUBSET_BUDGET}"
+        )
     verts = np.empty((0, d))
     combos = itertools.combinations(range(m), d)
     while True:
@@ -462,12 +485,13 @@ def _polytope_volume(
 def volume(body, tolerances: Tolerances = DEFAULT) -> float:
     """Euclidean volume of a bounded polytope (either description).
 
-    H-form: vertices are enumerated, and the volume is the sum of the
-    simplices of a pulling triangulation of the vertex-facet incidence,
-    each face triangulated once. V-form: the outer description is
-    recovered first, then the same triangulation runs; this is the
-    reference path, since the pipeline and the checker take the volume of
-    the polar X* from its H-form.
+    H-form: vertices are enumerated (see `vertex_enumeration` for the
+    interior-point checks and the subset budget that run first), and the
+    volume is the sum of the simplices of a pulling triangulation of the
+    vertex-facet incidence, each face triangulated once. V-form: the outer
+    description is recovered first, then the same triangulation runs; this
+    is the reference path, since the pipeline and the checker take the
+    volume of the polar X* from its H-form.
     """
     if isinstance(body, Ellipsoid):
         return ellipsoid_volume(body)

@@ -23,6 +23,7 @@ from .bounds import explicit_bound, simplex_volume_floor
 from .config import DEFAULT, VERSION, Tolerances
 from .dr import DRBasis, dr_select, sampled_basis
 from .errors import (
+    CapExceeded,
     DegenerateSimplex,
     HellyError,
     MalformedCertificate,
@@ -467,7 +468,8 @@ def select(
 
     Deterministic for the default greedy selector (input order decides
     ties); the sampling selector takes its randomness from seed. Errors are
-    wrapped with the stage that raised them.
+    wrapped with the stage that raised them, except CapExceeded, which
+    passes through unwrapped so that it stays a size error.
     """
     if selector not in ("dr", "pivovarov"):
         raise ValueError(f"unknown selector {selector!r}")
@@ -475,7 +477,7 @@ def select(
     def stage(name, fn, *args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except PipelineError:
+        except (PipelineError, CapExceeded):
             raise
         except HellyError as exc:
             raise PipelineError(name, str(exc)) from exc

@@ -114,6 +114,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_vertex_walk_over_budget_is_malformed_input(self, tmp_path, capsys):
+        path = tmp_path / "d8m64.json"
+        save_document(instance_to_doc(gen_tangent_random(8, 64, seed=0)), path)
+        assert main(["select", "--in", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_cap_exceeded_is_malformed_input(self, tmp_path):
         assert main(["gen", "--generator", "cube", "--d", "9", "--out", str(tmp_path / "x.json")]) == 2
 

@@ -6,7 +6,9 @@ construction, ellipsoid volumes from Monte Carlo rejection counts, and
 polytope volumes from Qhull (`scipy.spatial.ConvexHull`).
 """
 
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -321,6 +323,123 @@ def test_cross_polytope_vertices():
     np.testing.assert_allclose(norms, np.ones(2 * d), atol=1e-9)
 
 
+def reference_vertex_array(poly, tolerances=DEFAULT):
+    """Vertices from the Chebyshev-center pre-check followed by the walk over
+    every d-subset, written out here as one batch; the reference for the
+    origin pre-check of `vertex_enumeration`."""
+    geometry._interior_point(poly)
+    a, b = poly.normals, poly.offsets
+    m, d = a.shape
+    combos = np.array(list(itertools.combinations(range(m), d)), dtype=int)
+    sub_a, sub_b = a[combos], b[combos]
+    good = np.abs(np.linalg.det(sub_a)) > 1e-12
+    pts = np.linalg.solve(sub_a[good], sub_b[good][..., None])[..., 0]
+    feas = np.all(pts @ a.T <= b[None, :] + tolerances.incidence, axis=1)
+    verts = geometry._dedupe_points(pts[feas], tolerances.dedupe)
+    if not verts.shape[0]:
+        raise Degenerate("no vertices found")
+    return verts
+
+
+def precheck_family(rng, kind, d):
+    """One body of a family for the interior pre-check.
+
+    Positive offsets, so the origin is inside: "bounded" (a tangent body
+    with rescaled offsets), "half-strip" and "lineality" (unbounded, from
+    `boundedness_family`), and "floor-above" / "floor-below", whose
+    smallest offset sits just above or below `_INTERIOR_FLOOR` (one tangent
+    row moved through the origin, or both sides of a thin slab). The origin
+    outside: "negative" (a translated tangent body) and "empty" (one more
+    row cuts everything away).
+    """
+    if kind in ("half-strip", "lineality"):
+        return boundedness_family(rng, "half-space" if kind == "half-strip" else kind, d)
+    m = int(rng.integers(d + 2, 3 * d + 2))
+    tangent = gen_tangent_random(d, m, seed=int(rng.integers(1 << 30)))
+    a, b = tangent.normals, tangent.offsets * rng.uniform(0.5, 2.0, size=m)
+    if kind.startswith("floor"):
+        r = geometry._INTERIOR_FLOOR * (1.0 + 1e-3 if kind == "floor-above" else 1.0 - 1e-3)
+        if rng.random() < 0.5:
+            b = b.copy()
+            b[0] = r
+        else:
+            q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            a = np.vstack([np.eye(d), -np.eye(d)]) @ q.T
+            sides = rng.uniform(0.5, 2.0, size=(2, d - 1))
+            b = np.concatenate([[r], sides[0], [r], sides[1]])
+    elif kind == "negative":
+        shift = rng.normal(size=d)
+        b = b - a @ (shift * rng.uniform(2.0, 4.0) / np.linalg.norm(shift))
+    elif kind == "empty":
+        a = np.vstack([a, -a[:1]])
+        b = np.concatenate([b, [-b[0] - 1.0]])
+    return hpolytope_from_arrays(a, b)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the type is the outcome compared
+        return type(exc)
+
+
+@pytest.mark.parametrize(
+    "kind, want",
+    [
+        ("bounded", {"vertices"}),
+        ("half-strip", {Unbounded}),
+        ("lineality", {Unbounded}),
+        ("floor-above", {"vertices"}),
+        ("floor-below", {"vertices", Degenerate}),
+        ("negative", {"vertices"}),
+        ("empty", {Empty}),
+    ],
+)
+def test_origin_precheck_matches_chebyshev_reference(monkeypatch, kind, want):
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    cheb_calls = []
+    inner = geometry.chebyshev_center
+
+    def counted(poly):
+        cheb_calls.append(1)
+        return inner(poly)
+
+    monkeypatch.setattr(geometry, "chebyshev_center", counted)
+    seen = set()
+    for i in range(24):
+        poly = precheck_family(rng, kind, d=2 + i % 3)
+        ref = outcome(reference_vertex_array, poly)
+        cheb_calls.clear()
+        got = outcome(lambda p: vertex_enumeration(p).vertices, poly)
+        vol = outcome(volume, poly)
+        if isinstance(ref, type):
+            assert got is ref and vol is ref, f"body {i}"
+            seen.add(ref)
+        else:
+            assert np.array_equal(got, ref), f"body {i}"
+            ref_vol = geometry._polytope_volume(ref, poly.normals, poly.offsets, DEFAULT)
+            assert vol == ref_vol, f"body {i}"
+            seen.add("vertices")
+        if poly.offsets.min() >= geometry._INTERIOR_FLOOR:
+            assert not cheb_calls, f"body {i}: the origin witness was not used"
+    assert seen == want
+
+
+def test_subset_budget_refuses_before_the_walk(monkeypatch):
+    # the 6-dimensional cross-polytope in H-form: C(64, 6) = 74,974,368 subsets
+    d = 6
+    signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * d)).reshape(d, -1).T
+    poly = hpolytope_from_arrays(signs, np.ones(2**d))
+    assert math.comb(2**d, d) > geometry._SUBSET_BUDGET
+    monkeypatch.setattr(geometry, "_dedupe_points", None)  # the walk must not start
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        vertex_enumeration(poly)
+    with pytest.raises(CapExceeded):
+        volume(poly)
+    assert time.perf_counter() - start < 1.0
+
+
 # ------------------------------------------------------------------ volume
 
 
@@ -329,8 +448,9 @@ def test_cube_volume(d):
     assert volume(cube(d)) == pytest.approx(2.0**d, rel=1e-9)
 
 
-# d=6 in H-form is left out: brute-force vertex enumeration walks C(64, 6)
-# facet subsets (minutes); the vertex-form test below covers d=6.
+# d=6 in H-form is left out: C(64, 6) facet subsets exceed the walk's
+# budget (see test_subset_budget_refuses_before_the_walk); the vertex-form
+# test below covers d=6.
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_cross_polytope_volume(d):
     signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * d)).reshape(d, -1).T

@@ -7,10 +7,12 @@ import time
 import numpy as np
 import pytest
 
+from hellycert import geometry, pipeline
 from hellycert.bounds import explicit_bound, simplex_volume_floor
 from hellycert.checker import check_certificate
 from hellycert.dr import DRBasis, dr_select, eq3_lower_bounds
 from hellycert.errors import (
+    CapExceeded,
     DegenerateSimplex,
     Misaligned,
     NumericalBreakdown,
@@ -297,7 +299,7 @@ class TestSelectEndToEnd:
             verts = vertex_enumeration(polar_of_points(cert.x_points)).vertices
             assert np.linalg.norm(verts @ cert.e2_shape, axis=1).max() <= 1.0 + 1e-8
 
-    @pytest.mark.parametrize("d, m", [(5, 12), (5, 24), (6, 14)])
+    @pytest.mark.parametrize("d, m", [(5, 12), (5, 24), (6, 14), (7, 16), (8, 12)])
     def test_high_dimension_finishes(self, d, m):
         start = time.perf_counter()
         cert = select(gen_tangent_random(d, m, seed=0))
@@ -306,6 +308,46 @@ class TestSelectEndToEnd:
         assert all(item.applicable for item in report.items)
         assert cert.ratio <= explicit_bound(d) * (1.0 + 1e-9)
         assert time.perf_counter() - start < 10.0
+
+    def test_vertex_walk_over_budget_raises_cap_exceeded(self):
+        # vol_f would walk C(64, 8) ≈ 4.4e9 subsets of the input's rows
+        poly = gen_tangent_random(8, 64, seed=0)
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded):
+            select(poly)
+        assert time.perf_counter() - start < 5.0
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            pytest.param(gen_tangent_random(4, 16, seed=0), id="tangent-d4-m16"),
+            pytest.param(
+                gen_affine_warp(gen_tangent_random(2, 64, seed=0), seed=5000)[0],
+                id="warped-d2-m64",
+            ),
+        ],
+    )
+    def test_select_and_check_solve_seven_lps(self, monkeypatch, poly):
+        # the John pre-check (Chebyshev and Stiemke), the ray, and one
+        # Stiemke LP for each of X* and the normalized body, producer and
+        # checker: their interior point is the origin
+        lp_calls, cheb_calls = [], []
+
+        def counting(calls, fn):
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for module in (geometry, pipeline):  # every module that calls lp_solve
+            monkeypatch.setattr(module, "lp_solve", counting(lp_calls, module.lp_solve))
+        monkeypatch.setattr(
+            geometry, "chebyshev_center", counting(cheb_calls, geometry.chebyshev_center)
+        )
+        report = check_certificate(select(poly))
+        assert report.passed
+        assert (len(lp_calls), len(cheb_calls)) == (7, 1)
 
     def test_window_slack_recorded(self):
         cert = select(gen_tangent_random(3, 9, seed=1))
