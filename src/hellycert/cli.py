@@ -25,6 +25,7 @@ from .documents import (
 from .errors import CapExceeded, HellyError, MalformedDocument
 from .experiment import grid_specs, rows_to_csv, run_experiment
 from .generators import gen_affine_warp, gen_cube, gen_tangent_random
+from .geometry import check_subset_budget
 from .john import normalize_position
 from .oracle import ORACLE_DIM_CAP, ORACLE_FACET_CAP
 from .pipeline import select
@@ -114,6 +115,11 @@ def cmd_experiment(args) -> int:
             raise CapExceeded(f"--oracle needs m <= {ORACLE_FACET_CAP}, got {m}")
     if args.oracle and max(args.d) > ORACLE_DIM_CAP:
         raise CapExceeded(f"--oracle needs d <= {ORACLE_DIM_CAP}")
+    # every trial takes the volume of its instance: refuse a cell whose
+    # vertex walk is over budget before any trial starts
+    for d in args.d:
+        for m in args.m:
+            check_subset_budget(2 * d if args.generator == "cube" else m, d)
     specs = grid_specs(
         args.d,
         args.m,

@@ -40,10 +40,6 @@ class DegenerateSimplex(HellyError):
     """Simplex vertices are affinely dependent."""
 
 
-class NotCentered(HellyError):
-    """Operation requires a body centered at the origin."""
-
-
 class NoConvergence(HellyError):
     """Iterative solver ran out of its step budget."""
 

@@ -24,6 +24,7 @@ from .errors import HellyError
 from .generators import gen_affine_warp, gen_cube, gen_tangent_random
 from .oracle import oracle_min_subfamily
 from .pipeline import Certificate, select
+from .pivovarov import sample_volume
 
 __all__ = ["ExperimentRow", "TrialSpec", "grid_specs", "rows_to_csv", "run_experiment", "run_trial"]
 
@@ -81,10 +82,6 @@ def _observed_window_margin(cert: Certificate) -> float:
     return float(np.min(diag - eq3_lower_bounds(cert.dim)))
 
 
-def _simplex_volume(cert: Certificate) -> float:
-    return abs(float(np.linalg.det(cert.selected_points))) / math.factorial(cert.dim)
-
-
 def run_trial(spec: TrialSpec) -> ExperimentRow:
     """Generate, select, verify, and condense one instance."""
     start = time.perf_counter()
@@ -131,7 +128,7 @@ def run_trial(spec: TrialSpec) -> ExperimentRow:
         ratio=cert.ratio,
         bound=cert.bound,
         lam=cert.lam,
-        vol_s1=_simplex_volume(cert),
+        vol_s1=sample_volume(cert.s1_vertices),
         min_window_slack=_observed_window_margin(cert),
         wall_ms=wall,
         oracle_ratio=oracle_ratio,

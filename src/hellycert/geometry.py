@@ -1,8 +1,8 @@
 """Exact-arithmetic-free convex geometry at desk scale.
 
-Polytopes in half-space and vertex form, brute-force vertex enumeration,
-triangulated volume, polar bodies, and ellipsoid primitives. Everything
-here is deterministic and dimension-capped; the combinatorial routines are
+Polytopes in half-space form, brute-force vertex enumeration, triangulated
+volume, polar bodies, and ellipsoid primitives. Everything here is
+deterministic and dimension-capped; the combinatorial routines are
 exponential on purpose (they are the trusted ground truth the rest of the
 library is checked against).
 
@@ -12,8 +12,7 @@ practical study", 2000): each face is a vertex bitmask, triangulated once
 by coning its lowest vertex over its facets that miss it, and one batched
 determinant sums the simplices. Polar bodies such as X* are built in
 H-form, and their volume is taken from that form, from the vertices the
-caller already enumerated; the V-form path through `facets_from_vertices`
-is kept as the reference.
+caller already enumerated.
 
 Boundedness is one rank check and one small LP (Stiemke's theorem of the
 alternative): the normals must span R^d and some strictly positive
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -39,7 +38,6 @@ from .errors import (
     Degenerate,
     DegenerateSimplex,
     Empty,
-    NotCentered,
     Unbounded,
     ZeroNormal,
     ZeroPoint,
@@ -49,6 +47,7 @@ from .lp import LPStatus, lp_solve
 _COMBO_CHUNK = 200_000
 _DEDUPE_BLOCK = 256
 _INTERIOR_FLOOR = 1e-10  # inscribed radius below which a body counts as flat
+_ZERO_NORMAL = 1e-12  # normal length at or below which a half-space is refused
 # d-subsets the brute-force vertex walk may try. At d=8 a volume costs about
 # 10 us per subset, walk and triangulation together (C(24, 8) = 735,471
 # subsets in about 8 s), so this is about 10 s there, and less below d=8.
@@ -75,22 +74,21 @@ class HalfSpace:
 
     normal: np.ndarray
     offset: float
-    validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "normal", _freeze(self.normal))
         object.__setattr__(self, "offset", float(self.offset))
         if not np.isfinite(self.normal).all() or not math.isfinite(self.offset):
             raise ZeroNormal("half-space has non-finite entries")
-        if self.validate and abs(np.linalg.norm(self.normal) - 1.0) > DEFAULT.unit_norm:
+        if abs(np.linalg.norm(self.normal) - 1.0) > DEFAULT.unit_norm:
             raise ZeroNormal("half-space normal is not unit length")
 
 
-def normalize_halfspace(a, b, tol: float = 1e-12) -> HalfSpace:
+def normalize_halfspace(a, b) -> HalfSpace:
     """Scale (a, b) so the normal has unit length."""
     a = np.asarray(a, dtype=float)
     nrm = float(np.linalg.norm(a))
-    if nrm <= tol:
+    if nrm <= _ZERO_NORMAL:
         raise ZeroNormal(f"normal has length {nrm:.3e}")
     return HalfSpace(a / nrm, float(b) / nrm)
 
@@ -121,9 +119,6 @@ class HPolytope:
     def offsets(self) -> np.ndarray:
         return _freeze(np.array([h.offset for h in self.halfspaces]))
 
-    def contains(self, point: np.ndarray, tol: float = 1e-9) -> bool:
-        return bool(np.all(self.normals @ point <= self.offsets + tol))
-
 
 def hpolytope_from_arrays(a, b, *, normalize: bool = True) -> HPolytope:
     a = np.asarray(a, dtype=float)
@@ -137,47 +132,19 @@ def hpolytope_from_arrays(a, b, *, normalize: bool = True) -> HPolytope:
     return HPolytope(a.shape[1], hs)
 
 
-def point_in_hull_gap(point: np.ndarray, points: np.ndarray) -> float:
-    """L1 distance from point to conv(points), via one feasibility LP.
-
-    Zero (up to LP tolerance) means the point lies in the hull.
-    """
-    points = np.asarray(points, dtype=float)
-    k, d = points.shape
-    # variables: mu (k), s+ (d), s- (d), all nonnegative
-    n = k + 2 * d
-    cost = np.concatenate([np.zeros(k), np.ones(2 * d)])
-    a_eq = np.zeros((d + 1, n))
-    a_eq[:d, :k] = points.T
-    a_eq[:d, k : k + d] = np.eye(d)
-    a_eq[:d, k + d :] = -np.eye(d)
-    a_eq[d, :k] = 1.0
-    b_eq = np.concatenate([np.asarray(point, dtype=float), [1.0]])
-    res = lp_solve(cost, a_eq=a_eq, b_eq=b_eq, nonneg=np.ones(n, dtype=bool))
-    if res.status != LPStatus.OPTIMAL:
-        raise Empty("hull membership LP failed")
-    return max(res.value, 0.0)
-
-
 @dataclass(frozen=True, eq=False)
 class VPolytope:
-    """Convex hull of finitely many points, all of them extreme."""
+    """The vertices of a polytope, as a frozen (n, d) array."""
 
     vertices: np.ndarray
-    check_extreme: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", _freeze(np.atleast_2d(self.vertices)))
-        n, d = self.vertices.shape
+        d = self.vertices.shape[1]
         if not (1 <= d <= DIM_CAP):
             raise CapExceeded(f"dimension {d} outside [1, {DIM_CAP}]")
         if not np.isfinite(self.vertices).all():
             raise ValueError("non-finite vertex")
-        if self.check_extreme and n > 1:
-            for i in range(n):
-                rest = np.delete(self.vertices, i, axis=0)
-                if point_in_hull_gap(self.vertices[i], rest) <= DEFAULT.dedupe:
-                    raise ValueError(f"vertex {i} lies in the hull of the others")
 
     @property
     def dim(self) -> int:
@@ -348,6 +315,17 @@ def _dedupe_points(
     return kept
 
 
+def check_subset_budget(m: int, d: int) -> None:
+    """Raise CapExceeded when the vertex walk over m half-spaces in
+    dimension d would try more than `_SUBSET_BUDGET` d-subsets."""
+    subsets = math.comb(m, d)
+    if subsets > _SUBSET_BUDGET:
+        raise CapExceeded(
+            f"vertex enumeration would try C({m}, {d}) = {subsets} d-subsets, "
+            f"above the budget of {_SUBSET_BUDGET}"
+        )
+
+
 def vertex_enumeration(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> VPolytope:
     """All vertices of a bounded full-dimensional polytope, by brute force.
 
@@ -359,7 +337,7 @@ def vertex_enumeration(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> VPo
     before any subset is solved, when C(m, d) exceeds `_SUBSET_BUDGET`.
     """
     verts = _vertex_array(poly, tolerances)
-    return VPolytope(verts, check_extreme=False)
+    return VPolytope(verts)
 
 
 def _vertex_array(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> np.ndarray:
@@ -371,12 +349,7 @@ def _vertex_array(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> np.ndarr
         ensure_bounded(poly)
     else:
         _interior_point(poly)
-    subsets = math.comb(m, d)
-    if subsets > _SUBSET_BUDGET:
-        raise CapExceeded(
-            f"vertex enumeration would try C({m}, {d}) = {subsets} d-subsets, "
-            f"above the budget of {_SUBSET_BUDGET}"
-        )
+    check_subset_budget(m, d)
     verts = np.empty((0, d))
     combos = itertools.combinations(range(m), d)
     while True:
@@ -483,15 +456,12 @@ def _polytope_volume(
 
 
 def volume(body, tolerances: Tolerances = DEFAULT) -> float:
-    """Euclidean volume of a bounded polytope (either description).
+    """Euclidean volume of an ellipsoid, a simplex or a bounded H-polytope.
 
-    H-form: vertices are enumerated (see `vertex_enumeration` for the
-    interior-point checks and the subset budget that run first), and the
-    volume is the sum of the simplices of a pulling triangulation of the
-    vertex-facet incidence, each face triangulated once. V-form: the outer
-    description is recovered first, then the same triangulation runs; this
-    is the reference path, since the pipeline and the checker take the
-    volume of the polar X* from its H-form.
+    For a polytope the vertices are enumerated (see `vertex_enumeration`
+    for the interior-point checks and the subset budget that run first),
+    and the volume is the sum of the simplices of a pulling triangulation
+    of the vertex-facet incidence, each face triangulated once.
     """
     if isinstance(body, Ellipsoid):
         return ellipsoid_volume(body)
@@ -499,10 +469,6 @@ def volume(body, tolerances: Tolerances = DEFAULT) -> float:
         return body.volume()
     if isinstance(body, HPolytope):
         return _polytope_volume(_vertex_array(body, tolerances), body.normals, body.offsets, tolerances)
-    if isinstance(body, VPolytope):
-        verts = body.vertices
-        a, b = facets_from_vertices(verts, tolerances.incidence)
-        return _polytope_volume(verts, a, b, tolerances)
     raise TypeError(f"cannot take the volume of {type(body).__name__}")
 
 
@@ -517,15 +483,6 @@ def polar_of_points(points: np.ndarray) -> HPolytope:
 
 def ellipsoid_volume(ell: Ellipsoid) -> float:
     return unit_ball_volume(ell.dim) * float(np.linalg.det(ell.shape))
-
-
-def ellipsoid_polar(ell: Ellipsoid) -> Ellipsoid:
-    """Polar of a 0-centered ellipsoid: the shape matrix inverts."""
-    if np.linalg.norm(ell.center) > 1e-10:
-        raise NotCentered("polar requires an origin-centered ellipsoid")
-    w, v = np.linalg.eigh(ell.shape)
-    inv = (v / w) @ v.T
-    return Ellipsoid(np.zeros(ell.dim), 0.5 * (inv + inv.T))
 
 
 def _sqrtm_spd(mat: np.ndarray) -> np.ndarray:

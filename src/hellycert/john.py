@@ -44,6 +44,7 @@ _STEP_FRACTION = 0.99  # share of the step to the boundary of y, z > 0 taken
 _RESIDUAL_STOP = 1e-12  # stationarity and slack residuals at exit, unit-ball frame
 _CONTACT_LADDER = (1e-6, 1e-5, 1e-4)  # escalation above the configured tolerance
 _GAP_LADDER = (1.0, 1e-2)  # solver gap tightening factors, in order
+_WEIGHT_FLOOR = 1e-10  # fitted contact weights at or below this are zeroed
 
 
 def _newton_step(a, y, z, r1, r2, floor):
@@ -83,21 +84,20 @@ def inscribed_ellipsoid(
     poly: HPolytope,
     tolerances: Tolerances = DEFAULT,
     gap: float | None = None,
-    newton_cap: int | None = None,
 ) -> Ellipsoid:
     """Maximum-volume ellipsoid inscribed in a bounded full-dimensional polytope.
 
     The log volume of the result is within `gap` (default
     `tolerances.solver_gap`) of the optimum, by the duality gap sum
-    y_i h_i z_i. `newton_cap` (default `tolerances.newton_cap`) bounds the
-    number of primal-dual iterations.
+    y_i h_i z_i. `tolerances.newton_cap` bounds the number of primal-dual
+    iterations.
 
     Raises Empty / Unbounded / Degenerate from the LP pre-checks and
     NoConvergence when the iteration budget runs out or the result fails
     the feasibility re-check.
     """
     gap = tolerances.solver_gap if gap is None else gap
-    cap = tolerances.newton_cap if newton_cap is None else newton_cap
+    cap = tolerances.newton_cap
     center, radius = _interior_point(poly)
 
     # Iterates live in the Chebyshev frame (shifted to the center, scaled
@@ -233,14 +233,13 @@ def verify_decomposition(points, weights=None) -> DecompositionReport:
 def john_weights(
     points: np.ndarray,
     residual_tol: float = DEFAULT.decomposition,
-    drop_tol: float = 1e-10,
     balanced: bool = True,
 ) -> np.ndarray:
     """Nonnegative weights making unit vectors resolve the identity.
 
     Returns a weight per input point (zeros where the point is unused;
-    weights at or below drop_tol are zeroed). Raises NoDecomposition when
-    the best nonnegative fit leaves a residual above residual_tol.
+    weights at or below _WEIGHT_FLOOR are zeroed). Raises NoDecomposition
+    when the best nonnegative fit leaves a residual above residual_tol.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     k, d = pts.shape
@@ -257,7 +256,7 @@ def john_weights(
             target.append(0.0)
     system = np.array(rows)
     weights, _ = nnls(system, np.array(target))
-    weights[weights <= drop_tol] = 0.0
+    weights[weights <= _WEIGHT_FLOOR] = 0.0
 
     report = verify_decomposition(pts, weights)
     if report.identity_residual > residual_tol:
@@ -303,11 +302,8 @@ class NormalizedInstance:
     normalized: HPolytope
     decomposition: ContactDecomposition
     contact_tol: float
-    validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.validate:
-            return
         if abs(np.linalg.det(self.map_matrix)) <= 1e-12:
             raise Degenerate("normalization map is singular")
         offsets = self.normalized.offsets

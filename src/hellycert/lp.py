@@ -38,7 +38,6 @@ def lp_solve(
     nonneg=None,
     maximize: bool = False,
     tol: float = 1e-9,
-    max_iter: int | None = None,
 ) -> LPResult:
     """Solve min/max cost.x subject to a_ub x <= b_ub, a_eq x = b_eq.
 
@@ -88,7 +87,7 @@ def lp_solve(
 
     basis = n_struct + np.arange(rows)
     scale = 1.0 + (abs(rhs).max() if rows else 0.0)
-    cap = max_iter if max_iter is not None else 2000 + 200 * (rows + n_total)
+    cap = 2000 + 200 * (rows + n_total)
 
     def pivot(r: int, c: int) -> None:
         nonlocal tab, rhs

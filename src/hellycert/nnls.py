@@ -12,15 +12,14 @@ import numpy as np
 from .errors import NoConvergence
 
 
-def nnls(a: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> tuple[np.ndarray, float]:
+def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Return (x, residual_norm) minimizing |a x - b| with x >= 0."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
     m, n = a.shape
     if b.shape[0] != m:
         raise ValueError("incompatible shapes")
-    if max_iter is None:
-        max_iter = 10 * n + 50
+    max_iter = 10 * n + 50
 
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)

@@ -37,7 +37,6 @@ from .geometry import (
     Ellipsoid,
     HPolytope,
     Simplex,
-    VPolytope,
     _polytope_volume,
     max_ellipsoid_in_simplex,
     polar_of_points,
@@ -46,8 +45,10 @@ from .geometry import (
 )
 from .john import NormalizedInstance, normalize_position
 from .lp import LPStatus, lp_solve
+from .pivovarov import _index_probabilities
 
 _SAMPLE_CAP = 200
+_DROP_TOL = 1e-12  # combination weights below this count as zero
 
 _ARRAY_FIELDS = {
     "normals": 2,
@@ -228,15 +229,15 @@ def build_S1(basis: DRBasis, enforce_floor: bool = True):
     return simplex, ell, ell.center
 
 
-def ray_hit_boundary(hull: VPolytope, direction: np.ndarray):
-    """Farthest point of the hull along a unit ray from the origin.
+def ray_hit_boundary(points: np.ndarray, direction: np.ndarray):
+    """Farthest point of conv(points) along a unit ray from the origin.
 
-    Maximizes t with t*direction a convex combination of the hull points;
+    Maximizes t with t*direction a convex combination of the points;
     the simplex method's basic solution spends one basic variable on t, so
     at most d combination weights are nonzero, which hands the follow-up
     hull rewrite its starting point for free.
     """
-    pts = hull.vertices
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = pts.shape
     direction = np.asarray(direction, dtype=float).ravel()
     if abs(np.linalg.norm(direction) - 1.0) > 1e-8:
@@ -266,7 +267,7 @@ def ray_hit_boundary(hull: VPolytope, direction: np.ndarray):
     return t * direction, res.x[1:].copy()
 
 
-def caratheodory_reduce(point, vertices, coeffs, drop_tol: float = 1e-12):
+def caratheodory_reduce(point, vertices, coeffs):
     """Rewrite a convex combination over at most d of its points.
 
     Repeatedly finds an affine dependence among the supported points (the
@@ -282,7 +283,7 @@ def caratheodory_reduce(point, vertices, coeffs, drop_tol: float = 1e-12):
         raise ReductionFailed("input coefficients are not a convex combination")
     if np.linalg.norm(vertices.T @ coeffs - point) > 1e-8:
         raise ReductionFailed("input combination does not reproduce the point")
-    coeffs[coeffs < drop_tol] = 0.0
+    coeffs[coeffs < _DROP_TOL] = 0.0
     support = np.flatnonzero(coeffs)
     while support.size > d:
         pts = vertices[support]
@@ -299,7 +300,7 @@ def caratheodory_reduce(point, vertices, coeffs, drop_tol: float = 1e-12):
         movable = gamma > 1e-14
         theta = float((coeffs[support][movable] / gamma[movable]).min())
         shifted = coeffs[support] - theta * gamma
-        shifted[shifted < drop_tol] = 0.0
+        shifted[shifted < _DROP_TOL] = 0.0
         coeffs[support] = shifted
         support = np.flatnonzero(coeffs)
     out = coeffs[support]
@@ -438,12 +439,12 @@ def assemble_subfamily(
 
 def _sample_selection(dec, seed) -> DRBasis:
     """Random alternative to the greedy pick: d contact points drawn
-    i.i.d. with probabilities c_i/d. Draws whose simplex is numerically flat
-    are rejected, since the downstream ellipsoid needs interior to live in;
-    no window guarantee travels with the result."""
+    i.i.d. with probabilities c_i/d, as `pivovarov_sample` draws them. Draws
+    whose simplex is numerically flat are rejected, since the downstream
+    ellipsoid needs interior to live in; no window guarantee travels with
+    the result."""
     rng = np.random.default_rng(seed)
-    prob = dec.weights / dec.dim
-    prob = prob / prob.sum()
+    prob = _index_probabilities(dec)
     for _ in range(_SAMPLE_CAP):
         idx = rng.choice(dec.size, size=dec.dim, replace=True, p=prob)
         pts = dec.points[idx]
@@ -493,8 +494,7 @@ def select(
         _, e1, u = stage("simplex", build_S1, basis, enforce_floor=False)
     nu = np.linalg.norm(u)
     direction = -u / nu if nu > tolerances.degenerate_ray else basis.basis[-1]
-    hull = VPolytope(dec.points, check_extreme=False)
-    w, coeffs = stage("ray", ray_hit_boundary, hull, direction)
+    w, coeffs = stage("ray", ray_hit_boundary, dec.points, direction)
     cara_rows, cara_coeffs = stage("reduce", caratheodory_reduce, w, dec.points, coeffs)
     e2, lam = stage("contract", contract_E1, e1, u, w, tolerances)
     return stage(

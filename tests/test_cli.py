@@ -188,6 +188,20 @@ class TestExperiment:
     def test_dimension_cap(self):
         assert main(["experiment", "--d", "9", "--m", "6", "--trials", "1"]) == 2
 
+    def test_vertex_walk_budget_checked_upfront(self, monkeypatch, capsys):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr("hellycert.cli.run_experiment", no_trials)
+        assert main(["experiment", "--d", "8", "--m", "64", "--trials", "2"]) == 2
+        assert "C(64, 8)" in capsys.readouterr().err
+
+    def test_cube_budget_counts_its_own_rows(self, capsys):
+        # the cube ignores --m: its 2d = 16 rows meet the budget at d=8
+        assert main(["experiment", "--generator", "cube", "--d", "8", "--m", "64", "--trials", "1"]) == 0
+        parsed = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [row[4] for row in parsed[1:]] == ["ok"]
+
 
 class TestPivovarov:
     def test_moment_report(self, cube3, capsys):

@@ -21,7 +21,6 @@ from hellycert.errors import (
     Degenerate,
     DegenerateSimplex,
     Empty,
-    NotCentered,
     Unbounded,
     ZeroNormal,
     ZeroPoint,
@@ -30,17 +29,14 @@ from hellycert.geometry import (
     Ellipsoid,
     HPolytope,
     Simplex,
-    VPolytope,
     chebyshev_center,
     ellipsoid_affine_image,
-    ellipsoid_polar,
     ellipsoid_volume,
     ensure_bounded,
     facets_from_vertices,
     hpolytope_from_arrays,
     max_ellipsoid_in_simplex,
     normalize_halfspace,
-    point_in_hull_gap,
     polar_of_points,
     reference_simplex,
     unit_ball_volume,
@@ -167,13 +163,6 @@ def test_caps_enforced():
         hpolytope_from_arrays(np.vstack([a, -a[:1]]), np.ones(67))
 
 
-def test_vpolytope_rejects_non_extreme_point():
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.25, 0.25]])
-    with pytest.raises(ValueError):
-        VPolytope(pts)
-    VPolytope(pts[:3])  # fine without the interior point
-
-
 def test_simplex_degeneracy():
     with pytest.raises(DegenerateSimplex):
         Simplex(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
@@ -269,12 +258,6 @@ def test_flat_polytope_detected():
     b = np.array([0.0, 0.0, 1.0, 1.0])  # the segment x = 0, |y| <= 1
     with pytest.raises(Degenerate):
         vertex_enumeration(hpolytope_from_arrays(a, b))
-
-
-def test_point_in_hull_gap():
-    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert point_in_hull_gap(np.array([0.2, 0.2]), tri) <= 1e-10
-    assert point_in_hull_gap(np.array([1.0, 1.0]), tri) >= 0.5
 
 
 # ----------------------------------------------------- vertex enumeration
@@ -449,7 +432,7 @@ def test_cube_volume(d):
 
 
 # d=6 in H-form is left out: C(64, 6) facet subsets exceed the walk's
-# budget (see test_subset_budget_refuses_before_the_walk); the vertex-form
+# budget (see test_subset_budget_refuses_before_the_walk); the incidence
 # test below covers d=6.
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_cross_polytope_volume(d):
@@ -461,9 +444,13 @@ def test_cross_polytope_volume(d):
 
 
 @pytest.mark.parametrize("d", [3, 5, 6])
-def test_cross_polytope_volume_vertex_form(d):
-    body = VPolytope(np.vstack([np.eye(d), -np.eye(d)]), check_extreme=False)
-    assert volume(body) == pytest.approx(2.0**d / math.factorial(d), rel=1e-9)
+def test_cross_polytope_volume_from_incidence(d):
+    # the triangulation kernel on the vertices +-e_i and the 2^d facets
+    # s.x <= 1 (every vertex lies on half of them), with no vertex walk
+    verts = np.vstack([np.eye(d), -np.eye(d)])
+    signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * d)).reshape(d, -1).T
+    got = geometry._polytope_volume(verts, signs, np.ones(2**d), DEFAULT)
+    assert got == pytest.approx(2.0**d / math.factorial(d), rel=1e-9)
 
 
 @pytest.mark.parametrize("d, faces", [(3, 2**3 - 1), (4, 2**4 - 1)])
@@ -483,10 +470,10 @@ def test_volume_evaluates_each_face_once(monkeypatch, d, faces):
     assert len(calls) == faces
 
 
-@pytest.mark.parametrize("d, m", [(2, 8), (3, 10), (4, 12), (5, 12)])
+@pytest.mark.parametrize("d, m", [(2, 8), (3, 8), (3, 10), (4, 10), (4, 12), (5, 10), (5, 12)])
 @pytest.mark.parametrize("generator", ["tangent", "warped"])
 def test_volume_matches_qhull(d, m, generator):
-    for seed in range(2):
+    for seed in range(3):
         poly = gen_tangent_random(d, m, seed=seed)
         if generator == "warped":
             poly, _, _ = gen_affine_warp(poly, seed=seed + 100)
@@ -501,17 +488,6 @@ def test_volume_matches_qhull(d, m, generator):
             assert stored == pytest.approx(want, rel=1e-9)
 
 
-@pytest.mark.parametrize("d, m", [(3, 8), (4, 10), (5, 10)])
-def test_polar_volume_half_space_form_matches_vertex_form(d, m):
-    # m is kept small at d=5 so the brute-force facet recovery of the
-    # vertex-form reference stays under a second per body.
-    for seed in range(3):
-        cert = select(gen_tangent_random(d, m, seed=seed), seed=seed)
-        star = polar_of_points(cert.x_points)
-        reference = volume(VPolytope(vertex_enumeration(star).vertices, check_extreme=False))
-        assert volume(star) == pytest.approx(reference, rel=1e-9)
-
-
 def test_polygon_volume_matches_shoelace():
     rng = np.random.default_rng(23)
     for _ in range(30):
@@ -521,13 +497,6 @@ def test_polygon_volume_matches_shoelace():
         poly = hpolytope_from_arrays(a, np.ones(m))
         want = shoelace(sweep_tangent_polygon(angles))
         assert volume(poly) == pytest.approx(want, rel=1e-9)
-
-
-def test_vpolytope_volume_simplex_and_square():
-    tri = VPolytope(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
-    assert volume(tri) == pytest.approx(2.0, rel=1e-12)
-    square = VPolytope(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-    assert volume(square) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_volume_of_3d_simplex_both_forms():
@@ -587,21 +556,6 @@ def test_ellipsoid_volume_against_monte_carlo():
         ell = Ellipsoid(rng.normal(size=d), shape)
         want = mc_ellipsoid_volume(ell, 400_000, seed=d)
         assert ellipsoid_volume(ell) == pytest.approx(want, rel=0.02)
-
-
-def test_ellipsoid_polar_involution():
-    rng = np.random.default_rng(3)
-    for d in (2, 3, 4):
-        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        shape = q @ np.diag(rng.uniform(0.3, 3.0, size=d)) @ q.T
-        ell = Ellipsoid(np.zeros(d), shape)
-        back = ellipsoid_polar(ellipsoid_polar(ell))
-        np.testing.assert_allclose(back.shape, ell.shape, atol=1e-10)
-
-
-def test_ellipsoid_polar_needs_centering():
-    with pytest.raises(NotCentered):
-        ellipsoid_polar(Ellipsoid(np.array([0.5, 0.0]), np.eye(2)))
 
 
 def test_ellipsoid_support_and_membership():

@@ -1,5 +1,6 @@
 """Inscribed-ellipsoid solver, normalization, and contact weights."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -157,7 +158,7 @@ def test_solver_budget_exhaustion_raises():
     poly = gen_affine_warp(gen_tangent_random(3, 10, seed=1), seed=1)[0]
     for cap in (0, 2):
         with pytest.raises(NoConvergence):
-            inscribed_ellipsoid(poly, newton_cap=cap)
+            inscribed_ellipsoid(poly, dataclasses.replace(DEFAULT, newton_cap=cap))
 
 
 def test_solver_regression_far_center():
