@@ -10,10 +10,10 @@ Checks gated on the greedy selector (the window floors, the simplex volume
 floor, and the ratio bound they imply) are reported as not applicable for
 sampled selections, whose guarantee is distributional rather than per-run.
 
-Volumes follow the producer's convention: the selected intersection is the
-polar of the selected contact set. Identifying that polar with the actual
-half-space intersection is exact at tangency and off by at most the recorded
-contact tolerance otherwise, which the membership check bounds.
+No polytope volume is taken. The volume ratio of the selected subfamily
+to the whole family is bounded by one determinant, (max_g b_g / min_i b_i)^d
+/ |det E2| in the normalized frame, which the hull chain and polarity make
+an upper bound for the selected half-spaces themselves.
 """
 
 from __future__ import annotations
@@ -27,15 +27,8 @@ from .bounds import explicit_bound, simplex_volume_floor
 from .config import DEFAULT, Tolerances
 from .dr import eq3_lower_bounds
 from .errors import HellyError, MalformedCertificate
-from .geometry import (
-    Simplex,
-    _polytope_volume,
-    hpolytope_from_arrays,
-    polar_of_points,
-    vertex_enumeration,
-    volume,
-)
-from .pipeline import Certificate
+from .geometry import Simplex, polar_of_points, vertex_enumeration
+from .pipeline import Certificate, _certified_ratio
 
 
 @dataclass(frozen=True)
@@ -102,7 +95,6 @@ def check_certificate(
         raise MalformedCertificate("checker needs a Certificate")
     k = float(scale if scale is not None else tolerances.checker_scale)
     d = cert.dim
-    m = cert.normals.shape[0]
     dr = cert.selector == "dr"
     items: list[CheckItem] = []
 
@@ -291,8 +283,9 @@ def check_certificate(
         e2_out = float(
             (np.linalg.norm(fa2 @ cert.e2_shape, axis=1) - fb2).max()
         )
+        s2_floor = float(fb2.min())
     except HellyError:
-        e2_out = math.inf
+        e2_out, s2_floor = math.inf, 0.0
     hull_ok = (
         cert.cara_rows.size <= d
         and coeff_floor >= -1e-12 * k
@@ -315,15 +308,11 @@ def check_certificate(
         )
     )
 
-    # Polar containment and both volumes, recomputed from scratch.
+    # Polar containment: every vertex of X* inside the contracted polar.
     polar_reach = math.inf
-    vol_g = math.nan
-    vol_err = math.inf
     try:
-        star = polar_of_points(cert.x_points)
-        star_verts = vertex_enumeration(star, tolerances).vertices
+        star_verts = vertex_enumeration(polar_of_points(cert.x_points), tolerances).vertices
         polar_reach = float(np.linalg.norm(star_verts @ cert.e2_shape, axis=1).max())
-        vol_g = _polytope_volume(star_verts, star.normals, star.offsets, tolerances)
     except HellyError:
         pass
     items.append(
@@ -335,35 +324,25 @@ def check_certificate(
         )
     )
 
-    vol_f = math.nan
-    try:
-        norm_poly = hpolytope_from_arrays(
-            cert.norm_normals, cert.norm_offsets, normalize=False
-        )
-        vol_f = volume(norm_poly, tolerances)
-    except HellyError:
-        pass
-    if math.isfinite(vol_f) and math.isfinite(vol_g) and vol_f > 0:
-        ratio_new = vol_g / vol_f
-        vol_err = max(
-            abs(vol_f - cert.vol_f) / max(cert.vol_f, 1e-300),
-            abs(vol_g - cert.vol_g) / max(cert.vol_g, 1e-300),
-            abs(ratio_new - cert.ratio) / max(cert.ratio, 1e-300),
-        )
-    else:
-        ratio_new = math.nan
+    # The certified ratio, recomputed from the offsets and E2.
+    ratio_new = _certified_ratio(cert.norm_offsets, cert.g_indices, cert.e2_shape)
+    ratio_err = abs(ratio_new - cert.ratio) / max(abs(cert.ratio), 1e-300)
     items.append(
         _item(
-            "ratio_volumes",
-            -vol_err,
-            1e-8 * k,
-            f"recomputed volumes {vol_g:.6e} / {vol_f:.6e}, "
-            f"worst relative drift {vol_err:.2e}",
+            "certified_ratio",
+            -ratio_err,
+            1e-9 * k,
+            f"recomputed ratio {ratio_new:.6e}, relative drift {ratio_err:.2e}",
         )
     )
 
+    # E2 leaves S2 by at most e2_out, so E2/(1 + delta) lies inside S2 and
+    # the ratio of the shrunk ellipsoid is a true upper bound, not a rounded one.
+    delta = max(e2_out, 0.0) / s2_floor if s2_floor > 0.0 else math.inf
+    ratio_for_bound = _certified_ratio(
+        cert.norm_offsets, cert.g_indices, cert.e2_shape / (1.0 + delta)
+    )
     bound_err = abs(cert.bound - explicit_bound(d)) / explicit_bound(d)
-    ratio_for_bound = ratio_new if math.isfinite(ratio_new) else cert.ratio
     bound_margin = (cert.bound - ratio_for_bound) / cert.bound
     items.append(
         CheckItem(

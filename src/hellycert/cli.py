@@ -65,7 +65,7 @@ def cmd_select(args) -> int:
     _emit(certificate_to_doc(cert), args.out)
     print(
         f"selected {cert.subfamily_size} of {poly.normals.shape[0]} half-spaces, "
-        f"ratio {cert.ratio:.6g} <= bound {cert.bound:.6g}",
+        f"certified ratio {cert.ratio:.6g} <= bound {cert.bound:.6g}",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -115,11 +115,6 @@ def cmd_experiment(args) -> int:
             raise CapExceeded(f"--oracle needs m <= {ORACLE_FACET_CAP}, got {m}")
     if args.oracle and max(args.d) > ORACLE_DIM_CAP:
         raise CapExceeded(f"--oracle needs d <= {ORACLE_DIM_CAP}")
-    # every trial takes the volume of its instance: refuse a cell whose
-    # vertex walk is over budget before any trial starts
-    for d in args.d:
-        for m in args.m:
-            check_subset_budget(2 * d if args.generator == "cube" else m, d)
     specs = grid_specs(
         args.d,
         args.m,
@@ -129,6 +124,10 @@ def cmd_experiment(args) -> int:
         selector=args.selector,
         oracle=args.oracle,
     )
+    # every trial measures the volume of its instance: refuse a cell whose
+    # vertex walk is over budget before any trial starts
+    for d, m in dict.fromkeys((s.d, s.m) for s in specs):
+        check_subset_budget(m, d)
     rows = run_experiment(specs, jobs=args.jobs)
     _write_text(rows_to_csv(rows), args.out)
     bad = [r for r in rows if r.status != "ok"]

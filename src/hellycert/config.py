@@ -28,7 +28,6 @@ class Tolerances:
     decomposition: float = 1e-6    # identity / barycenter residual cap
     solver_gap: float = 1e-9       # John solver duality gap at exit (log-volume)
     newton_cap: int = 500          # John solver primal-dual iteration budget
-    lp_pivot: float = 1e-9         # simplex pivot / reduced-cost threshold
     degenerate_ray: float = 1e-10  # |u| below which the ray direction is moot
     checker_scale: float = 10.0    # verification tolerance = producer x this
 

@@ -43,7 +43,7 @@ __all__ = [
 KIND_INSTANCE = "helly-instance"
 KIND_CERTIFICATE = "helly-certificate"
 KIND_REPORT = "helly-check-report"
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 # certificate JSON keys, in writing order; "lambda" spells the contraction
 # ratio because "lam" is an implementation name, not a document name
@@ -53,8 +53,6 @@ _CERT_SCALARS = (
     ("contact_tol", float),
     ("window_slack", float),
     ("lambda", float),
-    ("vol_f", float),
-    ("vol_g", float),
     ("ratio", float),
     ("bound", float),
 )

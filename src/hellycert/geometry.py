@@ -11,8 +11,8 @@ Volume comes from a pulling triangulation of the vertex-facet incidence
 practical study", 2000): each face is a vertex bitmask, triangulated once
 by coning its lowest vertex over its facets that miss it, and one batched
 determinant sums the simplices. Polar bodies such as X* are built in
-H-form, and their volume is taken from that form, from the vertices the
-caller already enumerated.
+H-form. Certificates take no polytope volume; `volume` serves the oracle,
+the experiment rows and the tests.
 
 Boundedness is one rank check and one small LP (Stiemke's theorem of the
 alternative): the normals must span R^d and some strictly positive

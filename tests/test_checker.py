@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hellycert.checker import CheckReport, check_certificate
 from hellycert.errors import MalformedCertificate
@@ -21,7 +23,7 @@ ALL_CHECKS = {
     "contraction",
     "hull_chain",
     "polar_cover",
-    "ratio_volumes",
+    "certified_ratio",
     "ratio_bound",
     "subfamily_size",
     "subfamily_membership",
@@ -152,7 +154,7 @@ class TestFaultInjection:
         assert_flips(
             random_cert,
             replace(random_cert, e2_shape=0.5 * random_cert.e2_shape),
-            {"contraction"},
+            {"contraction", "certified_ratio"},
         )
 
     def test_spec_ratio_overwrite(self, random_cert):
@@ -170,14 +172,16 @@ class TestFaultInjection:
         assert_flips(
             random_cert,
             replace(random_cert, ratio=2.0 * random_cert.ratio),
-            {"ratio_volumes"},
+            {"certified_ratio"},
         )
 
     def test_doubled_stored_volume(self, random_cert):
+        # the stored E2 with twice its volume: the ratio no longer matches it
+        d = random_cert.dim
         assert_flips(
             random_cert,
-            replace(random_cert, vol_g=2.0 * random_cert.vol_g),
-            {"ratio_volumes"},
+            replace(random_cert, e2_shape=2.0 ** (1.0 / d) * random_cert.e2_shape),
+            {"contraction", "certified_ratio"},
         )
 
     def test_halved_bound(self, random_cert):
@@ -186,6 +190,38 @@ class TestFaultInjection:
             replace(random_cert, bound=0.5 * random_cert.bound),
             {"ratio_bound"},
         )
+
+    # the fields the certified ratio reads, each with the checks that a
+    # corruption of it must trip (at least one of them)
+    RATIO_INPUTS = {
+        "ratio": {"certified_ratio"},
+        "e2_shape": {"certified_ratio", "contraction"},
+        "g_indices": {"certified_ratio", "subfamily_membership"},
+    }
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        field=st.sampled_from(sorted(RATIO_INPUTS)),
+        seed=st.integers(0, 2**32 - 1),
+        log_size=st.floats(-6.0, 0.0),
+    )
+    def test_corrupted_ratio_input_is_caught(self, random_cert, field, seed, log_size):
+        rng = np.random.default_rng(seed)
+        size = 10.0**log_size * rng.choice([-1.0, 1.0])
+        if field == "ratio":
+            bad = replace(random_cert, ratio=random_cert.ratio * (1.0 + size))
+        elif field == "e2_shape":
+            noise = rng.uniform(-1.0, 1.0, random_cert.e2_shape.shape)
+            noise = (noise + noise.T) / np.abs(noise + noise.T).max()
+            scale = np.abs(random_cert.e2_shape).max()
+            bad = replace(random_cert, e2_shape=random_cert.e2_shape + size * scale * noise)
+        else:
+            g = random_cert.g_indices.copy()
+            i = rng.integers(g.size)
+            g[i] = (g[i] + rng.integers(1, random_cert.normals.shape[0])) % random_cert.normals.shape[0]
+            bad = replace(random_cert, g_indices=g)
+        failed = set(check_certificate(bad).failures())
+        assert failed & self.RATIO_INPUTS[field], f"{field} corruption went unnoticed"
 
     def test_rewired_subfamily_index(self, random_cert):
         g = random_cert.g_indices.copy()
@@ -206,7 +242,6 @@ class TestFaultInjection:
             may_fail={
                 "subfamily_membership",
                 "polar_cover",
-                "ratio_volumes",
                 "ratio_bound",
                 "subfamily_size",
             },
@@ -219,7 +254,8 @@ class TestFaultInjection:
         assert_flips(
             random_cert,
             replace(random_cert, selected_rows=rows),
-            {"selection_window", "simplex_floor", "contraction", "hull_chain"},
+            # a flat apex simplex leaves the ratio without its rounding margin
+            {"selection_window", "simplex_floor", "contraction", "hull_chain", "ratio_bound"},
         )
 
     def test_every_check_is_coverable(self, random_cert):
@@ -231,7 +267,7 @@ class TestFaultInjection:
             "ray_depth",
             "contraction",
             "hull_chain",
-            "ratio_volumes",
+            "certified_ratio",
             "ratio_bound",
             "subfamily_membership",
         }

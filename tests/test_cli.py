@@ -8,6 +8,7 @@ import pytest
 
 from hellycert.cli import main
 from hellycert.documents import (
+    SCHEMA_VERSION,
     certificate_to_doc,
     instance_to_doc,
     load_document,
@@ -93,7 +94,7 @@ class TestExitCodes:
     def test_unbounded_instance_is_numeric_failure(self, tmp_path):
         doc = {
             "kind": "helly-instance",
-            "version": "1",
+            "version": SCHEMA_VERSION,
             "dim": 2,
             "halfspaces": [
                 {"a": [1.0, 0.0], "b": 1.0},
@@ -114,11 +115,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_vertex_walk_over_budget_is_malformed_input(self, tmp_path, capsys):
-        path = tmp_path / "d8m64.json"
-        save_document(instance_to_doc(gen_tangent_random(8, 64, seed=0)), path)
-        assert main(["select", "--in", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+    def test_select_at_the_caps(self, tmp_path, capsys):
+        # no vertex walk over the input's rows: d=8, m=64 is certified
+        inst, cert = tmp_path / "d8m64.json", tmp_path / "cert.json"
+        save_document(instance_to_doc(gen_tangent_random(8, 64, seed=0)), inst)
+        assert main(["select", "--in", str(inst), "--out", str(cert)]) == 0
+        assert "certified ratio" in capsys.readouterr().err
+        assert main(["verify", "--in", str(cert)]) == 0
+
+    def test_version_one_certificate_is_malformed_input(self, tmp_path, capsys):
+        path = tmp_path / "v1.json"
+        doc = certificate_to_doc(select(gen_cube(3))) | {"version": "1", "vol_f": 8.0, "vol_g": 8.0}
+        save_document(doc, path)
+        assert main(["verify", "--in", str(path)]) == 2
+        assert "schema version" in capsys.readouterr().err
 
     def test_cap_exceeded_is_malformed_input(self, tmp_path):
         assert main(["gen", "--generator", "cube", "--d", "9", "--out", str(tmp_path / "x.json")]) == 2
@@ -195,6 +205,13 @@ class TestExperiment:
         monkeypatch.setattr("hellycert.cli.run_experiment", no_trials)
         assert main(["experiment", "--d", "8", "--m", "64", "--trials", "2"]) == 2
         assert "C(64, 8)" in capsys.readouterr().err
+
+    def test_cube_rows_report_the_real_row_count(self, capsys):
+        # one cell per d with m = 2d, however many --m values are given
+        code = main(["experiment", "--generator", "cube", "--d", "2", "3", "--m", "64", "6", "--trials", "1"])
+        assert code == 0
+        parsed = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [(row[0], row[1]) for row in parsed[1:]] == [("2", "4"), ("3", "6")]
 
     def test_cube_budget_counts_its_own_rows(self, capsys):
         # the cube ignores --m: its 2d = 16 rows meet the budget at d=8

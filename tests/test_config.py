@@ -15,7 +15,6 @@ SCALED = (
     "contact",
     "decomposition",
     "solver_gap",
-    "lp_pivot",
     "degenerate_ray",
 )
 KEPT = ("newton_cap", "checker_scale")

@@ -12,6 +12,7 @@ from hellycert.documents import (
     KIND_CERTIFICATE,
     KIND_INSTANCE,
     KIND_REPORT,
+    SCHEMA_VERSION,
     canonical_dumps,
     canonical_loads,
     certificate_from_doc,
@@ -46,7 +47,7 @@ class TestInstanceDocuments:
     def test_doc_shape(self):
         doc = instance_to_doc(gen_cube(2))
         assert doc["kind"] == KIND_INSTANCE
-        assert doc["version"] == "1"
+        assert doc["version"] == SCHEMA_VERSION == "2"
         assert doc["dim"] == 2
         assert len(doc["halfspaces"]) == 4
         assert set(doc["halfspaces"][0]) == {"a", "b"}
@@ -54,7 +55,7 @@ class TestInstanceDocuments:
     def test_unnormalized_input_is_accepted(self):
         doc = {
             "kind": KIND_INSTANCE,
-            "version": "1",
+            "version": SCHEMA_VERSION,
             "dim": 2,
             "halfspaces": [
                 {"a": [2.0, 0.0], "b": 2.0},
@@ -116,6 +117,12 @@ class TestCertificateDocuments:
         assert doc["library"].split()[0] == "hellycert"
         assert {"u", "w", "basis", "tolerances"} <= set(doc)
 
+    def test_version_one_certificate_is_rejected(self, cert):
+        # version 1 stored two measured volumes in place of the certified ratio
+        doc = certificate_to_doc(cert) | {"version": "1", "vol_f": 1.0, "vol_g": 2.0}
+        with pytest.raises(MalformedDocument, match="schema version"):
+            certificate_from_doc(doc)
+
     def test_extra_keys_are_ignored(self, cert):
         doc = certificate_to_doc(cert)
         doc["annotation"] = "made by hand"
@@ -129,7 +136,7 @@ class TestCertificateDocuments:
             lambda d: d.update(u="not an array"),
             lambda d: d.update(g_indices=[0.5, 1.5]),
             lambda d: d.update(selector="unknown"),
-            lambda d: d.update(vol_f=float("nan")),
+            lambda d: d.update(ratio=float("nan")),
             lambda d: d.update(tolerances=[1, 2, 3]),
         ],
     )

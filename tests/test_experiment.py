@@ -35,7 +35,8 @@ class TestSingleTrial:
         row = run_trial(TrialSpec(d=2, m=6, seed=3))
         assert row.status == "ok"
         assert 3 <= row.g_size <= 4
-        assert row.ratio == pytest.approx(row.vol_g / row.vol_f, rel=1e-12)
+        # the subfamily contains the body, and the certified ratio bounds it
+        assert row.vol_f * (1.0 - 1e-9) <= row.vol_g <= row.ratio * row.vol_f
         assert row.ratio <= explicit_bound(2)
         assert row.bound == explicit_bound(2)
         assert row.lam >= 1.0 / 3.0 - 1e-9

@@ -234,11 +234,14 @@ def simplex_instance(d, scale=2.0):
 class TestSelectEndToEnd:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_cube_selects_all_facets(self, d):
-        cert = select(gen_cube(d))
+        cube = gen_cube(d)
+        cert = select(cube)
         assert cert.subfamily_size == 2 * d
         assert sorted(cert.g_indices.tolist()) == list(range(2 * d))
-        assert cert.ratio == pytest.approx(1.0, abs=1e-6)
-        assert cert.ratio >= 1.0 - 1e-9
+        measured = volume(cert.subfamily()) / volume(cube)
+        assert measured == pytest.approx(1.0, abs=1e-6)
+        assert measured >= 1.0 - 1e-9
+        assert cert.ratio >= measured
         assert cert.bound == pytest.approx(explicit_bound(d), rel=1e-12)
 
     def test_simplex_instance_subfamily_at_most_d_plus_one(self):
@@ -310,7 +313,10 @@ class TestSelectEndToEnd:
             verts = vertex_enumeration(polar_of_points(cert.x_points)).vertices
             assert np.linalg.norm(verts @ cert.e2_shape, axis=1).max() <= 1.0 + 1e-8
 
-    @pytest.mark.parametrize("d, m", [(5, 12), (5, 24), (6, 14), (7, 16), (8, 12)])
+    @pytest.mark.parametrize(
+        "d, m",
+        [(5, 12), (5, 24), (5, 64), (6, 14), (6, 64), (7, 16), (7, 64), (8, 12), (8, 24), (8, 64)],
+    )
     def test_high_dimension_finishes(self, d, m):
         start = time.perf_counter()
         cert = select(gen_tangent_random(d, m, seed=0))
@@ -320,13 +326,15 @@ class TestSelectEndToEnd:
         assert cert.ratio <= explicit_bound(d) * (1.0 + 1e-9)
         assert time.perf_counter() - start < 10.0
 
-    def test_vertex_walk_over_budget_raises_cap_exceeded(self):
-        # vol_f would walk C(64, 8) ≈ 4.4e9 subsets of the input's rows
+    def test_select_needs_no_vertex_walk_over_the_input(self):
+        # the input's volume would walk C(64, 8) ≈ 4.4e9 subsets and is
+        # refused; its certificate takes no polytope volume and is not
         poly = gen_tangent_random(8, 64, seed=0)
         start = time.perf_counter()
         with pytest.raises(CapExceeded):
-            select(poly)
+            volume(poly)
         assert time.perf_counter() - start < 5.0
+        assert check_certificate(select(poly)).passed
 
     @pytest.mark.parametrize(
         "poly",
@@ -338,10 +346,10 @@ class TestSelectEndToEnd:
             ),
         ],
     )
-    def test_select_and_check_solve_seven_lps(self, monkeypatch, poly):
+    def test_select_and_check_solve_five_lps(self, monkeypatch, poly):
         # the John pre-check (Chebyshev and Stiemke), the ray, and one
-        # Stiemke LP for each of X* and the normalized body, producer and
-        # checker: their interior point is the origin
+        # Stiemke LP for X* in the producer and in the checker: its interior
+        # point is the origin, and no volume of the input is taken
         lp_calls, cheb_calls = [], []
 
         def counting(calls, fn):
@@ -358,7 +366,19 @@ class TestSelectEndToEnd:
         )
         report = check_certificate(select(poly))
         assert report.passed
-        assert (len(lp_calls), len(cheb_calls)) == (7, 1)
+        assert (len(lp_calls), len(cheb_calls)) == (5, 1)
+
+    @pytest.mark.parametrize("selector", ["dr", "pivovarov"])
+    @pytest.mark.parametrize("generator", ["tangent", "warped"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_certified_ratio_bounds_measured_ratio(self, d, generator, selector):
+        for seed in range(3):
+            poly = gen_tangent_random(d, 2 * d + 3, seed=seed)
+            if generator == "warped":
+                poly, _, _ = gen_affine_warp(poly, seed=seed + 5000)
+            cert = select(poly, selector=selector, seed=seed)
+            measured = volume(cert.subfamily()) / volume(poly)
+            assert 1.0 - 1e-9 <= measured <= cert.ratio
 
     def test_window_slack_recorded(self):
         cert = select(gen_tangent_random(3, 9, seed=1))
@@ -385,7 +405,7 @@ class TestSampledSelector:
         assert cert.selector == "pivovarov"
         assert cert.subfamily_size <= 4
         assert cert.window_slack == 0.0
-        assert cert.vol_g == pytest.approx(cert.ratio * cert.vol_f, rel=1e-12)
+        assert cert.ratio >= volume(cert.subfamily()) / volume(gen_cube(2))
 
     def test_seeded_determinism(self):
         poly = gen_tangent_random(2, 7, seed=9)
