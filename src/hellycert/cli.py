@@ -108,13 +108,10 @@ def cmd_experiment(args) -> int:
     for d in args.d:
         if not 1 <= d <= DIM_CAP:
             raise CapExceeded(f"dimension {d} outside [1, {DIM_CAP}]")
-    for m in args.m:
-        if not 1 <= m <= FACET_CAP:
-            raise CapExceeded(f"facet count {m} outside [1, {FACET_CAP}]")
-        if args.oracle and m > ORACLE_FACET_CAP:
-            raise CapExceeded(f"--oracle needs m <= {ORACLE_FACET_CAP}, got {m}")
     if args.oracle and max(args.d) > ORACLE_DIM_CAP:
         raise CapExceeded(f"--oracle needs d <= {ORACLE_DIM_CAP}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     specs = grid_specs(
         args.d,
         args.m,
@@ -124,9 +121,14 @@ def cmd_experiment(args) -> int:
         selector=args.selector,
         oracle=args.oracle,
     )
-    # every trial measures the volume of its instance: refuse a cell whose
-    # vertex walk is over budget before any trial starts
+    # check the cells the grid runs, not the raw --m values (the cube ignores
+    # them), before any trial starts; every trial measures the volume of its
+    # instance, so a cell whose vertex walk is over budget is refused too
     for d, m in dict.fromkeys((s.d, s.m) for s in specs):
+        if not 1 <= m <= FACET_CAP:
+            raise CapExceeded(f"facet count {m} outside [1, {FACET_CAP}]")
+        if args.oracle and m > ORACLE_FACET_CAP:
+            raise CapExceeded(f"--oracle needs m <= {ORACLE_FACET_CAP}, got {m}")
         check_subset_budget(m, d)
     rows = run_experiment(specs, jobs=args.jobs)
     _write_text(rows_to_csv(rows), args.out)

@@ -44,6 +44,13 @@ KIND_INSTANCE = "helly-instance"
 KIND_CERTIFICATE = "helly-certificate"
 KIND_REPORT = "helly-check-report"
 SCHEMA_VERSION = "2"
+# versions each kind is read at: version 2 changed the certificate fields and
+# the check items a report lists, not the instance format
+_READ_VERSIONS = {
+    KIND_INSTANCE: ("1", SCHEMA_VERSION),
+    KIND_CERTIFICATE: (SCHEMA_VERSION,),
+    KIND_REPORT: (SCHEMA_VERSION,),
+}
 
 # certificate JSON keys, in writing order; "lambda" spells the contraction
 # ratio because "lam" is an implementation name, not a document name
@@ -90,7 +97,7 @@ def document_kind(doc: dict) -> str:
     kind = doc.get("kind")
     if kind not in (KIND_INSTANCE, KIND_CERTIFICATE, KIND_REPORT):
         raise _fail(f"unknown document kind {kind!r}")
-    if str(doc.get("version")) != SCHEMA_VERSION:
+    if str(doc.get("version")) not in _READ_VERSIONS[kind]:
         raise _fail(f"unsupported schema version {doc.get('version')!r}")
     return kind
 

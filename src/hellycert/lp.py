@@ -3,6 +3,13 @@
 Small and deterministic by design: every LP in this library has at most a few
 dozen variables, so a dense tableau with anti-cycling pivoting beats anything
 clever. Infeasible and unbounded are answers (statuses), not exceptions.
+
+The start is the slack basis wherever it is feasible: an inequality row with
+b >= 0 starts with its slack basic at value b and gets no artificial column.
+Only equality rows and inequality rows with b < 0 get an artificial, and
+phase 1 drives those out. When no row needs one, as for a Chebyshev LP over a
+body that contains the origin, the slack basis is a feasible vertex and
+phase 1 does not run.
 """
 
 from __future__ import annotations
@@ -13,6 +20,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import NoConvergence
+
+# a reduced cost below -_PIVOT_TOL may enter, a column entry above it may pivot
+_PIVOT_TOL = 1e-9
+# ratio-test values within _RATIO_TIE of the minimum count as tied
+_RATIO_TIE = 1e-12
 
 
 class LPStatus(Enum):
@@ -37,7 +49,6 @@ def lp_solve(
     *,
     nonneg=None,
     maximize: bool = False,
-    tol: float = 1e-9,
 ) -> LPResult:
     """Solve min/max cost.x subject to a_ub x <= b_ub, a_eq x = b_eq.
 
@@ -59,7 +70,8 @@ def lp_solve(
     obj = -cost if maximize else cost
 
     # Column layout: one column per variable, an extra negated column per free
-    # variable, then one slack per inequality row, then one artificial per row.
+    # variable, then one slack per inequality row, then one artificial per row
+    # whose slack cannot start basic (equality rows and rows with b < 0).
     free = ~nonneg
     minus_col = np.full(n, -1, dtype=int)
     minus_col[free] = n + np.arange(int(free.sum()))
@@ -69,7 +81,11 @@ def lp_solve(
     rows = r_ub + r_eq
     n_slack = r_ub
     n_struct = n_split + n_slack
-    n_total = n_struct + rows
+    rhs = np.concatenate([b_ub, b_eq])
+    neg = rhs < 0
+    art_rows = np.flatnonzero(neg | (np.arange(rows) >= r_ub))
+    n_art = art_rows.size
+    n_total = n_struct + n_art
 
     tab = np.zeros((rows, n_total))
     tab[:r_ub, :n] = a_ub
@@ -78,14 +94,14 @@ def lp_solve(
         tab[:r_ub, n:n_split] = -a_ub[:, free]
         tab[r_ub:, n:n_split] = -a_eq[:, free]
     tab[:r_ub, n_split:n_struct] = np.eye(r_ub)
-    rhs = np.concatenate([b_ub, b_eq])
 
-    neg = rhs < 0
     tab[neg] *= -1.0
     rhs[neg] *= -1.0
-    tab[:, n_struct:] = np.eye(rows)
+    tab[art_rows, n_struct + np.arange(n_art)] = 1.0
 
-    basis = n_struct + np.arange(rows)
+    basis = np.empty(rows, dtype=int)
+    basis[:r_ub] = n_split + np.arange(r_ub)
+    basis[art_rows] = n_struct + np.arange(n_art)
     scale = 1.0 + (abs(rhs).max() if rows else 0.0)
     cap = 2000 + 200 * (rows + n_total)
 
@@ -106,44 +122,45 @@ def lp_solve(
     def run(c_vec: np.ndarray, allowed: np.ndarray) -> LPStatus:
         for _ in range(cap):
             red = c_vec - c_vec[basis] @ tab
-            candidates = np.where(allowed & (red < -tol))[0]
+            candidates = np.where(allowed & (red < -_PIVOT_TOL))[0]
             if candidates.size == 0:
                 return LPStatus.OPTIMAL
             e = candidates[0]  # Bland: lowest eligible index enters
             col = tab[:, e]
-            pos = np.where(col > tol)[0]
+            pos = np.where(col > _PIVOT_TOL)[0]
             if pos.size == 0:
                 return LPStatus.UNBOUNDED
             ratios = rhs[pos] / col[pos]
             best = ratios.min()
-            near = pos[ratios <= best + 1e-12]
+            near = pos[ratios <= best + _RATIO_TIE]
             r = near[np.argmin(basis[near])]  # Bland: lowest basic index leaves
             pivot(r, e)
         raise NoConvergence("simplex iteration cap exceeded")
 
-    # Phase 1: drive artificials to zero.
-    c1 = np.zeros(n_total)
-    c1[n_struct:] = 1.0
-    allowed1 = np.ones(n_total, dtype=bool)
-    status = run(c1, allowed1)
-    assert status == LPStatus.OPTIMAL  # bounded below by zero
-    if c1[basis] @ rhs > tol * scale:
-        return LPResult(LPStatus.INFEASIBLE, None, None)
+    if n_art:
+        # Phase 1: drive artificials to zero.
+        c1 = np.zeros(n_total)
+        c1[n_struct:] = 1.0
+        allowed1 = np.ones(n_total, dtype=bool)
+        status = run(c1, allowed1)
+        assert status == LPStatus.OPTIMAL  # bounded below by zero
+        if c1[basis] @ rhs > _PIVOT_TOL * scale:
+            return LPResult(LPStatus.INFEASIBLE, None, None)
 
-    # Remove artificials from the basis; an all-zero row is redundant.
-    keep = np.ones(rows, dtype=bool)
-    for r in range(rows):
-        if basis[r] >= n_struct:
-            entries = np.where(np.abs(tab[r, :n_struct]) > tol)[0]
-            if entries.size:
-                pivot(r, entries[0])
-            else:
-                keep[r] = False
-    if not keep.all():
-        tab = tab[keep]
-        rhs = rhs[keep]
-        basis = basis[keep]
-        rows = int(keep.sum())
+        # Remove artificials from the basis; an all-zero row is redundant.
+        keep = np.ones(rows, dtype=bool)
+        for r in range(rows):
+            if basis[r] >= n_struct:
+                entries = np.where(np.abs(tab[r, :n_struct]) > _PIVOT_TOL)[0]
+                if entries.size:
+                    pivot(r, entries[0])
+                else:
+                    keep[r] = False
+        if not keep.all():
+            tab = tab[keep]
+            rhs = rhs[keep]
+            basis = basis[keep]
+            rows = int(keep.sum())
 
     # Phase 2 over structural columns only.
     c2 = np.zeros(n_total)

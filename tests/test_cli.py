@@ -130,6 +130,14 @@ class TestExitCodes:
         assert main(["verify", "--in", str(path)]) == 2
         assert "schema version" in capsys.readouterr().err
 
+    def test_version_one_instance_still_selects(self, tmp_path):
+        # version 2 changed the certificate, not the instance format
+        inst, cert = tmp_path / "v1.json", tmp_path / "cert.json"
+        save_document(instance_to_doc(gen_tangent_random(2, 6, seed=1)) | {"version": "1"}, inst)
+        assert main(["select", "--in", str(inst), "--out", str(cert)]) == 0
+        assert load_document(cert)["version"] == SCHEMA_VERSION
+        assert main(["verify", "--in", str(cert)]) == 0
+
     def test_cap_exceeded_is_malformed_input(self, tmp_path):
         assert main(["gen", "--generator", "cube", "--d", "9", "--out", str(tmp_path / "x.json")]) == 2
 
@@ -218,6 +226,17 @@ class TestExperiment:
         assert main(["experiment", "--generator", "cube", "--d", "8", "--m", "64", "--trials", "1"]) == 0
         parsed = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert [row[4] for row in parsed[1:]] == ["ok"]
+
+    def test_caps_apply_to_the_cells_that_run(self, capsys):
+        # the cube ignores --m, so an --m above the facet cap runs its 4 rows
+        assert main(["experiment", "--generator", "cube", "--d", "2", "--m", "100", "--trials", "1"]) == 0
+        parsed = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [(row[1], row[4]) for row in parsed[1:]] == [("4", "ok")]
+        assert main(["experiment", "--generator", "tangent", "--d", "2", "--m", "100", "--trials", "1"]) == 2
+        assert "facet count 100" in capsys.readouterr().err
+        # a grid with no trials has no cells, and is refused rather than let
+        # an --m above the cap through unchecked
+        assert main(["experiment", "--d", "2", "--m", "100", "--trials", "0"]) == 2
 
 
 class TestPivovarov:
