@@ -1,10 +1,11 @@
 """Independent re-verification of a selection certificate.
 
 Everything is recomputed from the certificate's serialized arrays with
-geometry primitives only: no ellipsoid solver, no greedy selection, no trust
-in any producer-side invariant. Each link of the argument gets its own named
-check with a measured slack (positive means margin, negative means
-violation), and the report passes when every applicable check passes.
+closed-form linear algebra only: no LP, no vertex enumeration, no ellipsoid
+solver, no greedy selection, no trust in any producer-side invariant. Each
+link of the argument gets its own named check with a measured slack
+(positive means margin, negative means violation), and the report passes
+when every applicable check passes.
 
 Checks gated on the greedy selector (the window floors, the simplex volume
 floor, and the ratio bound they imply) are reported as not applicable for
@@ -13,7 +14,9 @@ sampled selections, whose guarantee is distributional rather than per-run.
 No polytope volume is taken. The volume ratio of the selected subfamily
 to the whole family is bounded by one determinant, (max_g b_g / min_i b_i)^d
 / |det E2| in the normalized frame, which the hull chain and polarity make
-an upper bound for the selected half-spaces themselves.
+an upper bound for the selected half-spaces themselves: E2 inside an apex
+simplex built from points of X puts X* inside the polar of E2, so that
+inclusion is proved rather than measured.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import explicit_bound, simplex_volume_floor
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .dr import eq3_lower_bounds
-from .errors import HellyError, MalformedCertificate
-from .geometry import Simplex, polar_of_points, vertex_enumeration
+from .errors import DegenerateSimplex, HellyError, MalformedCertificate
+from .geometry import Simplex
 from .pipeline import Certificate, _certified_ratio
 
 
@@ -80,20 +83,16 @@ def _item(name, margin, tol, detail, applicable=True) -> CheckItem:
     )
 
 
-def check_certificate(
-    cert: Certificate,
-    tolerances: Tolerances = DEFAULT,
-    scale: float | None = None,
-) -> CheckReport:
+def check_certificate(cert: Certificate, scale: float | None = None) -> CheckReport:
     """Replay every inequality of the construction from stored data.
 
-    scale loosens the producer tolerances (default: the tolerance record's
+    scale loosens the producer tolerances of `DEFAULT` (default: its
     checker_scale, 10x); raising it separates genuine violations from float
     noise, lowering it sharpens the audit.
     """
     if not isinstance(cert, Certificate):
         raise MalformedCertificate("checker needs a Certificate")
-    k = float(scale if scale is not None else tolerances.checker_scale)
+    k = float(scale if scale is not None else DEFAULT.checker_scale)
     d = cert.dim
     dr = cert.selector == "dr"
     items: list[CheckItem] = []
@@ -117,7 +116,7 @@ def check_certificate(
         _item(
             "instance_map",
             -max(map_err, unit_err, -inscribed if inscribed < 0 else 0.0),
-            tolerances.feasibility * k,
+            DEFAULT.feasibility * k,
             f"map residual {map_err:.2e}, unit-normal residual {unit_err:.2e}, "
             f"min offset 1{inscribed:+.2e}",
         )
@@ -139,7 +138,7 @@ def check_certificate(
         point_match,
         -weight_floor if weight_floor <= 0 else 0.0,
     )
-    dec_tol = tolerances.decomposition * k
+    dec_tol = DEFAULT.decomposition * k
     tangency_ok = tangency <= cert.contact_tol * k
     items.append(
         CheckItem(
@@ -161,14 +160,13 @@ def check_certificate(
     coords = selected @ cert.basis.T
     span_res = float(np.abs(np.triu(coords, k=1)).max(initial=0.0))
     diag = np.diag(coords)
-    window_slack_allow = cert.window_slack + 1e-9 * k if dr else math.inf
-    window_margin = float((diag - eq3_lower_bounds(d)).min()) if dr else math.nan
+    window_margin = float((diag - eq3_lower_bounds(d)).min())
     upper_ok = bool((diag <= 1.0 + 1e-10 * k).all())
     distinct = len(set(cert.selected_rows.tolist())) == d
     window_ok = (
         gram_res <= 1e-10 * k
         and span_res <= 1e-8 * k
-        and (not dr or window_margin >= -window_slack_allow)
+        and (not dr or window_margin >= -(cert.window_slack + 1e-9 * k))
         and upper_ok
         and distinct
     )
@@ -177,10 +175,11 @@ def check_certificate(
             name="selection_window",
             passed=bool(window_ok),
             applicable=dr,
-            slack=float(window_margin if dr else 0.0),
+            slack=window_margin,
             detail=(
                 f"orthonormality {gram_res:.2e}, span residual {span_res:.2e}, "
-                + (f"worst window margin {window_margin:+.2e}" if dr else "sampled selection")
+                f"worst window margin {window_margin:+.2e}"
+                + ("" if dr else " (sampled selection, no floor)")
             ),
         )
     )
@@ -221,7 +220,7 @@ def check_certificate(
     # Contraction: ratio formula, its floor, the scaled shape, alignment,
     # the inscribed ellipsoid's center/tangency inside the base simplex.
     nu = float(np.linalg.norm(cert.u))
-    if nu <= tolerances.degenerate_ray:
+    if nu <= DEFAULT.degenerate_ray:
         lam_want = 1.0
         align_err = 0.0
     else:
@@ -267,8 +266,11 @@ def check_certificate(
     )
 
     # Hull chain: the boundary point rewrites over at most d selected hull
-    # points, the contracted ellipsoid fits in the apex simplex, and the
-    # apex simplex's vertex set is exactly what X collects.
+    # points, the apex simplex's vertex set is exactly what X collects, and
+    # the contracted ellipsoid fits in the apex simplex S2' whose apex is
+    # rebuilt from the clipped, renormalized hull coefficients. S2' lies in
+    # conv(X) by construction, so E2/(1 + delta) inside S2' puts X* inside
+    # (1 + delta) times the polar of E2: the polar inclusion the ratio needs.
     cara_pts = cert.contact_points[cert.cara_rows]
     coeff_floor = float(cert.cara_coeffs.min())
     coeff_sum = abs(float(cert.cara_coeffs.sum()) - 1.0)
@@ -279,7 +281,11 @@ def check_certificate(
         and np.abs(cert.contact_points[cert.x_rows] - cert.x_points).max() <= 1e-12
     )
     try:
-        fa2, fb2 = Simplex(cert.s2_vertices).facets()
+        clipped = np.clip(cert.cara_coeffs, 0.0, None)
+        if clipped.sum() <= 0.0:
+            raise DegenerateSimplex("no hull coefficient is positive")
+        apex = cara_pts.T @ (clipped / clipped.sum())
+        fa2, fb2 = Simplex(np.vstack([apex, selected])).facets()
         e2_out = float(
             (np.linalg.norm(fa2 @ cert.e2_shape, axis=1) - fb2).max()
         )
@@ -308,22 +314,6 @@ def check_certificate(
         )
     )
 
-    # Polar containment: every vertex of X* inside the contracted polar.
-    polar_reach = math.inf
-    try:
-        star_verts = vertex_enumeration(polar_of_points(cert.x_points), tolerances).vertices
-        polar_reach = float(np.linalg.norm(star_verts @ cert.e2_shape, axis=1).max())
-    except HellyError:
-        pass
-    items.append(
-        _item(
-            "polar_cover",
-            1.0 - polar_reach,
-            1e-8 * k,
-            f"farthest polar vertex at quadratic value {polar_reach:.8f}",
-        )
-    )
-
     # The certified ratio, recomputed from the offsets and E2.
     ratio_new = _certified_ratio(cert.norm_offsets, cert.g_indices, cert.e2_shape)
     ratio_err = abs(ratio_new - cert.ratio) / max(abs(cert.ratio), 1e-300)
@@ -336,7 +326,7 @@ def check_certificate(
         )
     )
 
-    # E2 leaves S2 by at most e2_out, so E2/(1 + delta) lies inside S2 and
+    # E2 leaves S2' by at most e2_out, so E2/(1 + delta) lies inside S2' and
     # the ratio of the shrunk ellipsoid is a true upper bound, not a rounded one.
     delta = max(e2_out, 0.0) / s2_floor if s2_floor > 0.0 else math.inf
     ratio_for_bound = _certified_ratio(
@@ -368,7 +358,7 @@ def check_certificate(
     items.append(
         CheckItem(
             name="subfamily_size",
-            passed=bool(p <= 2 * d and distinct_rows and min_gap > tolerances.dedupe),
+            passed=bool(p <= 2 * d and distinct_rows and min_gap > DEFAULT.dedupe),
             applicable=True,
             slack=float(2 * d - p),
             detail=f"{p} members vs cap {2 * d}, closest pair {min_gap:.2e}",

@@ -217,7 +217,7 @@ def _tolerances_from_doc(value, name: str) -> Tolerances:
     for f in dataclass_fields(Tolerances):
         if f.name not in value:
             continue
-        if f.type is int or f.name == "newton_cap":
+        if isinstance(f.default, int):
             kwargs[f.name] = _int_scalar(value[f.name], f"{name}.{f.name}")
         else:
             kwargs[f.name] = _float_scalar(value[f.name], f"{name}.{f.name}")

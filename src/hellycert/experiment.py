@@ -16,15 +16,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .checker import check_certificate
-from .dr import eq3_lower_bounds
 from .errors import HellyError
 from .generators import gen_affine_warp, gen_cube, gen_tangent_random
 from .geometry import volume
 from .oracle import oracle_min_subfamily
-from .pipeline import Certificate, select
+from .pipeline import select
 from .pivovarov import sample_volume
 
 __all__ = ["ExperimentRow", "TrialSpec", "grid_specs", "rows_to_csv", "run_experiment", "run_trial"]
@@ -78,11 +75,6 @@ def _build_instance(spec: TrialSpec):
     raise ValueError(f"unknown generator {spec.generator!r}")
 
 
-def _observed_window_margin(cert: Certificate) -> float:
-    diag = np.einsum("ij,ij->i", cert.selected_points, cert.basis)
-    return float(np.min(diag - eq3_lower_bounds(cert.dim)))
-
-
 def run_trial(spec: TrialSpec) -> ExperimentRow:
     """Generate, select, verify, and condense one instance."""
     start = time.perf_counter()
@@ -90,7 +82,8 @@ def run_trial(spec: TrialSpec) -> ExperimentRow:
     try:
         poly = _build_instance(spec)
         cert = select(poly, selector=spec.selector, seed=spec.seed)
-        status = "ok" if check_certificate(cert).passed else "check-failed"
+        report = check_certificate(cert)
+        status = "ok" if report.passed else "check-failed"
         # measured volumes, both in the input frame; cert.ratio bounds their ratio
         vol_f = volume(poly)
         vol_g = volume(cert.subfamily())
@@ -131,7 +124,7 @@ def run_trial(spec: TrialSpec) -> ExperimentRow:
         bound=cert.bound,
         lam=cert.lam,
         vol_s1=sample_volume(cert.s1_vertices),
-        min_window_slack=_observed_window_margin(cert),
+        min_window_slack=report["selection_window"].slack,
         wall_ms=wall,
         oracle_ratio=oracle_ratio,
     )

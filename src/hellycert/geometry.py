@@ -11,16 +11,17 @@ Volume comes from a pulling triangulation of the vertex-facet incidence
 practical study", 2000): each face is a vertex bitmask, triangulated once
 by coning its lowest vertex over its facets that miss it, and one batched
 determinant sums the simplices. Polar bodies such as X* are built in
-H-form. Certificates take no polytope volume; `volume` serves the oracle,
-the experiment rows and the tests.
+H-form. Certificates take no polytope volume and enumerate no vertex;
+`volume` and `vertex_enumeration` serve the oracle, the experiment rows and
+the tests.
 
 Boundedness is one rank check and one small LP (Stiemke's theorem of the
 alternative): the normals must span R^d and some strictly positive
 combination of them must vanish. It does not test feasibility. Vertex
 enumeration rules out an empty or flat body first: with no LP when every
-half-space keeps the origin at least `_INTERIOR_FLOOR` inside (as in the
-normalized instance and in polars of points), and otherwise by the
-Chebyshev-center LP, which raises Empty.
+half-space keeps the origin at least `_INTERIOR_FLOOR` inside (as in a
+normalized instance or the polar of unit contact points), and otherwise by
+the Chebyshev-center LP, which raises Empty.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 fault-injection suite verifying that corrupting a stored witness flips its
 check (and only the checks that genuinely depend on it)."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hellycert.checker import CheckReport, check_certificate
+from hellycert.dr import eq3_lower_bounds
 from hellycert.errors import MalformedCertificate
 from hellycert.generators import gen_affine_warp, gen_cube, gen_tangent_random
 from hellycert.pipeline import select
@@ -22,7 +24,6 @@ ALL_CHECKS = {
     "ray_depth",
     "contraction",
     "hull_chain",
-    "polar_cover",
     "certified_ratio",
     "ratio_bound",
     "subfamily_size",
@@ -73,6 +74,30 @@ class TestHonestCertificates:
         assert rep.passed
         gated = {i.name for i in rep.items if not i.applicable}
         assert gated == {"selection_window", "simplex_floor", "ratio_bound"}
+
+    @pytest.mark.parametrize("selector", ["dr", "pivovarov"])
+    def test_window_margin_measured_for_either_selector(self, selector):
+        # the experiment table reads its window column from this slack
+        for seed in range(3):
+            cert = select(gen_tangent_random(3, 9, seed=seed), selector=selector, seed=seed)
+            diag = np.einsum("ij,ij->i", cert.selected_points, cert.basis)
+            margin = float(np.min(diag - eq3_lower_bounds(cert.dim)))
+            slack = check_certificate(cert)["selection_window"].slack
+            assert slack == pytest.approx(margin, abs=1e-15)
+
+    def test_runs_no_lp_and_no_vertex_enumeration(self, monkeypatch, cube_cert, random_cert):
+        # the checker is closed-form linear algebra: it leans on neither
+        # the LP nor the vertex enumeration of the code it checks
+        def refuse(*args, **kwargs):
+            raise AssertionError("the checker called a solver")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hellycert"):
+                for fn in ("lp_solve", "vertex_enumeration"):
+                    if hasattr(module, fn):
+                        monkeypatch.setattr(module, fn, refuse)
+        assert check_certificate(cube_cert).passed
+        assert check_certificate(random_cert).passed
 
     def test_scale_parameter_loosens(self, random_cert):
         strict = check_certificate(random_cert, scale=1.0)
@@ -184,6 +209,15 @@ class TestFaultInjection:
             {"contraction", "certified_ratio"},
         )
 
+    def test_stored_ellipsoid_leaves_the_apex_simplex(self, random_cert):
+        # E2 grown past the apex simplex breaks the inclusion that bounds X*
+        # inside the polar of E2, not only the contraction algebra
+        assert_flips(
+            random_cert,
+            replace(random_cert, e2_shape=1.5 * random_cert.e2_shape),
+            {"contraction", "hull_chain", "certified_ratio"},
+        )
+
     def test_halved_bound(self, random_cert):
         assert_flips(
             random_cert,
@@ -241,7 +275,6 @@ class TestFaultInjection:
             {"hull_chain"},
             may_fail={
                 "subfamily_membership",
-                "polar_cover",
                 "ratio_bound",
                 "subfamily_size",
             },
@@ -273,6 +306,6 @@ class TestFaultInjection:
         }
         rep = check_certificate(random_cert)
         applicable = {i.name for i in rep.items if i.applicable}
-        # simplex_floor, polar_cover and subfamily_size witnesses are shared
+        # simplex_floor and subfamily_size witnesses are shared
         # with neighbouring checks; they are exercised as may_fail members
         assert covered <= applicable

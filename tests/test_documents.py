@@ -175,7 +175,7 @@ class TestReportDocuments:
         doc = report_to_doc(check_certificate(cert))
         assert doc["kind"] == KIND_REPORT
         assert doc["passed"] is True
-        assert len(doc["items"]) == 12
+        assert len(doc["items"]) == 11
 
     def test_rejects_bad_slack_spelling(self, cert):
         doc = report_to_doc(check_certificate(cert))

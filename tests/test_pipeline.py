@@ -2,6 +2,7 @@
 properties (bound, containments, determinism, affine invariance)."""
 
 import math
+import sys
 import time
 
 import numpy as np
@@ -26,7 +27,9 @@ from hellycert.geometry import (
     ellipsoid_volume,
     facets_from_vertices,
     hpolytope_from_arrays,
+    polar_of_points,
     reference_simplex,
+    vertex_enumeration,
     volume,
 )
 from hellycert.john import normalize_position
@@ -293,10 +296,15 @@ class TestSelectEndToEnd:
             prod = float(np.prod(basis.inner_products()))
             assert s1_vol * math.factorial(d) == pytest.approx(prod, rel=1e-9)
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_containment_chain(self, d):
+    @pytest.mark.parametrize("selector", ["dr", "pivovarov"])
+    @pytest.mark.parametrize("generator", ["tangent", "warped"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_containment_chain(self, d, generator, selector):
         for seed in range(8):
-            cert = select(gen_tangent_random(d, 2 * d + 2, seed=seed))
+            poly = gen_tangent_random(d, 2 * d + 2, seed=seed)
+            if generator == "warped":
+                poly, _, _ = gen_affine_warp(poly, seed=seed + 5000)
+            cert = select(poly, selector=selector, seed=seed)
             # contracted ellipsoid sits inside the apex simplex
             fa, fb = facets_from_vertices(cert.s2_vertices)
             support = np.linalg.norm(fa @ cert.e2_shape, axis=1)
@@ -307,9 +315,9 @@ class TestSelectEndToEnd:
             assert np.allclose(recon, cert.w, atol=1e-8)
             assert set(cert.cara_rows.tolist()) <= set(cert.x_rows.tolist())
             assert set(cert.selected_rows.tolist()) <= set(cert.x_rows.tolist())
-            # polar of the selection is trapped by the contracted polar
-            from hellycert.geometry import polar_of_points, vertex_enumeration
-
+            # polar of the selection is trapped by the contracted polar: the
+            # reference for the inclusion that select and the checker prove
+            # from the two containments above instead of enumerating X*
             verts = vertex_enumeration(polar_of_points(cert.x_points)).vertices
             assert np.linalg.norm(verts @ cert.e2_shape, axis=1).max() <= 1.0 + 1e-8
 
@@ -346,11 +354,11 @@ class TestSelectEndToEnd:
             ),
         ],
     )
-    def test_select_and_check_solve_five_lps(self, monkeypatch, poly):
-        # the John pre-check (Chebyshev and Stiemke), the ray, and one
-        # Stiemke LP for X* in the producer and in the checker: its interior
-        # point is the origin, and no volume of the input is taken
-        lp_calls, cheb_calls = [], []
+    def test_select_and_check_solve_three_lps(self, monkeypatch, poly):
+        # the John pre-check (Chebyshev and Stiemke) and the ray; X* is
+        # bounded by the hull chain, not enumerated, and no volume of the
+        # input is taken
+        lp_calls, cheb_calls, enum_calls = [], [], []
 
         def counting(calls, fn):
             def counted(*args, **kwargs):
@@ -364,9 +372,13 @@ class TestSelectEndToEnd:
         monkeypatch.setattr(
             geometry, "chebyshev_center", counting(cheb_calls, geometry.chebyshev_center)
         )
+        for name, module in list(sys.modules.items()):  # every binding of the name
+            if name.startswith("hellycert") and hasattr(module, "vertex_enumeration"):
+                counted = counting(enum_calls, module.vertex_enumeration)
+                monkeypatch.setattr(module, "vertex_enumeration", counted)
         report = check_certificate(select(poly))
         assert report.passed
-        assert (len(lp_calls), len(cheb_calls)) == (5, 1)
+        assert (len(lp_calls), len(cheb_calls), len(enum_calls)) == (3, 1, 0)
 
     @pytest.mark.parametrize("selector", ["dr", "pivovarov"])
     @pytest.mark.parametrize("generator", ["tangent", "warped"])
