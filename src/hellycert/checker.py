@@ -272,7 +272,7 @@ def check_certificate(cert: Certificate, scale: float | None = None) -> CheckRep
     # conv(X) by construction, so E2/(1 + delta) inside S2' puts X* inside
     # (1 + delta) times the polar of E2: the polar inclusion the ratio needs.
     cara_pts = cert.contact_points[cert.cara_rows]
-    coeff_floor = float(cert.cara_coeffs.min())
+    coeff_floor = float(cert.cara_coeffs.min(initial=math.inf))
     coeff_sum = abs(float(cert.cara_coeffs.sum()) - 1.0)
     recon_err = float(np.linalg.norm(cara_pts.T @ cert.cara_coeffs - cert.w))
     x_set = set(cert.x_rows.tolist())

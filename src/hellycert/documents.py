@@ -71,9 +71,15 @@ def _fail(message: str) -> MalformedDocument:
 
 
 def canonical_dumps(doc: dict) -> str:
-    """Serialize a document dict to canonical JSON text."""
+    """Serialize a document dict to canonical JSON text, one top-level key
+    per line. Each value is encoded on one line, which keeps CPython on its
+    C encoder (setting `indent` falls back to the pure-Python one)."""
     try:
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        lines = ",\n".join(
+            f"  {json.dumps(key)}: {json.dumps(value, allow_nan=False)}"
+            for key, value in doc.items()
+        )
+        return "{\n" + lines + "\n}\n"
     except (TypeError, ValueError) as exc:
         raise _fail(f"document is not serializable: {exc}") from exc
 
@@ -147,9 +153,7 @@ def _float_array(value, name: str, ndim: int) -> np.ndarray:
 
 
 def _int_array(value, name: str) -> np.ndarray:
-    if not isinstance(value, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value
-    ):
+    if not isinstance(value, list) or not set(map(type, value)) <= {int}:  # no bools
         raise _fail(f"{name} must be a list of integers")
     return np.array(value, dtype=int)
 

@@ -44,12 +44,8 @@ class NoConvergence(HellyError):
     """Iterative solver ran out of its step budget."""
 
 
-class TooFewContacts(HellyError):
-    """Fewer than d+1 near-tangent half-spaces after normalization."""
-
-
 class NoDecomposition(HellyError):
-    """Nonnegative weight recovery left a residual above tolerance."""
+    """Contact weights leave an identity or barycenter residual above tolerance."""
 
 
 class NumericalBreakdown(HellyError):

@@ -14,9 +14,13 @@ configured target and the residuals vanish; the ellipsoid is then shrunk
 about its center until every half-space holds exactly.
 
 Normalizing an instance maps the solved ellipsoid to the unit ball; the
-half-spaces then have unit normals and offsets >= 1, the near-tangent ones
-are the contacts, and nonnegative least squares recovers weights that make
-the contacts resolve the identity with zero barycenter.
+half-spaces then have unit normals and offsets >= 1. The solver's final
+weights are already John's decomposition over those normals: in the last
+unit-ball frame sum y_i a_i a_i^T = I holds by construction and sum y_i a_i
+vanishes by the exit test, and the normalized normals are the a_i up to a
+rotation. The contacts are the rows with y_i >= z_i, weighted by y_i.
+Nonnegative least squares (`john_weights`) fits weights to arbitrary unit
+vectors for the random decompositions.
 """
 
 from __future__ import annotations
@@ -27,13 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import (
-    Degenerate,
-    GenerationFailed,
-    NoConvergence,
-    NoDecomposition,
-    TooFewContacts,
-)
+from .errors import Degenerate, GenerationFailed, NoConvergence, NoDecomposition
 from .geometry import Ellipsoid, HPolytope, _interior_point, hpolytope_from_arrays
 from .nnls import nnls
 
@@ -42,8 +40,6 @@ _CENTERING = 0.1  # each step aims y z at this share of its current mean
 _CENTERING_FLOOR = 1e-3  # ... but never below this share of the target gap / m
 _STEP_FRACTION = 0.99  # share of the step to the boundary of y, z > 0 taken
 _RESIDUAL_STOP = 1e-12  # stationarity and slack residuals at exit, unit-ball frame
-_CONTACT_LADDER = (1e-6, 1e-5, 1e-4)  # escalation above the configured tolerance
-_GAP_LADDER = (1.0, 1e-2)  # solver gap tightening factors, in order
 _WEIGHT_FLOOR = 1e-10  # fitted contact weights at or below this are zeroed
 
 
@@ -80,23 +76,26 @@ def _newton_step(a, y, z, r1, r2, floor):
     return alpha * dx, y * (1.0 + alpha * v), z + alpha * dz
 
 
-def inscribed_ellipsoid(
-    poly: HPolytope,
-    tolerances: Tolerances = DEFAULT,
-    gap: float | None = None,
-) -> Ellipsoid:
+def inscribed_ellipsoid(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> Ellipsoid:
     """Maximum-volume ellipsoid inscribed in a bounded full-dimensional polytope.
 
-    The log volume of the result is within `gap` (default
-    `tolerances.solver_gap`) of the optimum, by the duality gap sum
-    y_i h_i z_i. `tolerances.newton_cap` bounds the number of primal-dual
-    iterations.
+    The log volume of the result is within `tolerances.solver_gap` of the
+    optimum, by the duality gap sum y_i h_i z_i. `tolerances.newton_cap`
+    bounds the number of primal-dual iterations.
 
     Raises Empty / Unbounded / Degenerate from the LP pre-checks and
     NoConvergence when the iteration budget runs out or the result fails
     the feasibility re-check.
     """
-    gap = tolerances.solver_gap if gap is None else gap
+    return _john_solve(poly, tolerances)[0]
+
+
+def _john_solve(
+    poly: HPolytope, tolerances: Tolerances
+) -> tuple[Ellipsoid, np.ndarray, np.ndarray]:
+    """`inscribed_ellipsoid`, also returning the row weights y and slacks z
+    of the final unit-ball frame (a John decomposition, see the module)."""
+    gap = tolerances.solver_gap
     cap = tolerances.newton_cap
     center, radius = _interior_point(poly)
 
@@ -145,7 +144,7 @@ def inscribed_ellipsoid(
     worst = float((np.linalg.norm(poly.normals @ mat, axis=1) + poly.normals @ c - poly.offsets).max())
     if worst > tolerances.feasibility:
         raise NoConvergence(f"returned ellipsoid violates a half-space by {worst:.3e}")
-    return Ellipsoid(c, mat)
+    return Ellipsoid(c, mat), y, z
 
 
 # ------------------------------------------------------------- decompositions
@@ -322,55 +321,37 @@ class NormalizedInstance:
 
 
 def normalize_position(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> NormalizedInstance:
-    """Solve for the inscribed ellipsoid, map it to the unit ball, and
-    recover the contact decomposition.
+    """Solve for the inscribed ellipsoid, map it to the unit ball, and read
+    the contact decomposition off the solver's final weights.
 
-    Contact admission escalates through a small tolerance ladder when the
-    weight fit fails (tiny-weight contacts sit at complementarity slack
-    above the base tolerance); the tolerance that succeeded is recorded.
-    If no ladder level works the solver gap is tightened and the whole
-    extraction retried.
+    The contacts are the rows on the complementarity side y >= z (the split
+    the Newton step uses), weighted by y; the other rows' weight is dropped,
+    and NoDecomposition is raised if that leaves a residual above
+    `tolerances.decomposition`. A contact has z <= y and y z <= the solver
+    gap, so it sits within the root of that gap of tangency; contact_tol
+    records its worst offset above 1, floored at `tolerances.contact`.
     """
-    d = poly.dim
-    ladder = [tolerances.contact] + [c for c in _CONTACT_LADDER if c > tolerances.contact]
-    failure: Exception = TooFewContacts(f"fewer than {d + 1} near-tangent half-spaces")
-    for gap_factor in _GAP_LADDER:
-        ell = inscribed_ellipsoid(poly, tolerances, gap=tolerances.solver_gap * gap_factor)
-        raw = poly.normals @ ell.shape
-        scale = np.linalg.norm(raw, axis=1)
-        new_a = raw / scale[:, None]
-        new_b = (poly.offsets - poly.normals @ ell.center) / scale
-        normalized = hpolytope_from_arrays(new_a, new_b, normalize=False)
-        for ctol in ladder:
-            points, idx = contact_points(normalized, ctol)
-            if idx.size < d + 1:
-                continue
-            try:
-                weights = john_weights(points, residual_tol=tolerances.decomposition)
-            except NoDecomposition as exc:
-                failure = exc
-                continue
-            keep = weights > 0.0
-            if keep.sum() < d + 1:
-                failure = TooFewContacts(
-                    f"only {int(keep.sum())} contacts carry weight, need {d + 1}"
-                )
-                continue
-            dec = ContactDecomposition(
-                points=points[keep],
-                weights=weights[keep],
-                source_indices=idx[keep],
-                balanced=True,
-            )
-            return NormalizedInstance(
-                original=poly,
-                map_matrix=ell.shape,
-                map_offset=ell.center,
-                normalized=normalized,
-                decomposition=dec,
-                contact_tol=ctol,
-            )
-    raise failure
+    ell, y, z = _john_solve(poly, tolerances)
+    raw = poly.normals @ ell.shape
+    scale = np.linalg.norm(raw, axis=1)
+    new_a = raw / scale[:, None]
+    new_b = (poly.offsets - poly.normals @ ell.center) / scale
+    normalized = hpolytope_from_arrays(new_a, new_b, normalize=False)
+    idx = np.flatnonzero(y >= z)
+    report = verify_decomposition(new_a[idx], y[idx])
+    worst = max(report.identity_residual, report.barycenter_norm)
+    if worst > tolerances.decomposition:
+        raise NoDecomposition(
+            f"dropped weight leaves a residual {worst:.3e} above {tolerances.decomposition:.1e}"
+        )
+    return NormalizedInstance(
+        original=poly,
+        map_matrix=ell.shape,
+        map_offset=ell.center,
+        normalized=normalized,
+        decomposition=ContactDecomposition(new_a[idx], y[idx], source_indices=idx),
+        contact_tol=max(tolerances.contact, float(new_b[idx].max()) - 1.0),
+    )
 
 
 # ------------------------------------------------------------------ generators

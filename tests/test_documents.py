@@ -146,6 +146,16 @@ class TestCertificateDocuments:
         with pytest.raises(MalformedCertificate):
             certificate_from_doc(doc)
 
+    def test_empty_hull_combination_fails_hull_chain(self, cert, tmp_path):
+        # Certificate accepts empty arrays; the checker must report, not crash
+        path = tmp_path / "cert.json"
+        save_document(certificate_to_doc(cert), path)
+        doc = load_document(path)
+        doc["cara_rows"], doc["cara_coeffs"] = [], []
+        save_document(doc, path)
+        report = check_certificate(certificate_from_doc(load_document(path)))
+        assert "hull_chain" in report.failures()
+
     def test_corrupted_shape_is_rejected(self, cert):
         doc = certificate_to_doc(cert)
         doc["w"] = doc["w"] + [0.0]  # wrong length for the dimension
@@ -211,6 +221,14 @@ class TestFileLayer:
     def test_canonical_text_is_stable(self, cert):
         doc = certificate_to_doc(cert)
         assert canonical_dumps(doc) == canonical_dumps(certificate_to_doc(cert))
+
+    def test_canonical_text_has_one_top_level_key_per_line(self, cert):
+        doc = certificate_to_doc(cert)
+        lines = canonical_dumps(doc).splitlines()
+        assert lines[0] == "{" and lines[-1] == "}"
+        assert [json.loads("{" + line.rstrip(",") + "}") for line in lines[1:-1]] == [
+            {key: value} for key, value in doc.items()
+        ]
 
     def test_rejects_nan_literal(self):
         with pytest.raises(MalformedDocument):

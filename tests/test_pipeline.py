@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from hellycert import geometry, pipeline
+from hellycert import geometry, john, pipeline
 from hellycert.bounds import explicit_bound, simplex_volume_floor
 from hellycert.checker import check_certificate
 from hellycert.dr import DRBasis, dr_select, eq3_lower_bounds
@@ -379,6 +379,47 @@ class TestSelectEndToEnd:
         report = check_certificate(select(poly))
         assert report.passed
         assert (len(lp_calls), len(cheb_calls), len(enum_calls)) == (3, 1, 0)
+
+    def test_select_fits_no_contact_weights(self, monkeypatch):
+        # the decomposition is the John solver's own dual weights: no
+        # tangency scan and no nonnegative least-squares fit on the way
+        def refuse(*args, **kwargs):
+            raise AssertionError("select fitted contact weights")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hellycert"):
+                for fn in ("nnls", "john_weights", "contact_points"):
+                    if callable(getattr(module, fn, None)):  # not the nnls module
+                        monkeypatch.setattr(module, fn, refuse)
+        for d in (2, 3, 4, 5, 6):
+            for seed in range(2):
+                poly = gen_tangent_random(d, 3 * d, seed=seed)
+                warped, _, _ = gen_affine_warp(poly, seed=seed + 5000)
+                assert check_certificate(select(poly)).passed
+                assert check_certificate(select(warped)).passed
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_contacts_ignore_a_start_shift_below_every_tolerance(self, monkeypatch, d):
+        # moving the solver's Chebyshev start by 5e-13 moves its exit point
+        # by noise; the contacts and the selected rows must not follow it
+        exact = john._interior_point
+        rng = np.random.default_rng(d)
+
+        def shifted(poly):
+            center, radius = exact(poly)
+            return center + rng.uniform(-5e-13, 5e-13, size=center.shape), radius
+
+        for seed in range(4):
+            poly = gen_tangent_random(d, 8 * d, seed=seed)
+            warped, _, _ = gen_affine_warp(poly, seed=seed + 5000)
+            for body in (poly, warped):
+                monkeypatch.setattr(john, "_interior_point", exact)
+                want = select(body)
+                monkeypatch.setattr(john, "_interior_point", shifted)
+                got = select(body)
+                assert np.array_equal(got.contact_indices, want.contact_indices)
+                assert np.array_equal(got.g_indices, want.g_indices)
+                assert check_certificate(got).passed
 
     @pytest.mark.parametrize("selector", ["dr", "pivovarov"])
     @pytest.mark.parametrize("generator", ["tangent", "warped"])
