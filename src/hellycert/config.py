@@ -24,7 +24,7 @@ class Tolerances:
     spd_floor: float = 1e-12       # smallest admissible ellipsoid eigenvalue
     unit_norm: float = 1e-12       # half-space normal normalization slack
     feasibility: float = 1e-8      # membership / containment re-checks
-    contact: float = 1e-7          # least contact tangency tolerance recorded
+    contact: float = 1e-7          # near-tangency admission for contact points
     decomposition: float = 1e-6    # identity / barycenter residual cap
     solver_gap: float = 1e-9       # John solver duality gap at exit (log-volume)
     newton_cap: int = 500          # John solver primal-dual iteration budget

@@ -18,7 +18,8 @@ half-spaces then have unit normals and offsets >= 1. The solver's final
 weights are already John's decomposition over those normals: in the last
 unit-ball frame sum y_i a_i a_i^T = I holds by construction and sum y_i a_i
 vanishes by the exit test, and the normalized normals are the a_i up to a
-rotation. The contacts are the rows with y_i >= z_i, weighted by y_i.
+rotation. The contacts are the rows the solver leaves tangent, weighted by
+y_i; it runs past its target gap until the other rows carry no weight.
 Nonnegative least squares (`john_weights`) fits weights to arbitrary unit
 vectors for the random decompositions.
 """
@@ -40,6 +41,8 @@ _CENTERING = 0.1  # each step aims y z at this share of its current mean
 _CENTERING_FLOOR = 1e-3  # ... but never below this share of the target gap / m
 _STEP_FRACTION = 0.99  # share of the step to the boundary of y, z > 0 taken
 _RESIDUAL_STOP = 1e-12  # stationarity and slack residuals at exit, unit-ball frame
+_SETTLE_SHARE = 0.5  # share of the contact / decomposition tolerances a settled split uses
+_GAP_SHRINK = 0.01  # an unsettled split goes on toward this share of the gap reached
 _WEIGHT_FLOOR = 1e-10  # fitted contact weights at or below this are zeroed
 
 
@@ -93,10 +96,18 @@ def inscribed_ellipsoid(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> El
 def _john_solve(
     poly: HPolytope, tolerances: Tolerances
 ) -> tuple[Ellipsoid, np.ndarray, np.ndarray]:
-    """`inscribed_ellipsoid`, also returning the row weights y and slacks z
-    of the final unit-ball frame (a John decomposition, see the module)."""
+    """`inscribed_ellipsoid`, also returning the row weights y of the final
+    unit-ball frame (a John decomposition, see the module) and the mask of
+    the tangent rows, whose slack z is at most _SETTLE_SHARE of the contact
+    tolerance. y z ends near each row's share of the gap, so a contact of
+    weight 5e-6 can still have a slack of 1e-5 there; the iteration goes on
+    at smaller gaps until the other rows carry at most _SETTLE_SHARE of the
+    decomposition tolerance in total.
+    """
     gap = tolerances.solver_gap
     cap = tolerances.newton_cap
+    # ContactDecomposition checks its residuals against DEFAULT, not tolerances
+    dropped_cap = _SETTLE_SHARE * min(tolerances.decomposition, DEFAULT.decomposition)
     center, radius = _interior_point(poly)
 
     # Iterates live in the Chebyshev frame (shifted to the center, scaled
@@ -123,7 +134,12 @@ def _john_solve(
             r1 = a.T @ y
             r2 = b - 1.0 - z
             if y @ z <= gap and max(np.abs(r1).max(), np.abs(r2).max()) <= _RESIDUAL_STOP:
-                break
+                tangent = z <= _SETTLE_SHARE * tolerances.contact
+                if y[~tangent].sum() <= dropped_cap:
+                    break
+                # a row is neither tangent nor weightless yet: go on at a smaller gap
+                gap = _GAP_SHRINK * float(y @ z)
+                floor = _CENTERING_FLOOR * gap / m
             if step == cap:
                 raise NoConvergence(f"primal-dual budget {cap} exhausted")
             dx, y, z = _newton_step(a, y, z, r1, r2, floor)
@@ -144,7 +160,7 @@ def _john_solve(
     worst = float((np.linalg.norm(poly.normals @ mat, axis=1) + poly.normals @ c - poly.offsets).max())
     if worst > tolerances.feasibility:
         raise NoConvergence(f"returned ellipsoid violates a half-space by {worst:.3e}")
-    return Ellipsoid(c, mat), y, z
+    return Ellipsoid(c, mat), y, tangent
 
 
 # ------------------------------------------------------------- decompositions
@@ -324,20 +340,20 @@ def normalize_position(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> Nor
     """Solve for the inscribed ellipsoid, map it to the unit ball, and read
     the contact decomposition off the solver's final weights.
 
-    The contacts are the rows on the complementarity side y >= z (the split
-    the Newton step uses), weighted by y; the other rows' weight is dropped,
-    and NoDecomposition is raised if that leaves a residual above
-    `tolerances.decomposition`. A contact has z <= y and y z <= the solver
-    gap, so it sits within the root of that gap of tangency; contact_tol
-    records its worst offset above 1, floored at `tolerances.contact`.
+    The contacts are the rows the solver leaves tangent, weighted by y (by
+    slack, not y >= z: a tangent row of zero weight has y and z shrinking
+    together). contact_tol is `tolerances.contact`; NoDecomposition is
+    raised if an admitted offset exceeds 1 + contact_tol (by
+    `NormalizedInstance`) or the dropped weight leaves a residual above
+    `tolerances.decomposition`.
     """
-    ell, y, z = _john_solve(poly, tolerances)
+    ell, y, tangent = _john_solve(poly, tolerances)
     raw = poly.normals @ ell.shape
     scale = np.linalg.norm(raw, axis=1)
     new_a = raw / scale[:, None]
     new_b = (poly.offsets - poly.normals @ ell.center) / scale
     normalized = hpolytope_from_arrays(new_a, new_b, normalize=False)
-    idx = np.flatnonzero(y >= z)
+    idx = np.flatnonzero(tangent)
     report = verify_decomposition(new_a[idx], y[idx])
     worst = max(report.identity_residual, report.barycenter_norm)
     if worst > tolerances.decomposition:
@@ -350,7 +366,7 @@ def normalize_position(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> Nor
         map_offset=ell.center,
         normalized=normalized,
         decomposition=ContactDecomposition(new_a[idx], y[idx], source_indices=idx),
-        contact_tol=max(tolerances.contact, float(new_b[idx].max()) - 1.0),
+        contact_tol=tolerances.contact,
     )
 
 

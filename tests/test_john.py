@@ -294,7 +294,67 @@ def test_contact_source_indices_are_consistent():
     np.testing.assert_allclose(
         ni.decomposition.points, ni.normalized.normals[src], atol=1e-12
     )
-    assert ni.normalized.offsets[src].max() <= 1.0 + ni.contact_tol + 1e-12
+    assert ni.contact_tol == DEFAULT.contact
+    assert ni.normalized.offsets[src].max() <= 1.0 + DEFAULT.contact
+
+
+def test_recorded_contact_beyond_the_contact_tolerance_is_refused():
+    ni = normalize_position(gen_cube(2))
+    offsets = ni.normalized.offsets.copy()
+    offsets[ni.decomposition.source_indices[0]] = 1.0 + 2.0 * ni.contact_tol
+    moved = hpolytope_from_arrays(ni.normalized.normals, offsets, normalize=False)
+    with pytest.raises(NoDecomposition):
+        dataclasses.replace(ni, normalized=moved)
+
+
+def _square_with_light_contact(delta):
+    """The square |x|_inf <= 1 with its first normal turned by -delta, cut by
+    a diagonal half-space tangent to the unit ball. The ball is the John
+    ellipsoid; the five weights are unique and the diagonal's is about delta."""
+    angles = np.array([-delta, np.pi / 2, np.pi, 1.5 * np.pi, np.pi / 4])
+    normals = np.column_stack([np.cos(angles), np.sin(angles)])
+    c, s = normals.T
+    exact = np.linalg.solve(np.array([c * c, s * s, c * s, c, s]), [1.0, 1.0, 0.0, 0.0, 0.0])
+    return hpolytope_from_arrays(normals, np.ones(5), normalize=False), exact
+
+
+@pytest.mark.parametrize("warp_seed", [None, 3])
+def test_contact_of_small_weight_is_admitted_at_the_contact_tolerance(warp_seed):
+    # at the target gap this contact's slack is about its share of the gap
+    # over its weight, well above 1e-7: the solver must go on until the
+    # slack is inside the contact tolerance, not widen the tolerance
+    poly, exact = _square_with_light_contact(5e-6)
+    assert exact.min() > 0.0 and exact[4] == pytest.approx(5e-6, rel=0.01)
+    if warp_seed is not None:
+        poly, _, _ = gen_affine_warp(poly, seed=warp_seed)
+    ni = normalize_position(poly)
+    src = ni.decomposition.source_indices
+    np.testing.assert_array_equal(src, np.arange(5))
+    np.testing.assert_allclose(ni.decomposition.weights, exact, rtol=1e-3)
+    assert ni.contact_tol == DEFAULT.contact
+    assert ni.normalized.offsets[src].max() <= 1.0 + DEFAULT.contact
+
+
+@pytest.mark.parametrize("scale", [1.0, 10.0])
+@pytest.mark.parametrize("pull, want", [(0.0, [0, 1, 3]), (1e-3, [0, 2, 3]), (5e-3, [0, 2, 3])])
+def test_row_just_off_the_ellipsoid_keeps_no_weight(pull, want, scale):
+    # this instance's John ellipsoid is that of the triangle of rows 0, 1, 3;
+    # row 2 misses it by 9e-6. Pulling row 2 in by 1e-3 or more swaps its
+    # part with row 1, which then misses by 3e-5 or more. At the target gap
+    # the missing row still carries a weight of 1e-6 to 1e-5: dropping it
+    # there breaks the residual cap, admitting it needs a wider tolerance.
+    # Scaled tolerances widen the gap but not ContactDecomposition's cap
+    tolerances = DEFAULT.scaled(scale)
+    poly = gen_tangent_random(2, 5, seed=172)
+    offsets = poly.offsets.copy()
+    offsets[2] -= pull
+    ni = normalize_position(
+        hpolytope_from_arrays(poly.normals, offsets, normalize=False), tolerances
+    )
+    np.testing.assert_array_equal(ni.decomposition.source_indices, want)
+    assert ni.contact_tol == tolerances.contact
+    rep = verify_decomposition(ni.decomposition)
+    assert max(rep.identity_residual, rep.barycenter_norm) <= DEFAULT.decomposition
 
 
 # --------------------------------------------------------------- generators
