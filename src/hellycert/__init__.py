@@ -46,7 +46,6 @@ from .errors import (
     MalformedDocument,
     NumericalBreakdown,
     PipelineError,
-    SubfamilyTooLarge,
     Unbounded,
 )
 from .experiment import ExperimentRow, TrialSpec, grid_specs, rows_to_csv, run_experiment
@@ -102,7 +101,6 @@ __all__ = [
     "NumericalBreakdown",
     "PipelineError",
     "Simplex",
-    "SubfamilyTooLarge",
     "Tolerances",
     "TrialSpec",
     "Unbounded",

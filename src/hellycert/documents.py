@@ -43,27 +43,25 @@ __all__ = [
 KIND_INSTANCE = "helly-instance"
 KIND_CERTIFICATE = "helly-certificate"
 KIND_REPORT = "helly-check-report"
-SCHEMA_VERSION = "2"
-# versions each kind is read at: version 2 changed the certificate fields and
-# the check items a report lists, not the instance format
+SCHEMA_VERSION = "3"
+# versions each kind is read at: versions 2 and 3 changed the certificate
+# fields (3 stores each fact once) and 2 the check items, not the instances
 _READ_VERSIONS = {
-    KIND_INSTANCE: ("1", SCHEMA_VERSION),
+    KIND_INSTANCE: ("1", "2", SCHEMA_VERSION),
     KIND_CERTIFICATE: (SCHEMA_VERSION,),
     KIND_REPORT: (SCHEMA_VERSION,),
 }
 
-# certificate JSON keys, in writing order; "lambda" spells the contraction
-# ratio because "lam" is an implementation name, not a document name
+# certificate JSON scalar keys, in writing order; the derived values (the
+# contraction ratio among them) are not written
 _CERT_SCALARS = (
     ("dim", int),
     ("selector", str),
     ("contact_tol", float),
     ("window_slack", float),
-    ("lambda", float),
     ("ratio", float),
     ("bound", float),
 )
-_FIELD_FOR_KEY = {"lambda": "lam"}
 
 
 def _fail(message: str) -> MalformedDocument:
@@ -233,7 +231,7 @@ def _tolerances_from_doc(value, name: str) -> Tolerances:
 def certificate_to_doc(cert: Certificate) -> dict:
     doc: dict = {"kind": KIND_CERTIFICATE, "version": SCHEMA_VERSION}
     for key, kind in _CERT_SCALARS:
-        value = getattr(cert, _FIELD_FOR_KEY.get(key, key))
+        value = getattr(cert, key)
         doc[key] = value if kind is not float else float(value)
     for name in _ARRAY_FIELDS:
         doc[name] = getattr(cert, name).tolist()
@@ -249,15 +247,14 @@ def certificate_from_doc(doc: dict) -> Certificate:
     try:
         for key, kind in _CERT_SCALARS:
             value = _require(doc, key)
-            field = _FIELD_FOR_KEY.get(key, key)
             if kind is int:
-                kwargs[field] = _int_scalar(value, key)
+                kwargs[key] = _int_scalar(value, key)
             elif kind is float:
-                kwargs[field] = _float_scalar(value, key)
+                kwargs[key] = _float_scalar(value, key)
             elif not isinstance(value, str):
                 raise _fail(f"{key} must be a string")
             else:
-                kwargs[field] = value
+                kwargs[key] = value
         for name, ndim in _ARRAY_FIELDS.items():
             value = _require(doc, name)
             if name in _INT_FIELDS:

@@ -20,16 +20,13 @@ class ZeroNormal(HellyError):
     """Half-space normal has (near-)zero length."""
 
 
-class ZeroPoint(HellyError):
-    """Polar of a point set containing (near-)zero, which is unbounded."""
-
-
 class Empty(HellyError):
     """The intersection is empty."""
 
 
 class Unbounded(HellyError):
-    """The intersection is unbounded in some direction."""
+    """The intersection is unbounded in some direction (also the polar of a
+    point set that contains the origin)."""
 
 
 class Degenerate(HellyError):
@@ -58,10 +55,6 @@ class ReductionFailed(HellyError):
 
 class Misaligned(HellyError):
     """Contraction endpoints are not antipodal through the origin."""
-
-
-class SubfamilyTooLarge(HellyError):
-    """Selected subfamily exceeds the 2d size guarantee."""
 
 
 class GenerationFailed(HellyError):

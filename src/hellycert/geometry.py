@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .errors import (
     Empty,
     Unbounded,
     ZeroNormal,
-    ZeroPoint,
 )
 from .lp import LPStatus, lp_solve
 
@@ -478,7 +477,7 @@ def polar_of_points(points: np.ndarray) -> HPolytope:
     points = np.atleast_2d(np.asarray(points, dtype=float))
     norms = np.linalg.norm(points, axis=1)
     if norms.min() <= 1e-14:
-        raise ZeroPoint("polar of a set containing the origin is unbounded")
+        raise Unbounded("polar of a set containing the origin is unbounded")
     return hpolytope_from_arrays(points, np.ones(points.shape[0]))
 
 
@@ -499,14 +498,15 @@ def ellipsoid_affine_image(ell: Ellipsoid, mat: np.ndarray, shift: np.ndarray) -
     return Ellipsoid(mat @ ell.center + shift, _sqrtm_spd(gen @ gen.T))
 
 
+@lru_cache(maxsize=None)
 def reference_simplex(d: int) -> np.ndarray:
-    """Regular simplex: d+1 unit vectors in R^d summing to zero, as rows."""
+    """Regular simplex: d+1 unit vectors in R^d summing to zero, as rows
+    (read-only: one array per d serves every call)."""
     ones = np.ones((d + 1, 1))
     q_full, _ = np.linalg.qr(ones, mode="complete")
     basis = q_full[:, 1:]  # orthonormal basis of the sum-zero hyperplane
     centered = np.eye(d + 1) - np.full((d + 1, d + 1), 1.0 / (d + 1))
-    pts = math.sqrt((d + 1) / d) * centered @ basis
-    return pts
+    return _freeze(math.sqrt((d + 1) / d) * centered @ basis)
 
 
 def max_ellipsoid_in_simplex(simplex: Simplex) -> Ellipsoid:

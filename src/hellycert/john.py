@@ -33,7 +33,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import Degenerate, GenerationFailed, NoConvergence, NoDecomposition
-from .geometry import Ellipsoid, HPolytope, _interior_point, hpolytope_from_arrays
+from .geometry import Ellipsoid, HPolytope, _interior_point
 from .nnls import nnls
 
 _START_REACH = 0.9  # the start ellipsoid goes this share of the way to the nearest facet
@@ -302,26 +302,37 @@ def contact_points(
 # --------------------------------------------------------------- normalization
 
 
+def normalized_rows(normals, offsets, map_matrix, map_offset) -> tuple[np.ndarray, np.ndarray]:
+    """The half-spaces a.x <= b seen from the frame x = map_matrix @ y +
+    map_offset, with every row scaled to a unit normal: (normals, offsets).
+    A row that the map sends to zero comes out non-finite."""
+    raw = normals @ map_matrix
+    scale = np.linalg.norm(raw, axis=1)
+    return raw / scale[:, None], (offsets - normals @ map_offset) / scale
+
+
 @dataclass(frozen=True, eq=False)
 class NormalizedInstance:
     """An instance moved so its largest inscribed ellipsoid is the unit ball.
 
-    x_original = map_matrix @ x_normalized + map_offset. The contact
-    decomposition lives in the normalized frame; contact_tol records the
-    tangency tolerance that admitted the contacts.
+    x_original = map_matrix @ x_normalized + map_offset, and norm_normals,
+    norm_offsets are the original rows in the normalized frame. The contact
+    decomposition lives in that frame; contact_tol records the tangency
+    tolerance that admitted the contacts.
     """
 
     original: HPolytope
     map_matrix: np.ndarray
     map_offset: np.ndarray
-    normalized: HPolytope
+    norm_normals: np.ndarray
+    norm_offsets: np.ndarray
     decomposition: ContactDecomposition
     contact_tol: float
 
     def __post_init__(self):
         if abs(np.linalg.det(self.map_matrix)) <= 1e-12:
             raise Degenerate("normalization map is singular")
-        offsets = self.normalized.offsets
+        offsets = self.norm_offsets
         if offsets.min() < 1.0 - DEFAULT.feasibility:
             raise Degenerate("a normalized offset is below 1: ball not inscribed")
         src = self.decomposition.source_indices
@@ -348,11 +359,7 @@ def normalize_position(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> Nor
     `tolerances.decomposition`.
     """
     ell, y, tangent = _john_solve(poly, tolerances)
-    raw = poly.normals @ ell.shape
-    scale = np.linalg.norm(raw, axis=1)
-    new_a = raw / scale[:, None]
-    new_b = (poly.offsets - poly.normals @ ell.center) / scale
-    normalized = hpolytope_from_arrays(new_a, new_b, normalize=False)
+    new_a, new_b = normalized_rows(poly.normals, poly.offsets, ell.shape, ell.center)
     idx = np.flatnonzero(tangent)
     report = verify_decomposition(new_a[idx], y[idx])
     worst = max(report.identity_residual, report.barycenter_norm)
@@ -364,7 +371,8 @@ def normalize_position(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> Nor
         original=poly,
         map_matrix=ell.shape,
         map_offset=ell.center,
-        normalized=normalized,
+        norm_normals=new_a,
+        norm_offsets=new_b,
         decomposition=ContactDecomposition(new_a[idx], y[idx], source_indices=idx),
         contact_tol=tolerances.contact,
     )

@@ -98,6 +98,8 @@ def lp_solve(
     tab[neg] *= -1.0
     rhs[neg] *= -1.0
     tab[art_rows, n_struct + np.arange(n_art)] = 1.0
+    tab0, rhs0 = tab.copy(), rhs.copy()
+    keep = np.ones(rows, dtype=bool)
 
     basis = np.empty(rows, dtype=int)
     basis[:r_ub] = n_split + np.arange(r_ub)
@@ -148,7 +150,6 @@ def lp_solve(
             return LPResult(LPStatus.INFEASIBLE, None, None)
 
         # Remove artificials from the basis; an all-zero row is redundant.
-        keep = np.ones(rows, dtype=bool)
         for r in range(rows):
             if basis[r] >= n_struct:
                 entries = np.where(np.abs(tab[r, :n_struct]) > _PIVOT_TOL)[0]
@@ -173,8 +174,10 @@ def lp_solve(
     if status == LPStatus.UNBOUNDED:
         return LPResult(LPStatus.UNBOUNDED, None, None)
 
+    # the tableau's rhs carries rounding from every pivot (and the clip at
+    # 0); solve the final basis against the original rows instead
     x_split = np.zeros(n_total)
-    x_split[basis] = rhs
+    x_split[basis] = np.linalg.solve(tab0[keep][:, basis], rhs0[keep])
     x = x_split[:n].copy()
     x[free] -= x_split[minus_col[free]]
     return LPResult(LPStatus.OPTIMAL, float(cost @ x), x)

@@ -8,19 +8,21 @@ point over at most d hull points, and contracts the ellipsoid to the origin.
 The contact points touched along the way name at most 2d input half-spaces
 whose intersection is provably small relative to the input's.
 
-Every intermediate quantity lands in the Certificate so an independent
-checker can replay each inequality from the serialized data alone.
+The Certificate stores each fact of the run once and derives the rest by
+the producer's own formulas, so an independent checker can replay each
+inequality from the serialized data alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .bounds import explicit_bound, simplex_volume_floor
-from .config import DEFAULT, VERSION, Tolerances
+from .config import DEFAULT, DIM_CAP, VERSION, Tolerances
 from .dr import DRBasis, dr_select, sampled_basis
 from .errors import (
     DegenerateSimplex,
@@ -30,10 +32,9 @@ from .errors import (
     NumericalBreakdown,
     PipelineError,
     ReductionFailed,
-    SubfamilyTooLarge,
 )
 from .geometry import Ellipsoid, HPolytope, Simplex, max_ellipsoid_in_simplex
-from .john import NormalizedInstance, normalize_position
+from .john import NormalizedInstance, normalize_position, normalized_rows
 from .lp import LPStatus, lp_solve
 from .pivovarov import _index_probabilities
 
@@ -45,35 +46,54 @@ _ARRAY_FIELDS = {
     "offsets": 1,
     "map_matrix": 2,
     "map_offset": 1,
-    "norm_normals": 2,
-    "norm_offsets": 1,
-    "contact_points": 2,
     "contact_weights": 1,
     "contact_indices": 1,
     "basis": 2,
     "selected_rows": 1,
-    "u": 1,
-    "e1_shape": 2,
     "w": 1,
-    "e2_shape": 2,
     "cara_rows": 1,
     "cara_coeffs": 1,
-    "x_points": 2,
-    "x_rows": 1,
-    "g_indices": 1,
 }
-_INT_FIELDS = {"contact_indices", "selected_rows", "cara_rows", "x_rows", "g_indices"}
+_INT_FIELDS = {"contact_indices", "selected_rows", "cara_rows"}
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def subfamily_rows(selected_rows, cara_rows) -> np.ndarray:
+    """The contact rows of X: the selected rows, then the hull rows, each
+    once, in the order first seen."""
+    rows = dict.fromkeys(np.concatenate([selected_rows, cara_rows]).tolist())
+    return np.array(list(rows), dtype=int)
+
+
+def contraction_ratio(u, w, tolerances: Tolerances = DEFAULT) -> float:
+    """|w| / (|u| + |w|), which carries the center u of E1 to the origin when
+    w lies opposite u; 1 when |u| is at most tolerances.degenerate_ray."""
+    nu = float(np.linalg.norm(u))
+    if nu <= tolerances.degenerate_ray:
+        return 1.0
+    nw = float(np.linalg.norm(w))
+    return nw / (nu + nw)
 
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    """Full transcript of one selection run.
+    """Full transcript of one selection run: each fact stored once.
 
     Index conventions: contact_indices maps contact rows to rows of the
-    original family; selected_rows, cara_rows, and x_rows all index rows of
-    contact_points; g_indices are rows of the original family. All geometry
-    except (normals, offsets) lives in the normalized frame, and
+    original family; selected_rows and cara_rows index contact rows. All
+    geometry except (normals, offsets) lives in the normalized frame, and
     x_original = map_matrix @ x_normalized + map_offset converts back.
+
+    The properties below derive everything else from these fields, by the
+    same formulas the producer uses: the normalized rows, the contact
+    points, the subfamily X and its rows G, the simplex ellipsoid E1 with
+    center u, the contraction ratio lam and E2 = lam E1. They are computed on
+    first use, so a certificate whose base simplex is flat still constructs;
+    reading E1 from it raises a HellyError (DegenerateSimplex).
     """
 
     dim: int
@@ -82,25 +102,15 @@ class Certificate:
     offsets: np.ndarray
     map_matrix: np.ndarray
     map_offset: np.ndarray
-    norm_normals: np.ndarray
-    norm_offsets: np.ndarray
     contact_tol: float
-    contact_points: np.ndarray
     contact_weights: np.ndarray
     contact_indices: np.ndarray
     basis: np.ndarray
     selected_rows: np.ndarray
     window_slack: float
-    u: np.ndarray
-    e1_shape: np.ndarray
     w: np.ndarray
-    lam: float
-    e2_shape: np.ndarray
     cara_rows: np.ndarray
     cara_coeffs: np.ndarray
-    x_points: np.ndarray
-    x_rows: np.ndarray
-    g_indices: np.ndarray
     ratio: float
     bound: float
     tolerances: Tolerances = DEFAULT
@@ -114,30 +124,21 @@ class Certificate:
                 raise MalformedCertificate(f"{name} must have {ndim} axes")
             if not np.isfinite(arr).all():
                 raise MalformedCertificate(f"{name} has non-finite entries")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(arr))
         d = int(self.dim)
+        if not 1 <= d <= DIM_CAP:
+            raise MalformedCertificate(f"dimension {d} outside [1, {DIM_CAP}]")
         m = self.normals.shape[0]
-        n = self.contact_points.shape[0]
+        n = self.contact_indices.shape[0]
         shapes = {
             "normals": (m, d),
             "offsets": (m,),
             "map_matrix": (d, d),
             "map_offset": (d,),
-            "norm_normals": (m, d),
-            "norm_offsets": (m,),
-            "contact_points": (n, d),
             "contact_weights": (n,),
-            "contact_indices": (n,),
             "basis": (d, d),
             "selected_rows": (d,),
-            "u": (d,),
-            "e1_shape": (d, d),
             "w": (d,),
-            "e2_shape": (d, d),
-            "x_points": (self.x_points.shape[0], d),
-            "x_rows": (self.x_points.shape[0],),
-            "g_indices": (self.x_points.shape[0],),
             "cara_rows": (self.cara_coeffs.shape[0],),
         }
         for name, want in shapes.items():
@@ -149,14 +150,44 @@ class Certificate:
             (self.contact_indices, m),
             (self.selected_rows, n),
             (self.cara_rows, n),
-            (self.x_rows, n),
-            (self.g_indices, m),
         ):
             if idx.size and (idx.min() < 0 or idx.max() >= limit):
                 raise MalformedCertificate("an index field points outside its table")
-        for name in ("contact_tol", "window_slack", "lam", "ratio", "bound"):
+        for name in ("contact_tol", "window_slack", "ratio", "bound"):
             if not math.isfinite(float(getattr(self, name))):
                 raise MalformedCertificate(f"{name} is not finite")
+        if not all(np.isfinite(arr).all() for arr in self._normalized):
+            raise MalformedCertificate("the map sends a normal to zero or out of range")
+
+    @cached_property
+    def _normalized(self) -> tuple[np.ndarray, np.ndarray]:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rows = normalized_rows(self.normals, self.offsets, self.map_matrix, self.map_offset)
+        return tuple(_frozen(arr) for arr in rows)
+
+    @property
+    def norm_normals(self) -> np.ndarray:
+        return self._normalized[0]
+
+    @property
+    def norm_offsets(self) -> np.ndarray:
+        return self._normalized[1]
+
+    @cached_property
+    def contact_points(self) -> np.ndarray:
+        return _frozen(self.norm_normals[self.contact_indices])
+
+    @cached_property
+    def x_rows(self) -> np.ndarray:
+        return _frozen(subfamily_rows(self.selected_rows, self.cara_rows))
+
+    @property
+    def x_points(self) -> np.ndarray:
+        return self.contact_points[self.x_rows]
+
+    @property
+    def g_indices(self) -> np.ndarray:
+        return self.contact_indices[self.x_rows]
 
     @property
     def selected_points(self) -> np.ndarray:
@@ -170,9 +201,29 @@ class Certificate:
     def s2_vertices(self) -> np.ndarray:
         return np.vstack([self.w, self.selected_points])
 
-    @property
+    @cached_property
+    def s1(self) -> Simplex:
+        return Simplex(self.s1_vertices)
+
+    @cached_property
     def e1(self) -> Ellipsoid:
-        return Ellipsoid(self.u, self.e1_shape)
+        return max_ellipsoid_in_simplex(self.s1)
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.e1.center
+
+    @property
+    def e1_shape(self) -> np.ndarray:
+        return self.e1.shape
+
+    @cached_property
+    def lam(self) -> float:
+        return contraction_ratio(self.u, self.w, self.tolerances)
+
+    @cached_property
+    def e2_shape(self) -> np.ndarray:
+        return _frozen(self.lam * self.e1_shape)
 
     @property
     def e2(self) -> Ellipsoid:
@@ -180,7 +231,7 @@ class Certificate:
 
     @property
     def subfamily_size(self) -> int:
-        return self.x_points.shape[0]
+        return self.x_rows.shape[0]
 
     def subfamily(self) -> HPolytope:
         """The selected half-spaces, verbatim rows of the original family."""
@@ -323,7 +374,7 @@ def contract_E1(
     cosine = float(u @ w) / (nu * nw)
     if cosine > -1.0 + 1e-8:
         raise Misaligned(f"w is not opposite u through the origin (cosine {cosine:.2e})")
-    lam = nw / (nu + nw)
+    lam = contraction_ratio(u, w, tolerances)
     center = w + lam * (u - w)
     if np.linalg.norm(center) > 1e-10:
         raise NumericalBreakdown(
@@ -357,8 +408,6 @@ def assemble_subfamily(
     selector: str,
     basis: DRBasis,
     w: np.ndarray,
-    lam: float,
-    e1: Ellipsoid,
     e2: Ellipsoid,
     cara_rows: np.ndarray,
     cara_coeffs: np.ndarray,
@@ -374,14 +423,9 @@ def assemble_subfamily(
     """
     dec = inst.decomposition
     d = inst.dim
-    seen: dict[int, None] = {}
-    for row in list(basis.indices) + list(cara_rows):
-        seen.setdefault(int(row), None)
-    x_rows = np.array(list(seen), dtype=int)
+    x_rows = subfamily_rows(basis.indices, cara_rows)
     if x_rows.size > 2 * d:
-        raise SubfamilyTooLarge(f"{x_rows.size} selected points exceed 2d = {2 * d}")
-    x_points = dec.points[x_rows]
-    g_indices = dec.source_indices[x_rows]
+        raise NumericalBreakdown(f"{x_rows.size} selected points exceed 2d = {2 * d}")
 
     s2 = np.vstack([w, dec.points[basis.indices]])
     facet_a, facet_b = Simplex(s2).facets()
@@ -392,7 +436,7 @@ def assemble_subfamily(
             f"contracted ellipsoid leaves the apex simplex by {worst:.2e}"
         )
 
-    ratio = _certified_ratio(inst.normalized.offsets, g_indices, e2.shape)
+    ratio = _certified_ratio(inst.norm_offsets, dec.source_indices[x_rows], e2.shape)
     bound = explicit_bound(d)
     if selector == "dr" and ratio > bound * (1.0 + 1e-9):
         raise NumericalBreakdown(
@@ -406,25 +450,15 @@ def assemble_subfamily(
         offsets=inst.original.offsets,
         map_matrix=inst.map_matrix,
         map_offset=inst.map_offset,
-        norm_normals=inst.normalized.normals,
-        norm_offsets=inst.normalized.offsets,
         contact_tol=inst.contact_tol,
-        contact_points=dec.points,
         contact_weights=dec.weights,
         contact_indices=dec.source_indices,
         basis=basis.basis,
         selected_rows=basis.indices,
         window_slack=basis.slack,
-        u=e1.center,
-        e1_shape=e1.shape,
         w=w,
-        lam=lam,
-        e2_shape=e2.shape,
         cara_rows=cara_rows,
         cara_coeffs=cara_coeffs,
-        x_points=x_points,
-        x_rows=x_rows,
-        g_indices=g_indices,
         ratio=ratio,
         bound=bound,
         tolerances=tolerances,
@@ -489,7 +523,7 @@ def select(
     direction = -u / nu if nu > tolerances.degenerate_ray else basis.basis[-1]
     w, coeffs = stage("ray", ray_hit_boundary, dec.points, direction)
     cara_rows, cara_coeffs = stage("reduce", caratheodory_reduce, w, dec.points, coeffs)
-    e2, lam = stage("contract", contract_E1, e1, u, w, tolerances)
+    e2, _ = stage("contract", contract_E1, e1, u, w, tolerances)
     return stage(
         "assemble",
         assemble_subfamily,
@@ -497,8 +531,6 @@ def select(
         selector,
         basis,
         w,
-        lam,
-        e1,
         e2,
         cara_rows,
         cara_coeffs,

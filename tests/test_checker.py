@@ -1,6 +1,8 @@
 """Checker: agreement with the producer on honest certificates, and a
 fault-injection suite verifying that corrupting a stored witness flips its
-check (and only the checks that genuinely depend on it)."""
+check (and only the checks that genuinely depend on it). A certificate stores
+each fact once, so a corruption reaches every check that reads a value
+derived from the corrupted field."""
 
 import sys
 from dataclasses import replace
@@ -122,7 +124,20 @@ def assert_flips(cert, corrupted, must_fail, may_fail=frozenset()):
 
 class TestFaultInjection:
     def test_shifted_map(self, random_cert):
+        # the shift moves every normalized offset, which the contacts'
+        # tangency and the certified ratio read too
         bad = replace(random_cert, map_offset=random_cert.map_offset + 0.01)
+        assert_flips(
+            random_cert,
+            bad,
+            {"instance_map", "decomposition", "certified_ratio"},
+            may_fail={"subfamily_membership"},
+        )
+
+    def test_scaled_map(self, random_cert):
+        # a larger map shrinks every normalized offset below 1 alike, which
+        # leaves the tangency and the ratio's offset quotient as they were
+        bad = replace(random_cert, map_matrix=1.01 * random_cert.map_matrix)
         assert_flips(random_cert, bad, {"instance_map"})
 
     def test_inflated_weight(self, random_cert):
@@ -152,41 +167,63 @@ class TestFaultInjection:
         )
 
     def test_shrunk_boundary_point(self, random_cert):
+        # the contraction ratio, and with it E2 and the ratio, follow |w|
         d = random_cert.dim
         w = random_cert.w * (0.5 / (d * np.linalg.norm(random_cert.w)))
         assert_flips(
             random_cert,
             replace(random_cert, w=w),
-            {"ray_depth"},
+            {"ray_depth", "certified_ratio"},
             may_fail={"contraction", "hull_chain"},
         )
 
     def test_moved_ellipsoid_center(self, random_cert):
+        # u is derived from the base simplex; turning w by 0.05 rad about the
+        # origin moves it off the line through u as moving u would
+        u, w = random_cert.u, random_cert.w
+        perp = np.cross(u, [1.0, 0.0, 0.0])
+        perp *= np.linalg.norm(w) / np.linalg.norm(perp)
+        turned = np.cos(0.05) * w + np.sin(0.05) * perp
         assert_flips(
             random_cert,
-            replace(random_cert, u=1.3 * random_cert.u),
-            {"contraction"},
+            replace(random_cert, w=turned),
+            {"contraction", "hull_chain"},
         )
 
     def test_inflated_inner_shape(self, random_cert):
+        # E1 is derived from the selected rows; a selected row swapped for a
+        # contact outside X gives the E1 of another simplex
+        rows = random_cert.selected_rows.copy()
+        x_rows = set(random_cert.x_rows.tolist())
+        rows[0] = next(r for r in range(random_cert.contact_indices.size) if r not in x_rows)
         assert_flips(
             random_cert,
-            replace(random_cert, e1_shape=1.3 * random_cert.e1_shape),
-            {"contraction"},
+            replace(random_cert, selected_rows=rows),
+            {"selection_window", "contraction", "hull_chain", "certified_ratio"},
+            may_fail={"simplex_floor", "ratio_bound"},
         )
 
     def test_shrunk_contracted_shape(self, random_cert):
+        # E2 = lam E1 with lam derived from |w|: half of w shrinks E2
         assert_flips(
             random_cert,
-            replace(random_cert, e2_shape=0.5 * random_cert.e2_shape),
-            {"contraction", "certified_ratio"},
+            replace(random_cert, w=0.5 * random_cert.w),
+            {"hull_chain", "certified_ratio"},
         )
 
     def test_spec_ratio_overwrite(self, random_cert):
-        # the canonical single-witness fault: contraction ratio set to
-        # 1/(d+2), below the guaranteed floor; everything else untouched
-        bad = replace(random_cert, lam=1.0 / (random_cert.dim + 2))
-        assert_flips(random_cert, bad, {"contraction"})
+        # the contraction ratio set to 1/(d+2), below the guaranteed floor,
+        # through the one field it is derived from: |w| = |u| / (d+1)
+        u, w = random_cert.u, random_cert.w
+        short = w * (np.linalg.norm(u) / (random_cert.dim + 1) / np.linalg.norm(w))
+        bad = replace(random_cert, w=short)
+        assert bad.lam == pytest.approx(1.0 / (random_cert.dim + 2))
+        assert_flips(
+            random_cert,
+            bad,
+            {"contraction", "certified_ratio"},
+            may_fail={"ray_depth", "hull_chain"},
+        )
 
     def test_biased_hull_coefficient(self, random_cert):
         coeffs = random_cert.cara_coeffs.copy()
@@ -201,22 +238,23 @@ class TestFaultInjection:
         )
 
     def test_doubled_stored_volume(self, random_cert):
-        # the stored E2 with twice its volume: the ratio no longer matches it
+        # w lengthened until the derived E2 has twice its volume: the stored
+        # ratio no longer matches it
         d = random_cert.dim
-        assert_flips(
-            random_cert,
-            replace(random_cert, e2_shape=2.0 ** (1.0 / d) * random_cert.e2_shape),
-            {"contraction", "certified_ratio"},
+        lam = 2.0 ** (1.0 / d) * random_cert.lam
+        nu, nw = np.linalg.norm(random_cert.u), np.linalg.norm(random_cert.w)
+        bad = replace(random_cert, w=random_cert.w * (lam * nu / (1.0 - lam) / nw))
+        assert abs(np.linalg.det(bad.e2_shape)) == pytest.approx(
+            2.0 * abs(np.linalg.det(random_cert.e2_shape))
         )
+        assert_flips(random_cert, bad, {"certified_ratio", "hull_chain"})
 
     def test_stored_ellipsoid_leaves_the_apex_simplex(self, random_cert):
         # E2 grown past the apex simplex breaks the inclusion that bounds X*
-        # inside the polar of E2, not only the contraction algebra
-        assert_flips(
-            random_cert,
-            replace(random_cert, e2_shape=1.5 * random_cert.e2_shape),
-            {"contraction", "hull_chain", "certified_ratio"},
-        )
+        # inside the polar of E2, not only the ratio's arithmetic
+        bad = replace(random_cert, w=10.0 * random_cert.w)
+        assert check_certificate(bad)["hull_chain"].slack < 0.0
+        assert_flips(random_cert, bad, {"hull_chain", "certified_ratio"})
 
     def test_halved_bound(self, random_cert):
         assert_flips(
@@ -225,12 +263,13 @@ class TestFaultInjection:
             {"ratio_bound"},
         )
 
-    # the fields the certified ratio reads, each with the checks that a
-    # corruption of it must trip (at least one of them)
+    # the stored fields the certified ratio reads (w through E2, the contact
+    # indices through G), each with the checks that a corruption of it must
+    # trip (at least one of them)
     RATIO_INPUTS = {
         "ratio": {"certified_ratio"},
-        "e2_shape": {"certified_ratio", "contraction"},
-        "g_indices": {"certified_ratio", "subfamily_membership"},
+        "w": {"certified_ratio", "contraction", "hull_chain"},
+        "contact_indices": {"certified_ratio", "decomposition", "subfamily_membership"},
     }
 
     @settings(derandomize=True, max_examples=40, deadline=None)
@@ -244,40 +283,44 @@ class TestFaultInjection:
         size = 10.0**log_size * rng.choice([-1.0, 1.0])
         if field == "ratio":
             bad = replace(random_cert, ratio=random_cert.ratio * (1.0 + size))
-        elif field == "e2_shape":
-            noise = rng.uniform(-1.0, 1.0, random_cert.e2_shape.shape)
-            noise = (noise + noise.T) / np.abs(noise + noise.T).max()
-            scale = np.abs(random_cert.e2_shape).max()
-            bad = replace(random_cert, e2_shape=random_cert.e2_shape + size * scale * noise)
+        elif field == "w":
+            noise = rng.uniform(-1.0, 1.0, random_cert.w.shape)
+            noise /= np.abs(noise).max()
+            scale = np.linalg.norm(random_cert.w)
+            bad = replace(random_cert, w=random_cert.w + size * scale * noise)
         else:
-            g = random_cert.g_indices.copy()
-            i = rng.integers(g.size)
-            g[i] = (g[i] + rng.integers(1, random_cert.normals.shape[0])) % random_cert.normals.shape[0]
-            bad = replace(random_cert, g_indices=g)
+            idx = random_cert.contact_indices.copy()
+            m = random_cert.normals.shape[0]
+            i = random_cert.x_rows[rng.integers(random_cert.x_rows.size)]
+            idx[i] = (idx[i] + rng.integers(1, m)) % m
+            bad = replace(random_cert, contact_indices=idx)
         failed = set(check_certificate(bad).failures())
         assert failed & self.RATIO_INPUTS[field], f"{field} corruption went unnoticed"
 
     def test_rewired_subfamily_index(self, random_cert):
-        g = random_cert.g_indices.copy()
-        g[0] = (g[0] + 1) % random_cert.normals.shape[0]
+        # G is derived from the contact indices of X: point the last member
+        # of X at an input row that is not tangent to the ball
+        idx = random_cert.contact_indices.copy()
+        far = np.flatnonzero(random_cert.norm_offsets > 1.0 + 1e-3)
+        idx[random_cert.x_rows[-1]] = far[0]
         assert_flips(
             random_cert,
-            replace(random_cert, g_indices=g),
-            {"subfamily_membership"},
+            replace(random_cert, contact_indices=idx),
+            {"subfamily_membership", "decomposition"},
+            may_fail={"hull_chain", "certified_ratio", "ratio_bound"},
         )
 
     def test_moved_selected_point(self, random_cert):
-        pts = random_cert.x_points.copy()
-        pts[0] = pts[0] + np.array([0.05, 0.0, 0.0])
+        # X is derived from the input normals: turn the one behind the last
+        # member of X, which the hull combination uses
+        normals = random_cert.normals.copy()
+        g = random_cert.g_indices[-1]
+        normals[g] = normals[g] + np.array([0.05, 0.0, 0.0])
         assert_flips(
             random_cert,
-            replace(random_cert, x_points=pts),
-            {"hull_chain"},
-            may_fail={
-                "subfamily_membership",
-                "ratio_bound",
-                "subfamily_size",
-            },
+            replace(random_cert, normals=normals),
+            {"hull_chain", "decomposition"},
+            may_fail={"instance_map", "certified_ratio", "subfamily_membership", "ratio_bound"},
         )
 
     def test_repeated_selected_row(self, random_cert):
@@ -287,8 +330,16 @@ class TestFaultInjection:
         assert_flips(
             random_cert,
             replace(random_cert, selected_rows=rows),
-            # a flat apex simplex leaves the ratio without its rounding margin
-            {"selection_window", "simplex_floor", "contraction", "hull_chain", "ratio_bound"},
+            # a flat base simplex inscribes no E1, so neither E2 nor the
+            # ratio it certifies can be rebuilt
+            {
+                "selection_window",
+                "simplex_floor",
+                "contraction",
+                "hull_chain",
+                "certified_ratio",
+                "ratio_bound",
+            },
         )
 
     def test_every_check_is_coverable(self, random_cert):

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from hellycert.cli import main
@@ -58,7 +59,9 @@ class TestSelectVerify:
     def test_corrupted_certificate_exits_one_and_names_check(self, tmp_path, capsys):
         cert = select(gen_tangent_random(2, 6, seed=1))
         doc = certificate_to_doc(cert)
-        doc["lambda"] = 1.0 / (cert.dim + 2)
+        # shorten w until the derived contraction ratio is 1/(d+2)
+        nu, nw = np.linalg.norm(cert.u), np.linalg.norm(cert.w)
+        doc["w"] = (cert.w * (nu / (cert.dim + 1) / nw)).tolist()
         path = tmp_path / "bad.json"
         save_document(doc, path)
         assert main(["verify", "--in", str(path)]) == 1
@@ -124,19 +127,24 @@ class TestExitCodes:
         assert main(["verify", "--in", str(cert)]) == 0
 
     def test_version_one_certificate_is_malformed_input(self, tmp_path, capsys):
-        path = tmp_path / "v1.json"
-        doc = certificate_to_doc(select(gen_cube(3))) | {"version": "1", "vol_f": 8.0, "vol_g": 8.0}
-        save_document(doc, path)
-        assert main(["verify", "--in", str(path)]) == 2
-        assert "schema version" in capsys.readouterr().err
+        # and version 2, which also stored the derived values
+        cert = select(gen_cube(3))
+        for old in ({"version": "1", "vol_f": 8.0, "vol_g": 8.0}, {"version": "2", "lambda": cert.lam}):
+            path = tmp_path / "old.json"
+            save_document(certificate_to_doc(cert) | old, path)
+            assert main(["verify", "--in", str(path)]) == 2
+            assert "schema version" in capsys.readouterr().err
 
     def test_version_one_instance_still_selects(self, tmp_path):
-        # version 2 changed the certificate, not the instance format
-        inst, cert = tmp_path / "v1.json", tmp_path / "cert.json"
-        save_document(instance_to_doc(gen_tangent_random(2, 6, seed=1)) | {"version": "1"}, inst)
-        assert main(["select", "--in", str(inst), "--out", str(cert)]) == 0
-        assert load_document(cert)["version"] == SCHEMA_VERSION
-        assert main(["verify", "--in", str(cert)]) == 0
+        # and version 2: versions 2 and 3 changed the certificate, not the
+        # instance format
+        for version in ("1", "2"):
+            inst, cert = tmp_path / "old.json", tmp_path / "cert.json"
+            poly = gen_tangent_random(2, 6, seed=1)
+            save_document(instance_to_doc(poly) | {"version": version}, inst)
+            assert main(["select", "--in", str(inst), "--out", str(cert)]) == 0
+            assert load_document(cert)["version"] == SCHEMA_VERSION
+            assert main(["verify", "--in", str(cert)]) == 0
 
     def test_cap_exceeded_is_malformed_input(self, tmp_path):
         assert main(["gen", "--generator", "cube", "--d", "9", "--out", str(tmp_path / "x.json")]) == 2

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hellycert.checker import check_certificate
+from hellycert.checker import CheckReport, check_certificate
 from hellycert.documents import (
     KIND_CERTIFICATE,
     KIND_INSTANCE,
@@ -30,6 +32,21 @@ from hellycert.generators import gen_cube, gen_tangent_random
 from hellycert.pipeline import select
 
 
+# the certificate values derived from its stored fields
+DERIVED = [
+    "norm_normals",
+    "norm_offsets",
+    "contact_points",
+    "x_rows",
+    "x_points",
+    "g_indices",
+    "u",
+    "e1_shape",
+    "lam",
+    "e2_shape",
+]
+
+
 @pytest.fixture(scope="module")
 def cert():
     return select(gen_tangent_random(3, 8, seed=2))
@@ -47,7 +64,7 @@ class TestInstanceDocuments:
     def test_doc_shape(self):
         doc = instance_to_doc(gen_cube(2))
         assert doc["kind"] == KIND_INSTANCE
-        assert doc["version"] == SCHEMA_VERSION == "2"
+        assert doc["version"] == SCHEMA_VERSION == "3"
         assert doc["dim"] == 2
         assert len(doc["halfspaces"]) == 4
         assert set(doc["halfspaces"][0]) == {"a", "b"}
@@ -98,30 +115,32 @@ class TestInstanceDocuments:
 class TestCertificateDocuments:
     def test_round_trip_preserves_every_field(self, cert):
         back = certificate_from_doc(canonical_loads(canonical_dumps(certificate_to_doc(cert))))
-        for field in dataclasses.fields(type(cert)):
-            a, b = getattr(cert, field.name), getattr(back, field.name)
+        for name in [f.name for f in dataclasses.fields(type(cert))] + DERIVED:
+            a, b = getattr(cert, name), getattr(back, name)
             if isinstance(a, np.ndarray):
-                assert np.array_equal(a, b), field.name
+                assert np.array_equal(a, b), name
             else:
-                assert a == b, field.name
+                assert a == b, name
 
     def test_round_tripped_certificate_still_checks(self, cert):
         back = certificate_from_doc(canonical_loads(canonical_dumps(certificate_to_doc(cert))))
         assert check_certificate(back).passed
 
-    def test_doc_spells_lambda(self, cert):
+    def test_doc_stores_each_fact_once(self, cert):
+        # the 19 stored fields, and none of the ten values derived from them
         doc = certificate_to_doc(cert)
         assert doc["kind"] == KIND_CERTIFICATE
-        assert doc["lambda"] == cert.lam
-        assert "lam" not in doc
         assert doc["library"].split()[0] == "hellycert"
-        assert {"u", "w", "basis", "tolerances"} <= set(doc)
+        assert set(doc) == {f.name for f in dataclasses.fields(cert)} | {"kind", "version"}
+        assert len(doc) == 19 + 2
+        assert not set(DERIVED + ["lambda"]) & set(doc)
 
     def test_version_one_certificate_is_rejected(self, cert):
-        # version 1 stored two measured volumes in place of the certified ratio
-        doc = certificate_to_doc(cert) | {"version": "1", "vol_f": 1.0, "vol_g": 2.0}
-        with pytest.raises(MalformedDocument, match="schema version"):
-            certificate_from_doc(doc)
+        # version 1 stored two measured volumes in place of the certified
+        # ratio, version 2 also the ten derived values
+        for old in ({"version": "1", "vol_f": 1.0, "vol_g": 2.0}, {"version": "2", "lambda": cert.lam}):
+            with pytest.raises(MalformedDocument, match="schema version"):
+                certificate_from_doc(certificate_to_doc(cert) | old)
 
     def test_extra_keys_are_ignored(self, cert):
         doc = certificate_to_doc(cert)
@@ -131,10 +150,10 @@ class TestCertificateDocuments:
     @pytest.mark.parametrize(
         "mutate",
         [
-            lambda d: d.pop("lambda"),
+            lambda d: d.pop("w"),
             lambda d: d.pop("basis"),
-            lambda d: d.update(u="not an array"),
-            lambda d: d.update(g_indices=[0.5, 1.5]),
+            lambda d: d.update(w="not an array"),
+            lambda d: d.update(cara_rows=[0.5, 1.5]),
             lambda d: d.update(selector="unknown"),
             lambda d: d.update(ratio=float("nan")),
             lambda d: d.update(tolerances=[1, 2, 3]),
@@ -161,6 +180,58 @@ class TestCertificateDocuments:
         doc["w"] = doc["w"] + [0.0]  # wrong length for the dimension
         with pytest.raises(MalformedCertificate):
             certificate_from_doc(doc)
+
+
+def _mutate_index(rows: list, kind: str, rng, limit: int) -> list:
+    if kind == "empty" or not rows:
+        return []
+    i = int(rng.integers(len(rows)))
+    if kind == "out_of_range":
+        return rows[:i] + [int(rng.choice([-1, limit, limit + 7]))] + rows[i + 1 :]
+    if kind == "repeated":
+        return rows[:i] + [rows[int(rng.integers(len(rows)))]] + rows[i + 1 :]
+    if kind == "dropped":
+        return rows[:i] + rows[i + 1 :]
+    return rows + [int(rng.integers(limit))]  # "extended"
+
+
+class TestCertificateTotality:
+    # every document that certificate_from_doc accepts is checked to a
+    # report; anything else is refused as MalformedCertificate, never raised
+    # as IndexError, LinAlgError or ValueError from deep inside
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        field=st.sampled_from(["contact_indices", "selected_rows", "cara_rows", "none"]),
+        kind=st.sampled_from(["out_of_range", "repeated", "empty", "dropped", "extended"]),
+        extra=st.sampled_from(["none", "zero_w", "rank_one_map", "zero_map", "zero_column"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_accepted_document_yields_a_report(self, cert, field, kind, extra, seed):
+        rng = np.random.default_rng(seed)
+        doc = certificate_to_doc(cert)
+        if field != "none":
+            limit = len(doc["normals"] if field == "contact_indices" else doc["contact_indices"])
+            doc[field] = _mutate_index(doc[field], kind, rng, limit)
+            paired = {"contact_indices": "contact_weights", "cara_rows": "cara_coeffs"}
+            if field in paired:  # keep the lengths consistent, so the check runs
+                n = len(doc[field])
+                doc[paired[field]] = (doc[paired[field]] + [0.5] * n)[:n]
+        d = cert.dim
+        if extra == "zero_w":
+            doc["w"] = [0.0] * d
+        elif extra == "rank_one_map":
+            v = rng.normal(size=d)
+            doc["map_matrix"] = np.outer(v, v).tolist()
+        elif extra == "zero_map":
+            doc["map_matrix"] = np.zeros((d, d)).tolist()
+        elif extra == "zero_column":
+            doc["map_matrix"] = (cert.map_matrix * (np.arange(d) > 0)).tolist()
+        try:
+            back = certificate_from_doc(canonical_loads(canonical_dumps(doc)))
+        except MalformedCertificate:
+            return
+        assert isinstance(check_certificate(back), CheckReport)
 
 
 class TestReportDocuments:

@@ -23,7 +23,6 @@ from hellycert.errors import (
     Empty,
     Unbounded,
     ZeroNormal,
-    ZeroPoint,
 )
 from hellycert.geometry import (
     Ellipsoid,
@@ -534,7 +533,7 @@ def test_polar_of_cube_corners_is_scaled_cross_polytope():
 
 
 def test_polar_rejects_origin():
-    with pytest.raises(ZeroPoint):
+    with pytest.raises(Unbounded):
         polar_of_points(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 

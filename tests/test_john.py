@@ -257,13 +257,13 @@ def test_normalize_scaled_shifted_cube():
     ni = normalize_position(hpolytope_from_arrays(a, b))
     np.testing.assert_allclose(ni.map_offset, [1.0, 1.0], atol=1e-7)
     np.testing.assert_allclose(ni.map_matrix, 2.0 * np.eye(2), atol=1e-7)
-    np.testing.assert_allclose(ni.normalized.offsets, np.ones(4), atol=1e-8)
+    np.testing.assert_allclose(ni.norm_offsets, np.ones(4), atol=1e-8)
 
 
 def test_normalized_offsets_at_least_one():
     for d, m, seed in [(2, 7, 1), (3, 9, 2), (4, 13, 3), (5, 16, 4)]:
         ni = normalize_position(gen_tangent_random(d, m, seed))
-        assert ni.normalized.offsets.min() >= 1.0 - 1e-8
+        assert ni.norm_offsets.min() >= 1.0 - 1e-8
         rep = verify_decomposition(ni.decomposition)
         assert rep.identity_residual <= 1e-6
         assert rep.barycenter_norm <= 1e-6
@@ -283,7 +283,9 @@ def test_normalize_warped_instances():
 
 def test_contact_points_on_normalized_cube():
     ni = normalize_position(gen_cube(2))
-    pts, idx = contact_points(ni.normalized)
+    pts, idx = contact_points(
+        hpolytope_from_arrays(ni.norm_normals, ni.norm_offsets, normalize=False)
+    )
     assert idx.shape[0] == 4
     np.testing.assert_allclose(np.linalg.norm(pts, axis=1), np.ones(4), atol=1e-12)
 
@@ -292,19 +294,18 @@ def test_contact_source_indices_are_consistent():
     ni = normalize_position(gen_tangent_random(3, 9, 21))
     src = ni.decomposition.source_indices
     np.testing.assert_allclose(
-        ni.decomposition.points, ni.normalized.normals[src], atol=1e-12
+        ni.decomposition.points, ni.norm_normals[src], atol=1e-12
     )
     assert ni.contact_tol == DEFAULT.contact
-    assert ni.normalized.offsets[src].max() <= 1.0 + DEFAULT.contact
+    assert ni.norm_offsets[src].max() <= 1.0 + DEFAULT.contact
 
 
 def test_recorded_contact_beyond_the_contact_tolerance_is_refused():
     ni = normalize_position(gen_cube(2))
-    offsets = ni.normalized.offsets.copy()
+    offsets = ni.norm_offsets.copy()
     offsets[ni.decomposition.source_indices[0]] = 1.0 + 2.0 * ni.contact_tol
-    moved = hpolytope_from_arrays(ni.normalized.normals, offsets, normalize=False)
     with pytest.raises(NoDecomposition):
-        dataclasses.replace(ni, normalized=moved)
+        dataclasses.replace(ni, norm_offsets=offsets)
 
 
 def _square_with_light_contact(delta):
@@ -332,7 +333,7 @@ def test_contact_of_small_weight_is_admitted_at_the_contact_tolerance(warp_seed)
     np.testing.assert_array_equal(src, np.arange(5))
     np.testing.assert_allclose(ni.decomposition.weights, exact, rtol=1e-3)
     assert ni.contact_tol == DEFAULT.contact
-    assert ni.normalized.offsets[src].max() <= 1.0 + DEFAULT.contact
+    assert ni.norm_offsets[src].max() <= 1.0 + DEFAULT.contact
 
 
 @pytest.mark.parametrize("scale", [1.0, 10.0])

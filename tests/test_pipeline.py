@@ -159,6 +159,18 @@ class TestRayHitBoundary:
                 assert hull_gap(w, pts) <= 1e-8
                 assert hull_gap(w * (1.0 + 1e-6), pts) > 1e-10
 
+    def test_combination_is_convex_after_many_pivots(self):
+        # on this instance the pivoted tableau's rhs drifted until the ray
+        # weights summed to 1 + 1.3e-9, which `caratheodory_reduce` refuses
+        seed = 4000295462
+        poly, _, _ = gen_affine_warp(gen_tangent_random(4, 16, seed=seed), seed=seed + 1)
+        dec = normalize_position(poly).decomposition
+        _, _, u = build_S1(dr_select(dec))
+        w, coeffs = ray_hit_boundary(dec.points, -u / np.linalg.norm(u))
+        assert abs(coeffs.sum() - 1.0) <= 1e-14
+        assert np.linalg.norm(dec.points.T @ coeffs - w) <= 1e-14
+        assert check_certificate(select(poly)).passed
+
 
 class TestCaratheodoryReduce:
     def test_already_small_passes_through(self):
