@@ -21,7 +21,9 @@ combination of them must vanish. It does not test feasibility. Vertex
 enumeration rules out an empty or flat body first: with no LP when every
 half-space keeps the origin at least `_INTERIOR_FLOOR` inside (as in a
 normalized instance or the polar of unit contact points), and otherwise by
-the Chebyshev-center LP, which raises Empty.
+`_interior_point`, whose Chebyshev-center LP raises Empty; then it runs
+`ensure_bounded`. The John solver starts from `_interior_point` alone and
+needs the boundedness LP only when its iteration fails.
 """
 
 from __future__ import annotations
@@ -241,6 +243,13 @@ def chebyshev_center(poly: HPolytope) -> tuple[np.ndarray, float]:
     return res.x[:d], float(res.value)
 
 
+def _ensure_full_rank(a: np.ndarray) -> None:
+    """Raise Unbounded unless the normals span R^d, by one SVD."""
+    m, d = a.shape
+    if m < d or np.linalg.svd(a, compute_uv=False)[-1] <= _BOUNDED_FLOOR:
+        raise Unbounded("normals have rank below the dimension: the body holds a line")
+
+
 def ensure_bounded(poly: HPolytope) -> None:
     """Raise Unbounded unless the polytope is bounded, assuming it is nonempty.
 
@@ -251,13 +260,13 @@ def ensure_bounded(poly: HPolytope) -> None:
     and 1.z + m*t = 1, which has d + 1 equality rows.
 
     Feasibility is not tested: an empty intersection can pass. Callers that
-    need it either know an interior point or run `chebyshev_center` first,
-    which raises Empty.
+    need it either know an interior point or run `_interior_point` first,
+    which raises Empty. The John solver calls this only when its iteration
+    fails: a converged iterate already carries the weights y.
     """
     a = poly.normals
     m, d = a.shape
-    if m < d or np.linalg.svd(a, compute_uv=False)[-1] <= _BOUNDED_FLOOR:
-        raise Unbounded("normals have rank below the dimension: the body holds a line")
+    _ensure_full_rank(a)
     a_eq = np.zeros((d + 1, m + 1))
     a_eq[:d, :m] = a.T
     a_eq[:d, m] = a.sum(axis=0)
@@ -273,17 +282,20 @@ def ensure_bounded(poly: HPolytope) -> None:
 
 
 def _interior_point(poly: HPolytope) -> tuple[np.ndarray, float]:
-    """Chebyshev center and radius of a bounded full-dimensional polytope.
+    """Chebyshev center and radius of a full-dimensional polytope whose
+    normals span R^d.
 
     Raises Empty or Unbounded from the Chebyshev LP, then Degenerate when
-    the inscribed radius is below _INTERIOR_FLOOR, then Unbounded from
-    `ensure_bounded`. The order matters: only the Chebyshev LP sees
-    emptiness.
+    the inscribed radius is below _INTERIOR_FLOOR, then Unbounded when the
+    normals have rank below d (one SVD, so a body holding a line is typed
+    before any iteration starts from this point). The order matters: only
+    the Chebyshev LP sees emptiness. Boundedness beyond the rank is left to
+    `ensure_bounded`.
     """
     center, radius = chebyshev_center(poly)
     if radius < _INTERIOR_FLOOR:
         raise Degenerate(f"inscribed radius {radius:.3e} below {_INTERIOR_FLOOR:.0e}")
-    ensure_bounded(poly)
+    _ensure_full_rank(poly.normals)
     return center, radius
 
 
@@ -343,12 +355,11 @@ def vertex_enumeration(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> VPo
 def _vertex_array(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> np.ndarray:
     a, b = poly.normals, poly.offsets
     m, d = a.shape
-    if (b / np.linalg.norm(a, axis=1)).min() >= _INTERIOR_FLOOR:
-        # the origin is an interior point of inradius at least the floor,
-        # so the Chebyshev LP could raise neither Empty nor Degenerate
-        ensure_bounded(poly)
-    else:
+    if (b / np.linalg.norm(a, axis=1)).min() < _INTERIOR_FLOOR:
+        # no ball of the floor's radius about the origin: the Chebyshev LP
+        # rules out an empty or flat body
         _interior_point(poly)
+    ensure_bounded(poly)
     check_subset_budget(m, d)
     verts = np.empty((0, d))
     combos = itertools.combinations(range(m), d)

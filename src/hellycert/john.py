@@ -6,12 +6,21 @@ optimality conditions, after Zhang and Gao, "On numerical solution of the
 maximum volume ellipsoid problem" (SIAM J. Optim. 14, 2003). Row weights
 y > 0 define the ellipsoid, E = (A^T Y A)^(-1/2) and h_i = |E a_i|, and
 slacks z > 0 close the constraints; Newton steps drive A^T (y h) = 0,
-b - A x - h - z = 0 and y z toward a shrinking centering target. Each step
-is taken in the frame where the current ellipsoid is the unit ball, so the
-linear algebra stays well conditioned however elongated the body is. The
+b - A x - h - z = 0 and y z toward a shrinking centering target. The
+target is set adaptively by Mehrotra's rule (SIAM J. Optim. 2, 1992) from
+an affine step taken out of the same factorization, and the step goes ever
+closer to the boundary of y, z > 0 as the gap closes. Each step is taken in
+the frame where the current ellipsoid is the unit ball, so the linear
+algebra stays well conditioned however elongated the body is. The
 iteration stops when the log-volume duality gap sum y_i h_i z_i reaches the
 configured target and the residuals vanish; the ellipsoid is then shrunk
 about its center until every half-space holds exactly.
+
+The start needs a Chebyshev center, which rules out an empty or flat body,
+and normals of full rank. Boundedness is not tested up front: an exit
+iterate is itself Stiemke's certificate of it (y > 0 with sum y_i a_i
+vanishing and sum y_i a_i a_i^T = I), so the boundedness LP runs only when
+the iteration fails, to tell an unbounded body from a numerical failure.
 
 Normalizing an instance maps the solved ellipsoid to the unit ball; the
 half-spaces then have unit normals and offsets >= 1. The solver's final
@@ -33,11 +42,12 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import Degenerate, GenerationFailed, NoConvergence, NoDecomposition
-from .geometry import Ellipsoid, HPolytope, _interior_point
+from .geometry import Ellipsoid, HPolytope, _interior_point, ensure_bounded
 from .nnls import nnls
 
 _START_REACH = 0.9  # the start ellipsoid goes this share of the way to the nearest facet
-_CENTERING = 0.1  # each step aims y z at this share of its current mean
+_CENTERING = 0.1  # each step aims y z at most at this share of its current mean
+_CENTERING_MIN = 1e-4  # ... and at least at this share, whatever the affine step predicts
 _CENTERING_FLOOR = 1e-3  # ... but never below this share of the target gap / m
 _STEP_FRACTION = 0.99  # share of the step to the boundary of y, z > 0 taken
 _RESIDUAL_STOP = 1e-12  # stationarity and slack residuals at exit, unit-ball frame
@@ -56,26 +66,51 @@ def _newton_step(a, y, z, r1, r2, floor):
     G = Y (Q o Q) Y + diag(2 y z), then the d x d stationarity block for
     dx. Each row's dz comes from the equation that is well conditioned
     there: complementarity where y >= z, the linearized slack equation
-    elsewhere. The step goes to _STEP_FRACTION of the boundary of y, z > 0.
+    elsewhere.
+
+    The centering target c enters only the right-hand side, through
+    y z + z dy + y dz = c, so the direction is an affine part (c = 0) plus
+    c times a second part, both from one factorization of G. Mehrotra's
+    rule (SIAM J. Optim. 2, 1992) sets sigma = (mu_aff / mu)^3 from the
+    mean y z after the longest affine step that keeps y, z >= 0, clipped to
+    [_CENTERING_MIN, _CENTERING], and c = max(sigma mu, floor). The lower
+    clip matters where more rows are tangent than G has rank: G is then
+    singular but for diag(2 y z), which one step to a tiny target would
+    push below rounding. The step goes to eta = max(_STEP_FRACTION, 1 - mu)
+    of the boundary of y, z > 0.
     """
     m, d = a.shape
-    r3 = max(_CENTERING * (y @ z) / m, floor) - y * z
+    yz = y * z
+    mu = yz.sum() / m
     qq = a @ a.T
     qq *= qq
     g_mat = qq * np.outer(y, y)
-    g_mat.flat[:: m + 1] += 2.0 * y * z
-    rhs = np.empty((m, d + 1))  # [g0, P]
-    rhs[:, 0] = 2.0 * (r3 - y * r2)
-    rhs[:, 1:] = (2.0 * y)[:, None] * a
+    g_mat.flat[:: m + 1] += 2.0 * yz
+    rhs = np.empty((m, d + 2))  # [g0 at c = 0, g0 per unit of c, P]
+    rhs[:, 0] = -2.0 * (yz + y * r2)
+    rhs[:, 1] = 2.0
+    rhs[:, 2:] = (2.0 * y)[:, None] * a
     sol = np.linalg.solve(g_mat, rhs)
-    v0, v_dx = sol[:, 0], sol[:, 1:]
+    v0, v_dx = sol[:, :2], sol[:, 2:]
     rows = (y * (1.0 + z))[:, None] * a
     lhs = rows.T @ v_dx
     lhs.flat[:: d + 1] -= 1.0
-    dx = np.linalg.solve(lhs, a.T @ (0.5 * rhs[:, 0]) - r1 - rows.T @ v0)
+    dx_rhs = a.T @ (0.5 * rhs[:, :2]) - rows.T @ v0
+    dx_rhs[:, 0] -= r1
+    dx = np.linalg.solve(lhs, dx_rhs)  # columns: affine part, part per unit of c
     v = v0 + v_dx @ dx
-    dz = np.where(y >= z, r3 / y - z * v, r2 - a @ dx + 0.5 * (qq @ (y * v)))
-    alpha = _STEP_FRACTION / max(_STEP_FRACTION, -v.min(), (-dz / z).max())
+    v_aff = v[:, 0]
+    # with c = 0, y z + z dy + y dz = 0 gives dz = -z (1 + v) in every row
+    alpha = 1.0 / max(1.0, np.maximum(-v_aff, 1.0 + v_aff).max())
+    t = alpha * v_aff
+    mu_aff = yz @ ((1.0 + t) * (1.0 - alpha - t)) / m
+    sigma = min(_CENTERING, max((mu_aff / mu) ** 3, _CENTERING_MIN))
+    c = max(sigma * mu, floor)
+    dx = dx[:, 0] + c * dx[:, 1]
+    v = v_aff + c * v[:, 1]
+    dz = np.where(y >= z, (c - yz) / y - z * v, r2 - a @ dx + 0.5 * (qq @ (y * v)))
+    eta = max(_STEP_FRACTION, 1.0 - mu)
+    alpha = eta / max(eta, -np.minimum(v, dz / z).min())
     return alpha * dx, y * (1.0 + alpha * v), z + alpha * dz
 
 
@@ -86,9 +121,13 @@ def inscribed_ellipsoid(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> El
     optimum, by the duality gap sum y_i h_i z_i. `tolerances.newton_cap`
     bounds the number of primal-dual iterations.
 
-    Raises Empty / Unbounded / Degenerate from the LP pre-checks and
-    NoConvergence when the iteration budget runs out or the result fails
-    the feasibility re-check.
+    Raises, in this order: Empty or Unbounded from the Chebyshev LP,
+    Degenerate when the inscribed radius is below the flatness floor,
+    Unbounded when the normals do not span R^d, all before any Newton step;
+    then, when the iteration fails (its budget runs out, an iterate leaves
+    the finite range or a system is singular), Unbounded from the Stiemke
+    LP of `ensure_bounded` or else NoConvergence; and NoConvergence when the
+    result fails the feasibility re-check.
     """
     return _john_solve(poly, tolerances)[0]
 
@@ -102,12 +141,16 @@ def _john_solve(
     tolerance. y z ends near each row's share of the gap, so a contact of
     weight 5e-6 can still have a slack of 1e-5 there; the iteration goes on
     at smaller gaps until the other rows carry at most _SETTLE_SHARE of the
-    decomposition tolerance in total.
+    caller's decomposition tolerance in total.
+
+    Typed errors come in the order `inscribed_ellipsoid` gives. The
+    boundedness LP runs only on the failure path: a converged iterate has
+    y > 0, sum y_i a_i a_i^T = I and |sum y_i a_i| <= _RESIDUAL_STOP in its
+    last frame, which is Stiemke's certificate that the body is bounded.
     """
     gap = tolerances.solver_gap
     cap = tolerances.newton_cap
-    # ContactDecomposition checks its residuals against DEFAULT, not tolerances
-    dropped_cap = _SETTLE_SHARE * min(tolerances.decomposition, DEFAULT.decomposition)
+    dropped_cap = _SETTLE_SHARE * tolerances.decomposition
     center, radius = _interior_point(poly)
 
     # Iterates live in the Chebyshev frame (shifted to the center, scaled
@@ -131,6 +174,8 @@ def _john_solve(
             raw = a0 @ frame
             n = np.sqrt(np.einsum("ij,ij->i", raw, raw))
             a, b, y, z = raw / n[:, None], (b0 - a0 @ x) / n, y0 * n * n, z0 / n
+            if not (np.isfinite(y).all() and np.isfinite(z).all()):
+                raise NoConvergence("the primal-dual iterate left the finite range")
             r1 = a.T @ y
             r2 = b - 1.0 - z
             if y @ z <= gap and max(np.abs(r1).max(), np.abs(r2).max()) <= _RESIDUAL_STOP:
@@ -147,7 +192,11 @@ def _john_solve(
             x = x + frame @ dx
             frame = frame @ np.linalg.inv(np.linalg.cholesky((a.T * y) @ a)).T
     except np.linalg.LinAlgError as exc:
+        ensure_bounded(poly)  # an unbounded body fails here as Unbounded
         raise NoConvergence(f"primal-dual system broke down: {exc}") from exc
+    except NoConvergence:
+        ensure_bounded(poly)
+        raise
 
     # the symmetric shape with the same image as frame, from its SVD so that
     # its condition number is not squared as in sqrtm(frame @ frame.T)
@@ -356,7 +405,9 @@ def normalize_position(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> Nor
     together). contact_tol is `tolerances.contact`; NoDecomposition is
     raised if an admitted offset exceeds 1 + contact_tol (by
     `NormalizedInstance`) or the dropped weight leaves a residual above
-    `tolerances.decomposition`.
+    `tolerances.decomposition`. That is the one residual check: the
+    decomposition is built unvalidated, since its points are unit by
+    construction and its weights positive.
     """
     ell, y, tangent = _john_solve(poly, tolerances)
     new_a, new_b = normalized_rows(poly.normals, poly.offsets, ell.shape, ell.center)
@@ -373,7 +424,7 @@ def normalize_position(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> Nor
         map_offset=ell.center,
         norm_normals=new_a,
         norm_offsets=new_b,
-        decomposition=ContactDecomposition(new_a[idx], y[idx], source_indices=idx),
+        decomposition=ContactDecomposition(new_a[idx], y[idx], source_indices=idx, validate=False),
         contact_tol=tolerances.contact,
     )
 

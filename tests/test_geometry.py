@@ -15,12 +15,16 @@ import pytest
 import scipy.spatial
 
 from hellycert import geometry
+from hellycert.checker import check_certificate
 from hellycert.config import DEFAULT
 from hellycert.errors import (
     CapExceeded,
     Degenerate,
     DegenerateSimplex,
     Empty,
+    HellyError,
+    NoConvergence,
+    PipelineError,
     Unbounded,
     ZeroNormal,
 )
@@ -43,6 +47,7 @@ from hellycert.geometry import (
     volume,
 )
 from hellycert.generators import gen_affine_warp, gen_tangent_random
+from hellycert.john import inscribed_ellipsoid
 from hellycert.lp import LPStatus, lp_solve
 from hellycert.pipeline import select
 
@@ -118,7 +123,7 @@ def support_lp_bounded(poly):
     return True
 
 
-def boundedness_family(rng, kind, d):
+def boundedness_family(rng, kind, d, tilt=None, m=None):
     """Unit-offset normals of one kind; every family contains the origin.
 
     "random": Gaussian normals, bounded or not. "half-space": every normal
@@ -126,18 +131,20 @@ def boundedness_family(rng, kind, d):
     orthogonal to u. "near-half-space": normals in the plane orthogonal to u
     that positively span it, tilted by a small +-eps along u, plus normals
     with a positive u component; bounded exactly when the tilt is away from
-    u.
+    u. `tilt` fixes that signed eps (positive is bounded), and `m` the
+    number of normals, which are otherwise drawn.
     """
     q, _ = np.linalg.qr(rng.normal(size=(d, d)))  # its last column is u
-    a = rng.normal(size=(int(rng.integers(d + 1, 3 * d + 2)), d))
+    a = rng.normal(size=(int(rng.integers(d + 1, 3 * d + 2)) if m is None else m, d))
     if kind == "half-space":
         a[:, -1] = np.abs(a[:, -1]) + 0.05
     elif kind == "lineality":
         a[:, -1] = 0.0
     elif kind == "near-half-space":
         plane = np.vstack([np.eye(d - 1), -np.eye(d - 1), rng.normal(size=(2, d - 1))])
-        eps = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-4, -2)
-        up = rng.normal(size=(int(rng.integers(1, 4)), d))
+        eps = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-4, -2) if tilt is None else tilt
+        up_rows = int(rng.integers(1, 4)) if m is None else m - plane.shape[0]
+        up = rng.normal(size=(up_rows, d))
         up[:, -1] = np.abs(up[:, -1]) + 0.1
         a = np.vstack([np.hstack([plane, np.full((plane.shape[0], 1), -eps)]), up])
     return hpolytope_from_arrays(a @ q.T, np.ones(a.shape[0]))
@@ -204,6 +211,89 @@ def test_ensure_bounded_matches_support_lp_probe(kind):
         assert got == want, f"family {i}: probe says bounded={want}"
         verdicts.add(want)
     assert verdicts == ({True, False} if kind in ("random", "near-half-space") else {False})
+
+
+def solver_outcome(poly):
+    """"PASS", or the type of the error the John solver raised, by
+    `inscribed_ellipsoid` and by `select` (whose normalize stage wraps it)."""
+    try:
+        inscribed_ellipsoid(poly)
+    except HellyError as exc:
+        direct = type(exc)
+    else:
+        direct = "PASS"
+    try:
+        cert = select(poly)
+    except PipelineError as exc:
+        assert exc.stage == "normalize"
+        piped = type(exc.__cause__)
+    else:
+        assert check_certificate(cert).passed
+        piped = "PASS"
+    assert direct == piped
+    return direct
+
+
+@pytest.mark.parametrize("kind", ["random", "half-space", "lineality", "near-half-space"])
+def test_solver_types_boundedness_as_ensure_bounded_does(kind):
+    # the John solver runs the Stiemke LP only when its iteration fails; on
+    # every family it still agrees with that LP, bounded or not
+    rng = np.random.default_rng(20261019)
+    for i in range(40):
+        poly = boundedness_family(rng, kind, d=2 + i % 4)
+        try:
+            ensure_bounded(poly)
+            want = "PASS"
+        except Unbounded:
+            want = Unbounded
+        assert solver_outcome(poly) == want, f"family {i}"
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_solver_near_the_boundedness_edge(sign):
+    # tilts of 1e-12 to 1e-6: the unbounded side is always typed Unbounded;
+    # the bounded side gives a passing certificate or a typed error, never a
+    # certificate that fails. Bodies longer than about 1e9 of their width
+    # are Unbounded to `ensure_bounded`'s floor, and between that and about
+    # 1e6 the solver's residuals stall above their 1e-12 exit test, which
+    # is NoConvergence
+    rng = np.random.default_rng(20261020)
+    seen = set()
+    for i in range(12):
+        tilt = sign * 10 ** rng.uniform(-12, -6)
+        poly = boundedness_family(rng, "near-half-space", d=2 + i % 4, tilt=tilt)
+        got = solver_outcome(poly)
+        if sign < 0:
+            assert got is Unbounded, f"body {i}"
+        else:
+            assert got in ("PASS", Unbounded, NoConvergence), f"body {i}"
+            if got is Unbounded:
+                with pytest.raises(Unbounded):
+                    ensure_bounded(poly)
+        seen.add(got)
+    assert Unbounded in seen
+
+
+@pytest.mark.parametrize(
+    "kind, tilt",
+    [
+        ("half-space", None),
+        ("lineality", None),
+        ("near-half-space", -1e-3),
+        ("near-half-space", -1e-9),
+        ("near-half-space", 1e-9),
+        ("near-half-space", 1e-6),
+    ],
+)
+def test_solver_failure_is_prompt_at_the_caps(kind, tilt):
+    rng = np.random.default_rng(8)
+    for _ in range(2):
+        poly = boundedness_family(rng, kind, d=8, tilt=tilt, m=64)
+        start = time.perf_counter()
+        with pytest.raises(PipelineError) as info:
+            select(poly)
+        assert time.perf_counter() - start < 1.0
+        assert isinstance(info.value.__cause__, (Unbounded, NoConvergence))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -310,6 +400,7 @@ def reference_vertex_array(poly, tolerances=DEFAULT):
     every d-subset, written out here as one batch; the reference for the
     origin pre-check of `vertex_enumeration`."""
     geometry._interior_point(poly)
+    ensure_bounded(poly)
     a, b = poly.normals, poly.offsets
     m, d = a.shape
     combos = np.array(list(itertools.combinations(range(m), d)), dtype=int)

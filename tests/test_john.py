@@ -37,6 +37,7 @@ from hellycert.john import (
     random_decomposition,
     verify_decomposition,
 )
+from hellycert.pipeline import select
 
 
 def worst_violation(poly, ell):
@@ -128,6 +129,36 @@ def test_solver_iteration_count(monkeypatch, d):
                 most = max(most, len(calls))
     # these solves take at most 18 steps; 40 leaves headroom
     assert 0 < most <= 40
+
+
+def _mean_select_steps(monkeypatch, bodies):
+    calls = []
+    inner = john._newton_step
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(john, "_newton_step", counted)
+    for poly in bodies:
+        select(poly)
+    return len(calls) / len(bodies)
+
+
+def _tangent_and_warped(d, m):
+    for seed in range(10):
+        poly = gen_tangent_random(d, m, seed=seed)
+        yield poly
+        yield gen_affine_warp(poly, seed=seed + 5000)[0]
+
+
+def test_select_newton_steps(monkeypatch):
+    # Mehrotra's adaptive centering; with the centering share fixed at 0.1
+    # these means were 11.1, 13.25 and 16.55
+    d2 = [gen_affine_warp(gen_tangent_random(2, 64, seed=s), seed=s + 5000)[0] for s in range(10)]
+    assert _mean_select_steps(monkeypatch, d2) <= 8.0
+    assert _mean_select_steps(monkeypatch, list(_tangent_and_warped(4, 16))) <= 12.0
+    assert _mean_select_steps(monkeypatch, list(_tangent_and_warped(8, 64))) <= 17.0
 
 
 @pytest.mark.parametrize("inradius", [1e-3, 1e3])
@@ -344,7 +375,6 @@ def test_row_just_off_the_ellipsoid_keeps_no_weight(pull, want, scale):
     # part with row 1, which then misses by 3e-5 or more. At the target gap
     # the missing row still carries a weight of 1e-6 to 1e-5: dropping it
     # there breaks the residual cap, admitting it needs a wider tolerance.
-    # Scaled tolerances widen the gap but not ContactDecomposition's cap
     tolerances = DEFAULT.scaled(scale)
     poly = gen_tangent_random(2, 5, seed=172)
     offsets = poly.offsets.copy()
@@ -356,6 +386,24 @@ def test_row_just_off_the_ellipsoid_keeps_no_weight(pull, want, scale):
     assert ni.contact_tol == tolerances.contact
     rep = verify_decomposition(ni.decomposition)
     assert max(rep.identity_residual, rep.barycenter_norm) <= DEFAULT.decomposition
+
+
+def test_decomposition_residual_is_checked_at_the_callers_tolerance(monkeypatch):
+    # weights 3e-6 too heavy on the square: an identity residual of 3e-6,
+    # above the default cap of 1e-6 and within the 1e-5 of a tenfold scale
+    solve = john._john_solve
+
+    def heavy(poly, tolerances):
+        ell, y, tangent = solve(poly, tolerances)
+        return ell, y * (1.0 + 3e-6), tangent
+
+    monkeypatch.setattr(john, "_john_solve", heavy)
+    square = gen_cube(2)
+    ni = normalize_position(square, DEFAULT.scaled(10.0))
+    rep = verify_decomposition(ni.decomposition)
+    assert 1e-6 < rep.identity_residual <= 1e-5
+    with pytest.raises(NoDecomposition):
+        normalize_position(square)
 
 
 # --------------------------------------------------------------- generators

@@ -366,11 +366,11 @@ class TestSelectEndToEnd:
             ),
         ],
     )
-    def test_select_and_check_solve_three_lps(self, monkeypatch, poly):
-        # the John pre-check (Chebyshev and Stiemke) and the ray; X* is
-        # bounded by the hull chain, not enumerated, and no volume of the
-        # input is taken
-        lp_calls, cheb_calls, enum_calls = [], [], []
+    def test_select_and_check_solve_two_lps(self, monkeypatch, poly):
+        # the John solver's Chebyshev start and the ray; the Stiemke LP runs
+        # only when the solver fails, X* is bounded by the hull chain, not
+        # enumerated, and no volume of the input is taken
+        lp_calls, cheb_calls, enum_calls, stiemke_calls = [], [], [], []
 
         def counting(calls, fn):
             def counted(*args, **kwargs):
@@ -388,9 +388,13 @@ class TestSelectEndToEnd:
             if name.startswith("hellycert") and hasattr(module, "vertex_enumeration"):
                 counted = counting(enum_calls, module.vertex_enumeration)
                 monkeypatch.setattr(module, "vertex_enumeration", counted)
+            if name.startswith("hellycert") and hasattr(module, "ensure_bounded"):
+                counted = counting(stiemke_calls, module.ensure_bounded)
+                monkeypatch.setattr(module, "ensure_bounded", counted)
         report = check_certificate(select(poly))
         assert report.passed
-        assert (len(lp_calls), len(cheb_calls), len(enum_calls)) == (3, 1, 0)
+        assert (len(lp_calls), len(cheb_calls), len(enum_calls)) == (2, 1, 0)
+        assert not stiemke_calls
 
     def test_select_fits_no_contact_weights(self, monkeypatch):
         # the decomposition is the John solver's own dual weights: no
