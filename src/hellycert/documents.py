@@ -126,7 +126,10 @@ def load_document(path) -> dict:
 def _float_scalar(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(f"{name} must be a number")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise _fail(f"{name} is not finite") from None
     if not math.isfinite(out):
         raise _fail(f"{name} is not finite")
     return out
@@ -184,22 +187,24 @@ def instance_from_doc(doc: dict) -> tuple[HPolytope, dict]:
     if document_kind(doc) != KIND_INSTANCE:
         raise _fail("expected a helly-instance document")
     d = _int_scalar(_require(doc, "dim"), "dim")
+    if d < 1:
+        raise _fail(f"dim must be positive, got {d}")
     rows = _require(doc, "halfspaces")
     if not isinstance(rows, list) or not rows:
         raise _fail("halfspaces must be a non-empty list")
-    a = np.empty((len(rows), d))
-    b = np.empty(len(rows))
+    a, b = [], []
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             raise _fail(f"halfspace {i} must be an object")
-        vec = _float_array(_require(row, "a"), f"halfspace {i} normal", 1)
-        if vec.shape != (d,):
-            raise _fail(f"halfspace {i} normal has length {vec.shape[0]}, expected {d}")
-        a[i] = vec
-        b[i] = _float_scalar(_require(row, "b"), f"halfspace {i} offset")
+        vec = _require(row, "a")
+        if not isinstance(vec, list) or len(vec) != d:
+            raise _fail(f"halfspace {i} normal must be a list of {d} numbers")
+        a.append([_float_scalar(x, f"halfspace {i} normal") for x in vec])
+        b.append(_float_scalar(_require(row, "b"), f"halfspace {i} offset"))
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise _fail("meta must be an object")
+    a, b = np.array(a), np.array(b)
     try:
         poly = hpolytope_from_arrays(a, b, normalize=False)
     except ZeroNormal:

@@ -17,13 +17,16 @@ the tests.
 
 Boundedness is one rank check and one small LP (Stiemke's theorem of the
 alternative): the normals must span R^d and some strictly positive
-combination of them must vanish. It does not test feasibility. Vertex
-enumeration rules out an empty or flat body first: with no LP when every
-half-space keeps the origin at least `_INTERIOR_FLOOR` inside (as in a
-normalized instance or the polar of unit contact points), and otherwise by
-`_interior_point`, whose Chebyshev-center LP raises Empty; then it runs
-`ensure_bounded`. The John solver starts from `_interior_point` alone and
-needs the boundedness LP only when its iteration fails.
+combination of them must vanish. It does not test feasibility. An empty or
+flat body is ruled out by a witness ball of radius at least
+`_INTERIOR_FLOOR`: vertex enumeration takes the origin when every
+half-space keeps it that far inside (as in a normalized instance or the
+polar of unit contact points), and `_interior_point` takes the
+least-squares solution of A x + t 1 = b; only when the witness misses the
+floor does the Chebyshev-center LP run, which raises Empty. Vertex
+enumeration then runs `ensure_bounded`. The John solver starts from
+`_interior_point` alone and needs the boundedness LP only when its
+iteration fails or runs long.
 """
 
 from __future__ import annotations
@@ -262,7 +265,7 @@ def ensure_bounded(poly: HPolytope) -> None:
     Feasibility is not tested: an empty intersection can pass. Callers that
     need it either know an interior point or run `_interior_point` first,
     which raises Empty. The John solver calls this only when its iteration
-    fails: a converged iterate already carries the weights y.
+    fails or runs long: a converged iterate already carries the weights y.
     """
     a = poly.normals
     m, d = a.shape
@@ -282,20 +285,33 @@ def ensure_bounded(poly: HPolytope) -> None:
 
 
 def _interior_point(poly: HPolytope) -> tuple[np.ndarray, float]:
-    """Chebyshev center and radius of a full-dimensional polytope whose
-    normals span R^d.
+    """A point x and radius r, the smallest slack min_i (b_i - a_i.x), of a
+    full-dimensional polytope whose normals span R^d: the ball of radius r
+    about x lies inside.
 
-    Raises Empty or Unbounded from the Chebyshev LP, then Degenerate when
-    the inscribed radius is below _INTERIOR_FLOOR, then Unbounded when the
-    normals have rank below d (one SVD, so a body holding a line is typed
-    before any iteration starts from this point). The order matters: only
-    the Chebyshev LP sees emptiness. Boundedness beyond the rank is left to
-    `ensure_bounded`.
+    The witness is the least-squares solution of A x + t 1 = b, one
+    m x (d+1) solve (for a simplex, its incenter). When its smallest slack
+    is at least _INTERIOR_FLOOR the body is nonempty and not flat, and no
+    LP runs. Otherwise the Chebyshev LP decides: it raises Empty or
+    Unbounded, then Degenerate when the inscribed radius is below
+    _INTERIOR_FLOOR, and its center and radius are returned. Either way
+    Unbounded follows when the normals have rank below d (one SVD, so a
+    body holding a line is typed before any iteration starts from this
+    point). The witness's radius is at most the Chebyshev radius, so it
+    never passes a body the LP would type Empty or Degenerate; a cone whose
+    inscribed radius is unbounded can pass it, and boundedness beyond the
+    rank is left to `ensure_bounded`.
     """
-    center, radius = chebyshev_center(poly)
+    a, b = poly.normals, poly.offsets
+    m, d = a.shape
+    fit = np.linalg.lstsq(np.hstack([a, np.ones((m, 1))]), b, rcond=None)[0]
+    center = fit[:d]
+    radius = float((b - a @ center).min())
     if radius < _INTERIOR_FLOOR:
-        raise Degenerate(f"inscribed radius {radius:.3e} below {_INTERIOR_FLOOR:.0e}")
-    _ensure_full_rank(poly.normals)
+        center, radius = chebyshev_center(poly)
+        if radius < _INTERIOR_FLOOR:
+            raise Degenerate(f"inscribed radius {radius:.3e} below {_INTERIOR_FLOOR:.0e}")
+    _ensure_full_rank(a)
     return center, radius
 
 

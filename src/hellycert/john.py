@@ -16,11 +16,17 @@ iteration stops when the log-volume duality gap sum y_i h_i z_i reaches the
 configured target and the residuals vanish; the ellipsoid is then shrunk
 about its center until every half-space holds exactly.
 
-The start needs a Chebyshev center, which rules out an empty or flat body,
-and normals of full rank. Boundedness is not tested up front: an exit
-iterate is itself Stiemke's certificate of it (y > 0 with sum y_i a_i
+The start is a point with a ball of radius at least the flatness floor
+about it, and normals of full rank (`geometry._interior_point`): the
+least-squares solution of A x + t 1 = b when its smallest slack clears the
+floor, and otherwise the Chebyshev LP, which rules out an empty or flat
+body. The first ellipsoid is that point's Dikin ellipsoid, row weights
+1 / slack^2, shrunk into the body. Boundedness is not tested up front: an
+exit iterate is itself Stiemke's certificate of it (y > 0 with sum y_i a_i
 vanishing and sum y_i a_i a_i^T = I), so the boundedness LP runs only when
-the iteration fails, to tell an unbounded body from a numerical failure.
+the iteration fails or is still open after _BOUNDEDNESS_PROBE steps, to tell
+an unbounded body from a numerical failure. A cone whose inscribed radius
+is unbounded passes the least-squares start and is typed there.
 
 Normalizing an instance maps the solved ellipsoid to the unit ball; the
 half-spaces then have unit normals and offsets >= 1. The solver's final
@@ -54,6 +60,10 @@ _RESIDUAL_STOP = 1e-12  # stationarity and slack residuals at exit, unit-ball fr
 _SETTLE_SHARE = 0.5  # share of the contact / decomposition tolerances a settled split uses
 _GAP_SHRINK = 0.01  # an unsettled split goes on toward this share of the gap reached
 _WEIGHT_FLOOR = 1e-10  # fitted contact weights at or below this are zeroed
+# a solve still open after this many steps runs the boundedness LP once:
+# bounded bodies converge in at most about 20, while a cone that passes the
+# start's checks runs hundreds of steps before it fails
+_BOUNDEDNESS_PROBE = 50
 
 
 def _newton_step(a, y, z, r1, r2, floor):
@@ -121,12 +131,14 @@ def inscribed_ellipsoid(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> El
     optimum, by the duality gap sum y_i h_i z_i. `tolerances.newton_cap`
     bounds the number of primal-dual iterations.
 
-    Raises, in this order: Empty or Unbounded from the Chebyshev LP,
-    Degenerate when the inscribed radius is below the flatness floor,
-    Unbounded when the normals do not span R^d, all before any Newton step;
-    then, when the iteration fails (its budget runs out, an iterate leaves
-    the finite range or a system is singular), Unbounded from the Stiemke
-    LP of `ensure_bounded` or else NoConvergence; and NoConvergence when the
+    Raises, in this order, all before any Newton step: when the
+    least-squares start point misses the flatness floor, Empty or Unbounded
+    from the Chebyshev LP and Degenerate when the inscribed radius is below
+    the floor; then Unbounded when the normals do not span R^d. Then
+    Unbounded from the Stiemke LP of `ensure_bounded` when the iteration is
+    still open after _BOUNDEDNESS_PROBE steps or fails (its budget runs out,
+    an iterate leaves the finite range or a system is singular), and
+    otherwise NoConvergence on that failure; and NoConvergence when the
     result fails the feasibility re-check.
     """
     return _john_solve(poly, tolerances)[0]
@@ -144,35 +156,43 @@ def _john_solve(
     caller's decomposition tolerance in total.
 
     Typed errors come in the order `inscribed_ellipsoid` gives. The
-    boundedness LP runs only on the failure path: a converged iterate has
-    y > 0, sum y_i a_i a_i^T = I and |sum y_i a_i| <= _RESIDUAL_STOP in its
-    last frame, which is Stiemke's certificate that the body is bounded.
+    boundedness LP runs only on a long or failing solve: a converged
+    iterate has y > 0, sum y_i a_i a_i^T = I and |sum y_i a_i| <=
+    _RESIDUAL_STOP in its last frame, which is Stiemke's certificate that
+    the body is bounded.
     """
     gap = tolerances.solver_gap
     cap = tolerances.newton_cap
     dropped_cap = _SETTLE_SHARE * tolerances.decomposition
     center, radius = _interior_point(poly)
 
-    # Iterates live in the Chebyshev frame (shifted to the center, scaled
-    # by the radius, so b0 >= 1); y0 and z0 are scaled to its unit normals.
+    # Iterates live in the start's frame (shifted to the interior point,
+    # scaled by its radius, so b0 >= 1); y0 and z0 are scaled to its unit
+    # normals.
     a0 = poly.normals
     b0 = (poly.offsets - a0 @ center) / radius
     m, d = a0.shape
     x = np.zeros(d)
     floor = _CENTERING_FLOOR * gap / m
     try:
-        # the current ellipsoid is {x + frame u : |u| <= 1}; start from
-        # uniform weights, scaled by _START_REACH
-        frame = np.linalg.inv(np.linalg.cholesky(a0.T @ a0)).T
+        # the current ellipsoid is {x + frame u : |u| <= 1}; start from the
+        # Dikin ellipsoid of the interior point, weights 1 / b0^2 (uniform
+        # where every row is tangent to the start ball), scaled by _START_REACH
+        w0 = b0**-2
+        frame = np.linalg.inv(np.linalg.cholesky((a0.T * w0) @ a0)).T
         reach = np.linalg.norm(a0 @ frame, axis=1)
         scale = _START_REACH * float((b0 / reach).min())
         frame *= scale
-        y0 = np.full(m, scale**-2)
+        y0 = w0 / scale**2
         z0 = b0 - scale * reach
         for step in range(cap + 1):
             # move to the frame where the current ellipsoid is the unit ball
             raw = a0 @ frame
             n = np.sqrt(np.einsum("ij,ij->i", raw, raw))
+            if not np.isfinite(n).all():
+                # an unbounded body's ellipsoid outgrows the floats, while
+                # the weights y0 of its far rows underflow to zero
+                raise NoConvergence("the primal-dual ellipsoid left the finite range")
             a, b, y, z = raw / n[:, None], (b0 - a0 @ x) / n, y0 * n * n, z0 / n
             if not (np.isfinite(y).all() and np.isfinite(z).all()):
                 raise NoConvergence("the primal-dual iterate left the finite range")
@@ -187,6 +207,8 @@ def _john_solve(
                 floor = _CENTERING_FLOOR * gap / m
             if step == cap:
                 raise NoConvergence(f"primal-dual budget {cap} exhausted")
+            if step == _BOUNDEDNESS_PROBE:
+                ensure_bounded(poly)
             dx, y, z = _newton_step(a, y, z, r1, r2, floor)
             y0, z0 = y / (n * n), z * n
             x = x + frame @ dx

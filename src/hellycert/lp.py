@@ -9,7 +9,9 @@ b >= 0 starts with its slack basic at value b and gets no artificial column.
 Only equality rows and inequality rows with b < 0 get an artificial, and
 phase 1 drives those out. When no row needs one, as for a Chebyshev LP over a
 body that contains the origin, the slack basis is a feasible vertex and
-phase 1 does not run.
+phase 1 does not run. That LP runs only when a least-squares witness ball
+misses the flatness floor (`geometry._interior_point`); the one LP every
+`select` solves is the ray's exit LP.
 """
 
 from __future__ import annotations

@@ -27,8 +27,9 @@ from hellycert.documents import (
     report_to_doc,
     save_document,
 )
-from hellycert.errors import MalformedCertificate, MalformedDocument
+from hellycert.errors import HellyError, MalformedCertificate, MalformedDocument
 from hellycert.generators import gen_cube, gen_tangent_random
+from hellycert.geometry import HPolytope, hpolytope_from_arrays
 from hellycert.pipeline import select
 
 
@@ -110,6 +111,75 @@ class TestInstanceDocuments:
         doc["halfspaces"][0]["b"] = float("inf")
         with pytest.raises(MalformedDocument):
             instance_from_doc(doc)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.update(dim=-1),
+            lambda d: d.update(dim=0),
+            lambda d: d["halfspaces"][0]["a"].__setitem__(0, True),
+            lambda d: d["halfspaces"][0]["a"].__setitem__(1, "0.5"),
+            lambda d: d["halfspaces"][0]["a"].__setitem__(1, 10**400),
+            lambda d: d["halfspaces"][0].update(b=10**400),
+        ],
+    )
+    def test_rejects_values_numpy_would_take(self, mutate):
+        # numpy reads True as 1.0 and "0.5" as 0.5, and refuses dim -1 with
+        # its own ValueError; the reader refuses each, typed
+        doc = instance_to_doc(gen_cube(2))
+        mutate(doc)
+        with pytest.raises(MalformedDocument):
+            instance_from_doc(doc)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(d=st.integers(1, 8), extra=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_round_trip_is_bit_identical_on_random_bodies(self, d, extra, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(d + extra, d)) * 10.0 ** rng.uniform(-3, 3, size=(d + extra, 1))
+        poly = hpolytope_from_arrays(a, rng.uniform(-2.0, 2.0, size=d + extra))
+        back, _ = instance_from_doc(canonical_loads(canonical_dumps(instance_to_doc(poly))))
+        assert np.array_equal(back.normals, poly.normals)
+        assert np.array_equal(back.offsets, poly.offsets)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        where=st.sampled_from(["dim", "entry", "offset", "normal", "row", "rows"]),
+        value=st.one_of(
+            st.integers(-(10**400), 10**400),
+            st.integers(-3, 12),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.booleans(),
+            st.none(),
+            st.text(max_size=3),
+            st.lists(st.floats(-2.0, 2.0), max_size=9),
+            st.dictionaries(st.sampled_from(["a", "b"]), st.integers(-2, 2)),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mutated_instance_yields_a_polytope_or_a_typed_error(self, where, value, seed):
+        # a mutated document is read to an HPolytope or refused as a
+        # HellyError, never as TypeError, ValueError or MemoryError
+        rng = np.random.default_rng(seed)
+        doc = instance_to_doc(gen_tangent_random(3, 6, seed=int(rng.integers(100))))
+        rows = doc["halfspaces"]
+        i = int(rng.integers(len(rows)))
+        if where == "dim":
+            doc["dim"] = value
+        elif where == "entry":
+            rows[i]["a"][int(rng.integers(3))] = value
+        elif where == "offset":
+            rows[i]["b"] = value
+        elif where == "normal":
+            rows[i]["a"] = value
+        elif where == "row":
+            rows[i] = value
+        else:
+            doc["halfspaces"] = value
+        try:
+            poly, _ = instance_from_doc(canonical_loads(canonical_dumps(doc)))
+        except HellyError:
+            return
+        assert isinstance(poly, HPolytope)
 
 
 class TestCertificateDocuments:

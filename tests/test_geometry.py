@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.spatial
 
-from hellycert import geometry
+from hellycert import geometry, john
 from hellycert.checker import check_certificate
 from hellycert.config import DEFAULT
 from hellycert.errors import (
@@ -236,8 +236,8 @@ def solver_outcome(poly):
 
 @pytest.mark.parametrize("kind", ["random", "half-space", "lineality", "near-half-space"])
 def test_solver_types_boundedness_as_ensure_bounded_does(kind):
-    # the John solver runs the Stiemke LP only when its iteration fails; on
-    # every family it still agrees with that LP, bounded or not
+    # the John solver runs the Stiemke LP only when its iteration fails or
+    # runs long; on every family it still agrees with that LP, bounded or not
     rng = np.random.default_rng(20261019)
     for i in range(40):
         poly = boundedness_family(rng, kind, d=2 + i % 4)
@@ -286,14 +286,19 @@ def test_solver_near_the_boundedness_edge(sign):
     ],
 )
 def test_solver_failure_is_prompt_at_the_caps(kind, tilt):
+    # an unbounded body is typed Unbounded, a "half-space" cone too: its
+    # normals have full rank and its inscribed radius is unbounded, which
+    # the least-squares start does not see, so the solver's boundedness LP
+    # types it; a bounded body this close to the edge may not converge
+    want = (Unbounded, NoConvergence) if tilt is not None and tilt > 0 else Unbounded
     rng = np.random.default_rng(8)
-    for _ in range(2):
+    for _ in range(3):
         poly = boundedness_family(rng, kind, d=8, tilt=tilt, m=64)
         start = time.perf_counter()
         with pytest.raises(PipelineError) as info:
             select(poly)
         assert time.perf_counter() - start < 1.0
-        assert isinstance(info.value.__cause__, (Unbounded, NoConvergence))
+        assert isinstance(info.value.__cause__, want)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -395,11 +400,21 @@ def test_cross_polytope_vertices():
     np.testing.assert_allclose(norms, np.ones(2 * d), atol=1e-9)
 
 
+def chebyshev_precheck(poly):
+    """The interior pre-check by the Chebyshev LP alone: Empty or Unbounded
+    from the LP, Degenerate below the flatness floor, then Unbounded from
+    the rank test."""
+    _, radius = geometry.chebyshev_center(poly)
+    if radius < geometry._INTERIOR_FLOOR:
+        raise Degenerate(f"inscribed radius {radius:.3e}")
+    geometry._ensure_full_rank(poly.normals)
+
+
 def reference_vertex_array(poly, tolerances=DEFAULT):
     """Vertices from the Chebyshev-center pre-check followed by the walk over
     every d-subset, written out here as one batch; the reference for the
     origin pre-check of `vertex_enumeration`."""
-    geometry._interior_point(poly)
+    chebyshev_precheck(poly)
     ensure_bounded(poly)
     a, b = poly.normals, poly.offsets
     m, d = a.shape
@@ -422,14 +437,19 @@ def precheck_family(rng, kind, d):
     `boundedness_family`), and "floor-above" / "floor-below", whose
     smallest offset sits just above or below `_INTERIOR_FLOOR` (one tangent
     row moved through the origin, or both sides of a thin slab). The origin
-    outside: "negative" (a translated tangent body) and "empty" (one more
-    row cuts everything away).
+    outside: "negative" (a translated tangent body), "empty" (one more row
+    cuts everything away) and "empty-lineality" (the same cut through a
+    "lineality" body, whose normals keep rank below d).
     """
     if kind in ("half-strip", "lineality"):
         return boundedness_family(rng, "half-space" if kind == "half-strip" else kind, d)
-    m = int(rng.integers(d + 2, 3 * d + 2))
-    tangent = gen_tangent_random(d, m, seed=int(rng.integers(1 << 30)))
-    a, b = tangent.normals, tangent.offsets * rng.uniform(0.5, 2.0, size=m)
+    if kind == "empty-lineality":
+        body = boundedness_family(rng, "lineality", d)
+        a, b = body.normals, body.offsets
+    else:
+        m = int(rng.integers(d + 2, 3 * d + 2))
+        tangent = gen_tangent_random(d, m, seed=int(rng.integers(1 << 30)))
+        a, b = tangent.normals, tangent.offsets * rng.uniform(0.5, 2.0, size=m)
     if kind.startswith("floor"):
         r = geometry._INTERIOR_FLOOR * (1.0 + 1e-3 if kind == "floor-above" else 1.0 - 1e-3)
         if rng.random() < 0.5:
@@ -443,7 +463,7 @@ def precheck_family(rng, kind, d):
     elif kind == "negative":
         shift = rng.normal(size=d)
         b = b - a @ (shift * rng.uniform(2.0, 4.0) / np.linalg.norm(shift))
-    elif kind == "empty":
+    elif kind.startswith("empty"):
         a = np.vstack([a, -a[:1]])
         b = np.concatenate([b, [-b[0] - 1.0]])
     return hpolytope_from_arrays(a, b)
@@ -495,6 +515,46 @@ def test_origin_precheck_matches_chebyshev_reference(monkeypatch, kind, want):
             seen.add("vertices")
         if poly.offsets.min() >= geometry._INTERIOR_FLOOR:
             assert not cheb_calls, f"body {i}: the origin witness was not used"
+    assert seen == want
+
+
+@pytest.mark.parametrize(
+    "kind, want",
+    [
+        ("negative", {"PASS"}),
+        ("empty", {Empty}),
+        ("empty-lineality", {Empty}),
+        ("floor-below", {"PASS", Degenerate}),
+        ("lineality", {Unbounded}),
+    ],
+)
+def test_solver_start_types_errors_as_the_chebyshev_lp_does(monkeypatch, kind, want):
+    # the John solver starts from a least-squares witness ball and runs the
+    # Chebyshev LP only when that ball misses the floor; an empty, flat or
+    # line-holding body is still typed as the LP path types it, in its
+    # order (Empty before the rank test), and before any Newton step
+    rng = np.random.default_rng(sum(map(ord, kind)) + 1)
+    steps = []
+    inner = john._newton_step
+
+    def counted(*args):
+        steps.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(john, "_newton_step", counted)
+    seen = set()
+    for i in range(24):
+        poly = precheck_family(rng, kind, d=2 + i % 3)
+        ref = outcome(chebyshev_precheck, poly)
+        steps.clear()
+        got = outcome(inscribed_ellipsoid, poly)
+        if isinstance(ref, type):
+            assert got is ref, f"body {i}"
+            assert not steps, f"body {i}: a Newton step ran before {ref.__name__}"
+            seen.add(ref)
+        else:
+            assert isinstance(got, Ellipsoid), f"body {i}"
+            seen.add("PASS")
     assert seen == want
 
 

@@ -366,9 +366,10 @@ class TestSelectEndToEnd:
             ),
         ],
     )
-    def test_select_and_check_solve_two_lps(self, monkeypatch, poly):
-        # the John solver's Chebyshev start and the ray; the Stiemke LP runs
-        # only when the solver fails, X* is bounded by the hull chain, not
+    def test_select_and_check_solve_one_lp(self, monkeypatch, poly):
+        # the ray; the John solver starts from a least-squares witness ball
+        # with no Chebyshev LP, the Stiemke LP runs only when the solver
+        # fails or runs long, X* is bounded by the hull chain, not
         # enumerated, and no volume of the input is taken
         lp_calls, cheb_calls, enum_calls, stiemke_calls = [], [], [], []
 
@@ -393,7 +394,7 @@ class TestSelectEndToEnd:
                 monkeypatch.setattr(module, "ensure_bounded", counted)
         report = check_certificate(select(poly))
         assert report.passed
-        assert (len(lp_calls), len(cheb_calls), len(enum_calls)) == (2, 1, 0)
+        assert (len(lp_calls), len(cheb_calls), len(enum_calls)) == (1, 0, 0)
         assert not stiemke_calls
 
     def test_select_fits_no_contact_weights(self, monkeypatch):
@@ -416,8 +417,8 @@ class TestSelectEndToEnd:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_contacts_ignore_a_start_shift_below_every_tolerance(self, monkeypatch, d):
-        # moving the solver's Chebyshev start by 5e-13 moves its exit point
-        # by noise; the contacts and the selected rows must not follow it
+        # moving the solver's start point by 5e-13 moves its exit point by
+        # noise; the contacts and the selected rows must not follow it
         exact = john._interior_point
         rng = np.random.default_rng(d)
 
