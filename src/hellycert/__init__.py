@@ -52,7 +52,6 @@ from .experiment import ExperimentRow, TrialSpec, grid_specs, rows_to_csv, run_e
 from .generators import gen_affine_warp, gen_cube, gen_tangent_random
 from .geometry import (
     Ellipsoid,
-    HalfSpace,
     HPolytope,
     Simplex,
     VPolytope,
@@ -92,7 +91,6 @@ __all__ = [
     "ExperimentRow",
     "FACET_CAP",
     "HPolytope",
-    "HalfSpace",
     "HellyError",
     "MalformedCertificate",
     "MalformedDocument",

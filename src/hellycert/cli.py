@@ -127,6 +127,8 @@ def cmd_experiment(args) -> int:
     for d, m in dict.fromkeys((s.d, s.m) for s in specs):
         if not 1 <= m <= FACET_CAP:
             raise CapExceeded(f"facet count {m} outside [1, {FACET_CAP}]")
+        if m <= d:
+            raise ValueError(f"need m > d, got d={d}, m={m}: m <= d half-spaces never bound a body")
         if args.oracle and m > ORACLE_FACET_CAP:
             raise CapExceeded(f"--oracle needs m <= {ORACLE_FACET_CAP}, got {m}")
         check_subset_budget(m, d)

@@ -10,6 +10,7 @@ margin is meaningful and is spelled "inf" / "-inf".
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import fields as dataclass_fields
@@ -142,15 +143,16 @@ def _int_scalar(value, name: str) -> int:
 
 
 def _float_array(value, name: str, ndim: int) -> np.ndarray:
+    """A JSON array of numbers nested `ndim` (1 or 2) deep, as a float array.
+    A boolean or a string, which numpy would read as a number, is refused;
+    shape and finiteness are checked by `Certificate`."""
     try:
-        arr = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+        leaves = itertools.chain.from_iterable(value) if ndim == 2 else value
+        if not {int, float}.issuperset(map(type, leaves)):  # type(True) is bool
+            raise TypeError("an entry is not a number")
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise _fail(f"{name} is not a numeric array: {exc}") from exc
-    if arr.ndim != ndim:
-        raise _fail(f"{name} must have rank {ndim}, got {arr.ndim}")
-    if not np.isfinite(arr).all():
-        raise _fail(f"{name} has non-finite entries")
-    return arr
 
 
 def _int_array(value, name: str) -> np.ndarray:
@@ -172,7 +174,7 @@ def _require(doc: dict, key: str):
 
 def instance_to_doc(poly: HPolytope, meta: dict | None = None) -> dict:
     halfspaces = [
-        {"a": [float(x) for x in h.normal], "b": float(h.offset)} for h in poly.halfspaces
+        {"a": a, "b": b} for a, b in zip(poly.normals.tolist(), poly.offsets.tolist())
     ]
     return {
         "kind": KIND_INSTANCE,
@@ -206,10 +208,12 @@ def instance_from_doc(doc: dict) -> tuple[HPolytope, dict]:
         raise _fail("meta must be an object")
     a, b = np.array(a), np.array(b)
     try:
-        poly = hpolytope_from_arrays(a, b, normalize=False)
-    except ZeroNormal:
-        poly = hpolytope_from_arrays(a, b, normalize=True)
-    return poly, meta
+        try:
+            return HPolytope(a, b), meta
+        except ZeroNormal:  # rows not already of unit length
+            return hpolytope_from_arrays(a, b), meta
+    except ZeroNormal as exc:
+        raise _fail(str(exc)) from exc
 
 
 # -------------------------------------------------------------- certificates

@@ -22,14 +22,17 @@ def gen_cube(d: int, radius: float = 1.0) -> HPolytope:
 
 
 def gen_tangent_random(d: int, m: int, seed: int) -> HPolytope:
-    """m random half-spaces tangent to the unit ball, resampled until bounded."""
+    """m random half-spaces tangent to the unit ball, resampled until bounded.
+    Raises ValueError unless 1 <= d < m: m <= d half-spaces never bound a body."""
+    if not 1 <= d < m:
+        raise ValueError(f"need 1 <= d < m, got d={d}, m={m}: m <= d half-spaces never bound a body")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     for _ in range(RETRY_CAP):
         a = rng.normal(size=(m, d))
         norms = np.linalg.norm(a, axis=1)
         if norms.min() <= 1e-12:
             continue
-        poly = hpolytope_from_arrays(a / norms[:, None], np.ones(m), normalize=False)
+        poly = HPolytope(a / norms[:, None], np.ones(m))
         try:
             ensure_bounded(poly)
         except Unbounded:

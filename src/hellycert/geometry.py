@@ -6,6 +6,12 @@ deterministic and dimension-capped; the combinatorial routines are
 exponential on purpose (they are the trusted ground truth the rest of the
 library is checked against).
 
+An `HPolytope` is two read-only C-contiguous arrays, unit normals (m, d)
+and offsets (m,), validated once as a whole. `HPolytope(normals, offsets)`
+takes rows already of unit length and `hpolytope_from_arrays` scales any
+rows to unit length, each by the length `np.linalg.norm` gives that row
+alone, so a polytope's bits do not depend on the memory order of its input.
+
 Volume comes from a pulling triangulation of the vertex-facet incidence
 (Bueler, Enge and Fukuda, "Exact volume computation for polytopes: a
 practical study", 2000): each face is a vertex bitmask, triangulated once
@@ -34,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,73 +74,58 @@ def unit_ball_volume(d: int) -> float:
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
+    out = np.array(arr, dtype=float, order="C")
     out.setflags(write=False)
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class HalfSpace:
-    """{x : normal.x <= offset} with a unit normal."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "normal", _freeze(self.normal))
-        object.__setattr__(self, "offset", float(self.offset))
-        if not np.isfinite(self.normal).all() or not math.isfinite(self.offset):
-            raise ZeroNormal("half-space has non-finite entries")
-        if abs(np.linalg.norm(self.normal) - 1.0) > DEFAULT.unit_norm:
-            raise ZeroNormal("half-space normal is not unit length")
-
-
-def normalize_halfspace(a, b) -> HalfSpace:
-    """Scale (a, b) so the normal has unit length."""
-    a = np.asarray(a, dtype=float)
-    nrm = float(np.linalg.norm(a))
-    if nrm <= _ZERO_NORMAL:
-        raise ZeroNormal(f"normal has length {nrm:.3e}")
-    return HalfSpace(a / nrm, float(b) / nrm)
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Length of each row of a C-contiguous array, bit for bit `np.linalg.norm`
+    of that row alone (`np.linalg.norm(a, axis=1)` sums in another order)."""
+    return np.sqrt(np.vecdot(a, a))
 
 
 @dataclass(frozen=True, eq=False)
 class HPolytope:
-    """Intersection of finitely many half-spaces."""
+    """{x : normals @ x <= offsets}, m half-spaces in R^d with unit normals."""
 
-    dim: int
-    halfspaces: tuple[HalfSpace, ...]
+    normals: np.ndarray
+    offsets: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "halfspaces", tuple(self.halfspaces))
-        m = len(self.halfspaces)
-        if not (1 <= self.dim <= DIM_CAP):
-            raise CapExceeded(f"dimension {self.dim} outside [1, {DIM_CAP}]")
+        a, b = _freeze(self.normals), _freeze(self.offsets)
+        if a.ndim != 2 or b.shape != a.shape[:1]:
+            raise ZeroNormal("half-space arrays have mismatched shapes")
+        m, d = a.shape
+        if not (1 <= d <= DIM_CAP):
+            raise CapExceeded(f"dimension {d} outside [1, {DIM_CAP}]")
         if not (1 <= m <= FACET_CAP):
             raise CapExceeded(f"{m} half-spaces outside [1, {FACET_CAP}]")
-        for h in self.halfspaces:
-            if h.normal.shape != (self.dim,):
-                raise ZeroNormal("half-space dimension mismatch")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ZeroNormal("half-space has non-finite entries")
+        if (np.abs(_row_norms(a) - 1.0) > DEFAULT.unit_norm).any():
+            raise ZeroNormal("half-space normal is not unit length")
+        object.__setattr__(self, "normals", a)
+        object.__setattr__(self, "offsets", b)
 
-    @cached_property
-    def normals(self) -> np.ndarray:
-        return _freeze(np.stack([h.normal for h in self.halfspaces]))
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        return _freeze(np.array([h.offset for h in self.halfspaces]))
+    @property
+    def dim(self) -> int:
+        return self.normals.shape[1]
 
 
-def hpolytope_from_arrays(a, b, *, normalize: bool = True) -> HPolytope:
-    a = np.asarray(a, dtype=float)
+def hpolytope_from_arrays(a, b) -> HPolytope:
+    """The polytope {x : a x <= b}, each row (a_i, b_i) scaled so a_i has
+    unit length. Raises ZeroNormal, naming the row, for a normal of length
+    at most 1e-12."""
+    a = np.ascontiguousarray(a, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
     if a.ndim != 2 or a.shape[0] != b.shape[0]:
         raise ZeroNormal("half-space arrays have mismatched shapes")
-    if normalize:
-        hs = tuple(normalize_halfspace(a[i], b[i]) for i in range(a.shape[0]))
-    else:
-        hs = tuple(HalfSpace(a[i], float(b[i])) for i in range(a.shape[0]))
-    return HPolytope(a.shape[1], hs)
+    norms = _row_norms(a)
+    short = np.flatnonzero(norms <= _ZERO_NORMAL)
+    if short.size:
+        raise ZeroNormal(f"half-space {short[0]} has a normal of length {norms[short[0]]:.3e}")
+    return HPolytope(a / norms[:, None], b / norms)
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,8 @@ ORACLE_FACET_CAP = 12
 
 
 def _subfamily(poly: HPolytope, rows: tuple[int, ...]) -> HPolytope:
-    return HPolytope(poly.dim, tuple(poly.halfspaces[i] for i in rows))
+    idx = list(rows)
+    return HPolytope(poly.normals[idx], poly.offsets[idx])
 
 
 def oracle_min_subfamily(
@@ -35,7 +36,7 @@ def oracle_min_subfamily(
     when no subfamily of admissible size has a bounded intersection. Sizes
     below d+1 are never bounded and are skipped.
     """
-    d, m = poly.dim, len(poly.halfspaces)
+    m, d = poly.normals.shape
     if d > ORACLE_DIM_CAP:
         raise CapExceeded(f"oracle handles dimension <= {ORACLE_DIM_CAP}, got {d}")
     if m > ORACLE_FACET_CAP:

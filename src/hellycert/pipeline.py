@@ -235,11 +235,7 @@ class Certificate:
 
     def subfamily(self) -> HPolytope:
         """The selected half-spaces, verbatim rows of the original family."""
-        from .geometry import hpolytope_from_arrays
-
-        return hpolytope_from_arrays(
-            self.normals[self.g_indices], self.offsets[self.g_indices], normalize=False
-        )
+        return HPolytope(self.normals[self.g_indices], self.offsets[self.g_indices])
 
 
 def build_S1(basis: DRBasis, enforce_floor: bool = True):

@@ -27,9 +27,9 @@ from hellycert.checker import check_certificate
 from hellycert.dr import dr_select, eq3_lower_bounds
 from hellycert.generators import gen_affine_warp, gen_cube, gen_tangent_random
 from hellycert.geometry import (
+    HPolytope,
     ellipsoid_volume,
     facets_from_vertices,
-    hpolytope_from_arrays,
     polar_of_points,
     vertex_enumeration,
     volume,
@@ -153,7 +153,7 @@ def test_simplex_inner_ellipsoid_ratio_matches_closed_form():
             if abs(np.linalg.det(verts[1:] - verts[0])) < 1e-2:
                 continue
             a, b = facets_from_vertices(verts)
-            poly = hpolytope_from_arrays(a, b, normalize=False)
+            poly = HPolytope(a, b)
             ratio = ellipsoid_volume(inscribed_ellipsoid(poly)) / volume(poly)
             worst = max(worst, abs(ratio - target) / target)
             done += 1

@@ -109,6 +109,14 @@ class TestExitCodes:
         save_document(doc, path)
         assert main(["select", "--in", str(path)]) == 3
 
+    def test_zero_normal_is_malformed_input(self, tmp_path, capsys):
+        doc = instance_to_doc(gen_cube(2))
+        doc["halfspaces"][2]["a"] = [0.0, 0.0]
+        path = tmp_path / "zero.json"
+        save_document(doc, path)
+        assert main(["select", "--in", str(path)]) == 2
+        assert "half-space 2" in capsys.readouterr().err
+
     def test_out_of_memory_is_numeric_failure(self, cube3, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
             raise MemoryError
@@ -173,6 +181,16 @@ class TestGen:
         assert main(["gen", "--generator", "warped", "--d", "2", "--m", "6", "--out", str(path)]) == 0
         assert load_document(path)["meta"]["generator"] == "warped"
 
+    @pytest.mark.parametrize("generator", ["tangent", "warped"])
+    @pytest.mark.parametrize("d, m", [(3, 3), (3, 1), (0, 5)])
+    def test_too_few_rows_are_refused_at_once(self, generator, d, m, tmp_path, capsys):
+        # m <= d half-spaces never bound a body: no retries, exit 2
+        out = tmp_path / "x.json"
+        argv = ["gen", "--generator", generator, "--d", str(d), "--m", str(m), "--out", str(out)]
+        assert main(argv) == 2
+        assert "never bound a body" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gen_feeds_select(self, tmp_path):
         inst, cert = tmp_path / "i.json", tmp_path / "c.json"
         main(["gen", "--d", "2", "--m", "7", "--seed", "3", "--out", str(inst)])
@@ -221,6 +239,16 @@ class TestExperiment:
         monkeypatch.setattr("hellycert.cli.run_experiment", no_trials)
         assert main(["experiment", "--d", "8", "--m", "64", "--trials", "2"]) == 2
         assert "C(64, 8)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("generator", ["tangent", "warped"])
+    def test_too_few_rows_are_refused_before_any_trial(self, generator, monkeypatch, capsys):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial started")
+
+        monkeypatch.setattr("hellycert.cli.run_experiment", no_trials)
+        argv = ["experiment", "--generator", generator, "--d", "2", "3", "--m", "3", "--trials", "2"]
+        assert main(argv) == 2
+        assert "never bound a body" in capsys.readouterr().err
 
     def test_cube_rows_report_the_real_row_count(self, capsys):
         # one cell per d with m = 2d, however many --m values are given

@@ -30,7 +30,7 @@ from hellycert.documents import (
 from hellycert.errors import HellyError, MalformedCertificate, MalformedDocument
 from hellycert.generators import gen_cube, gen_tangent_random
 from hellycert.geometry import HPolytope, hpolytope_from_arrays
-from hellycert.pipeline import select
+from hellycert.pipeline import _ARRAY_FIELDS, _INT_FIELDS, select
 
 
 # the certificate values derived from its stored fields
@@ -46,6 +46,10 @@ DERIVED = [
     "lam",
     "e2_shape",
 ]
+
+
+# the certificate's float array fields, with their ranks
+FLOAT_ARRAYS = {n: k for n, k in _ARRAY_FIELDS.items() if n not in _INT_FIELDS}
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +133,12 @@ class TestInstanceDocuments:
         doc = instance_to_doc(gen_cube(2))
         mutate(doc)
         with pytest.raises(MalformedDocument):
+            instance_from_doc(doc)
+
+    def test_zero_normal_is_malformed_and_names_its_row(self):
+        doc = instance_to_doc(gen_cube(2))
+        doc["halfspaces"][3]["a"] = [0.0, 0.0]
+        with pytest.raises(MalformedDocument, match="half-space 3 has a normal of length 0"):
             instance_from_doc(doc)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
@@ -302,6 +312,16 @@ class TestCertificateTotality:
         except MalformedCertificate:
             return
         assert isinstance(check_certificate(back), CheckReport)
+
+    @pytest.mark.parametrize("field", FLOAT_ARRAYS)
+    @pytest.mark.parametrize("leaf", [True, False, "0.5", "1"])
+    def test_non_number_entries_are_refused(self, cert, field, leaf):
+        # numpy would read True as 1.0 and "0.5" as 0.5
+        doc = canonical_loads(canonical_dumps(certificate_to_doc(cert)))
+        row = doc[field][0] if FLOAT_ARRAYS[field] == 2 else doc[field]
+        row[-1] = leaf
+        with pytest.raises(MalformedCertificate, match=field):
+            certificate_from_doc(doc)
 
 
 class TestReportDocuments:

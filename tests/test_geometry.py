@@ -39,7 +39,6 @@ from hellycert.geometry import (
     facets_from_vertices,
     hpolytope_from_arrays,
     max_ellipsoid_in_simplex,
-    normalize_halfspace,
     polar_of_points,
     reference_simplex,
     unit_ball_volume,
@@ -154,11 +153,48 @@ def boundedness_family(rng, kind, d, tilt=None, m=None):
 
 
 def test_normalize_halfspace():
-    h = normalize_halfspace([3.0, 4.0], 10.0)
-    np.testing.assert_allclose(h.normal, [0.6, 0.8], atol=1e-15)
-    assert h.offset == pytest.approx(2.0)
-    with pytest.raises(ZeroNormal):
-        normalize_halfspace([0.0, 0.0], 1.0)
+    poly = hpolytope_from_arrays([[3.0, 4.0]], [10.0])
+    np.testing.assert_allclose(poly.normals[0], [0.6, 0.8], atol=1e-15)
+    assert poly.offsets[0] == pytest.approx(2.0)
+    with pytest.raises(ZeroNormal, match="half-space 1 has a normal of length 0"):
+        hpolytope_from_arrays([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_polytope_arrays_are_frozen_c_contiguous(order):
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(9, 4))
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    a = np.array(a, order=order)
+    for poly in (HPolytope(a, np.ones(9)), hpolytope_from_arrays(a, np.ones(9))):
+        for arr in (poly.normals, poly.offsets):
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+        assert poly.dim == 4
+
+
+def test_normalized_rows_equal_the_per_row_quotients_bitwise():
+    # the rows of an F-ordered matrix, as gen_affine_warp builds one, are
+    # scaled by the length np.linalg.norm gives each row alone; the pairwise
+    # sums of np.linalg.norm(a, axis=1) differ from it in the last bit
+    rng = np.random.default_rng(11)
+    for d in range(1, 9):
+        a = np.linalg.solve(rng.normal(size=(d, d)), rng.normal(size=(d, 64))).T
+        assert a.flags.f_contiguous
+        b = rng.uniform(0.5, 2.0, size=64)
+        poly = hpolytope_from_arrays(a, b)
+        for i in range(64):
+            nrm = np.linalg.norm(a[i])
+            assert np.array_equal(poly.normals[i], a[i] / nrm)
+            assert poly.offsets[i] == b[i] / nrm
+
+
+def test_polytope_validates_its_arrays():
+    with pytest.raises(ZeroNormal, match="not unit length"):
+        HPolytope([[1.0, 0.0], [0.0, 2.0]], [1.0, 1.0])
+    with pytest.raises(ZeroNormal, match="non-finite"):
+        HPolytope([[1.0, 0.0], [0.0, 1.0]], [1.0, np.inf])
+    with pytest.raises(ZeroNormal, match="mismatched shapes"):
+        HPolytope([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0, 1.0])
 
 
 def test_caps_enforced():
@@ -629,7 +665,7 @@ def test_volume_matches_qhull(d, m, generator):
             poly, _, _ = gen_affine_warp(poly, seed=seed + 100)
         cert = select(poly, seed=seed)
         bodies = [
-            hpolytope_from_arrays(cert.norm_normals, cert.norm_offsets, normalize=False),
+            HPolytope(cert.norm_normals, cert.norm_offsets),
             polar_of_points(cert.x_points),
         ]
         for body in bodies:

@@ -19,6 +19,7 @@ from hellycert.errors import (
 )
 from hellycert.generators import gen_affine_warp, gen_cube, gen_tangent_random
 from hellycert.geometry import (
+    HPolytope,
     Simplex,
     chebyshev_center,
     ellipsoid_volume,
@@ -317,9 +318,7 @@ def test_normalize_warped_instances():
 
 def test_contact_points_on_normalized_cube():
     ni = normalize_position(gen_cube(2))
-    pts, idx = contact_points(
-        hpolytope_from_arrays(ni.norm_normals, ni.norm_offsets, normalize=False)
-    )
+    pts, idx = contact_points(HPolytope(ni.norm_normals, ni.norm_offsets))
     assert idx.shape[0] == 4
     np.testing.assert_allclose(np.linalg.norm(pts, axis=1), np.ones(4), atol=1e-12)
 
@@ -350,7 +349,7 @@ def _square_with_light_contact(delta):
     normals = np.column_stack([np.cos(angles), np.sin(angles)])
     c, s = normals.T
     exact = np.linalg.solve(np.array([c * c, s * s, c * s, c, s]), [1.0, 1.0, 0.0, 0.0, 0.0])
-    return hpolytope_from_arrays(normals, np.ones(5), normalize=False), exact
+    return HPolytope(normals, np.ones(5)), exact
 
 
 @pytest.mark.parametrize("warp_seed", [None, 3])
@@ -382,9 +381,7 @@ def test_row_just_off_the_ellipsoid_keeps_no_weight(pull, want, scale):
     poly = gen_tangent_random(2, 5, seed=172)
     offsets = poly.offsets.copy()
     offsets[2] -= pull
-    ni = normalize_position(
-        hpolytope_from_arrays(poly.normals, offsets, normalize=False), tolerances
-    )
+    ni = normalize_position(HPolytope(poly.normals, offsets), tolerances)
     np.testing.assert_array_equal(ni.decomposition.source_indices, want)
     assert ni.contact_tol == tolerances.contact
     rep = verify_decomposition(ni.decomposition)

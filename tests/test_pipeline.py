@@ -24,6 +24,7 @@ from hellycert.errors import (
 from hellycert.generators import gen_affine_warp, gen_cube, gen_tangent_random
 from hellycert.geometry import (
     Ellipsoid,
+    HPolytope,
     ellipsoid_volume,
     facets_from_vertices,
     hpolytope_from_arrays,
@@ -243,7 +244,7 @@ class TestContractE1:
 
 def simplex_instance(d, scale=2.0):
     a, b = facets_from_vertices(scale * reference_simplex(d))
-    return hpolytope_from_arrays(a, b, normalize=False)
+    return HPolytope(a, b)
 
 
 class TestSelectEndToEnd:
