@@ -31,8 +31,10 @@ from .bounds import explicit_bound, simplex_volume_floor
 from .config import DEFAULT
 from .dr import eq3_lower_bounds
 from .errors import DegenerateSimplex, HellyError, MalformedCertificate
-from .geometry import Simplex
-from .pipeline import Certificate, _certified_ratio
+from .geometry import DEDUPE, Simplex
+from .pipeline import DEGENERATE_RAY, Certificate, _certified_ratio
+
+DEFAULT_SCALE = 10.0  # checker tolerance = producer tolerance x this, unless asked
 
 
 @dataclass(frozen=True)
@@ -87,13 +89,16 @@ def _item(name, margin, tol, detail, applicable=True) -> CheckItem:
 def check_certificate(cert: Certificate, scale: float | None = None) -> CheckReport:
     """Replay every inequality of the construction from stored data.
 
-    scale loosens the producer tolerances of `DEFAULT` (default: its
-    checker_scale, 10x); raising it separates genuine violations from float
-    noise, lowering it sharpens the audit.
+    scale loosens the producer tolerances of `DEFAULT` (default:
+    DEFAULT_SCALE, 10x); raising it separates genuine violations from float
+    noise, lowering it sharpens the audit. It must be finite and positive
+    (ValueError otherwise), since an infinite scale would pass anything.
     """
     if not isinstance(cert, Certificate):
         raise MalformedCertificate("checker needs a Certificate")
-    k = float(scale if scale is not None else DEFAULT.checker_scale)
+    k = DEFAULT_SCALE if scale is None else float(scale)
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError(f"tolerance scale must be finite and positive, got {scale}")
     d = cert.dim
     dr = cert.selector == "dr"
     items: list[CheckItem] = []
@@ -209,7 +214,7 @@ def check_certificate(cert: Certificate, scale: float | None = None) -> CheckRep
         contraction_detail = f"no inscribed ellipsoid: {exc}"
     else:
         nu = float(np.linalg.norm(u))
-        if nu <= DEFAULT.degenerate_ray:
+        if nu <= DEGENERATE_RAY:
             align_err = 0.0
         elif w_norm > 0.0:
             align_err = float(u @ cert.w) / (nu * w_norm) + 1.0
@@ -303,18 +308,16 @@ def check_certificate(cert: Certificate, scale: float | None = None) -> CheckRep
     # the ratio of the shrunk ellipsoid is a true upper bound, not a rounded one.
     delta = max(e2_out, 0.0) / s2_floor if s2_floor > 0.0 else math.inf
     ratio_for_bound = ratio_of(None if e2_shape is None else e2_shape / (1.0 + delta))
-    bound_err = abs(cert.bound - explicit_bound(d)) / explicit_bound(d)
-    bound_margin = (cert.bound - ratio_for_bound) / cert.bound
+    bound = explicit_bound(d)
+    bound_margin = (bound - ratio_for_bound) / bound
     items.append(
-        CheckItem(
-            name="ratio_bound",
-            passed=bool(bound_err <= 1e-12 * k and bound_margin >= -1e-9 * k),
+        _item(
+            "ratio_bound",
+            bound_margin,
+            1e-9 * k,
+            f"ratio {ratio_for_bound:.6e} vs bound {bound:.6e} "
+            f"(relative margin {bound_margin:+.2e})",
             applicable=dr,
-            slack=float(bound_margin),
-            detail=(
-                f"ratio {ratio_for_bound:.6e} vs bound {cert.bound:.6e} "
-                f"(relative margin {bound_margin:+.2e})"
-            ),
         )
     )
 
@@ -327,7 +330,7 @@ def check_certificate(cert: Certificate, scale: float | None = None) -> CheckRep
     items.append(
         CheckItem(
             name="subfamily_size",
-            passed=bool(p <= 2 * d and min_gap > DEFAULT.dedupe),
+            passed=bool(p <= 2 * d and min_gap > DEDUPE),
             applicable=True,
             slack=float(2 * d - p),
             detail=f"{p} members vs cap {2 * d}, closest pair {min_gap:.2e}",
@@ -354,6 +357,6 @@ def check_certificate(cert: Certificate, scale: float | None = None) -> CheckRep
         selector=cert.selector,
         items=tuple(items),
         ratio=float(ratio_for_bound),
-        bound=float(cert.bound),
+        bound=bound,
         scale=k,
     )

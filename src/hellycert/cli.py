@@ -173,12 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.add_argument("--seed", type=int, default=None, help="sampled-selector seed")
     p.add_argument("--selector", choices=("dr", "pivovarov"), default="dr")
-    p.add_argument("--tol-scale", type=float, default=None, help="scale producer tolerances")
+    p.add_argument("--tol-scale", type=float, default=None, help="scale the John solver's tolerances")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("verify", help="re-check a certificate from its stored data")
     add_io(p)
-    p.add_argument("--tol-scale", type=float, default=None, help="checker tolerance multiplier")
+    p.add_argument("--tol-scale", type=float, default=None, help="checker tolerance multiplier, default 10")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="generate a test instance")
@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generator", choices=("tangent", "warped", "cube"), default="tangent")
     p.add_argument("--selector", choices=("dr", "pivovarov"), default="dr")
     p.add_argument("--oracle", action="store_true", help="add exhaustive-optimum column")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per trial and CPU")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("pivovarov", help="random-simplex volume moments for an instance")

@@ -1,12 +1,22 @@
-"""Numeric tolerances and size caps, centralized.
+"""The producer's tolerance record, and the size caps.
 
-Every comparison threshold in the library reads from a single Tolerances
-record so that producer and checker can be rescaled together (the checker
-defaults to 10x looser than the producer).
+`Tolerances` governs the John solver and the position normalization: how
+far a solved ellipsoid may poke out of the body (`feasibility`), how near
+tangency a facet must be to count as a contact (`contact`), the largest
+residual the contact decomposition may leave (`decomposition`), the
+duality gap the solver stops at (`solver_gap`) and its step budget
+(`newton_cap`). `select(..., tolerances=DEFAULT.scaled(k))` and `hellycert
+select --tol-scale k` move the four thresholds together. The checker reads
+`feasibility` and `decomposition` from `DEFAULT`, times its own scale.
+Every other threshold is a constant where it is read, which no option
+moves: named ones such as `geometry.INCIDENCE`, `geometry.DEDUPE`,
+`pipeline.DEGENERATE_RAY` and `checker.DEFAULT_SCALE`, and literal slacks
+in the pipeline's and the checker's inequalities.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 VERSION = "0.1.0"
@@ -19,30 +29,21 @@ FACET_CAP = 64
 
 @dataclass(frozen=True)
 class Tolerances:
-    incidence: float = 1e-9        # vertex-on-facet slack in enumeration/volume
-    dedupe: float = 1e-9           # two points closer than this are one point
-    spd_floor: float = 1e-12       # smallest admissible ellipsoid eigenvalue
-    unit_norm: float = 1e-12       # half-space normal normalization slack
     feasibility: float = 1e-8      # membership / containment re-checks
     contact: float = 1e-7          # near-tangency admission for contact points
     decomposition: float = 1e-6    # identity / barycenter residual cap
     solver_gap: float = 1e-9       # John solver duality gap at exit (log-volume)
     newton_cap: int = 500          # John solver primal-dual iteration budget
-    degenerate_ray: float = 1e-10  # |u| below which the ray direction is moot
-    checker_scale: float = 10.0    # verification tolerance = producer x this
 
     def scaled(self, factor: float) -> "Tolerances":
-        """Return a copy with every tolerance multiplied by factor; the
-        iteration budget `newton_cap` and the ratio `checker_scale` stay."""
-        if factor <= 0:
-            raise ValueError("tolerance scale must be positive")
+        """Return a copy with every tolerance multiplied by factor, which
+        must be finite and positive; the iteration budget `newton_cap`
+        stays."""
+        if not (math.isfinite(factor) and factor > 0):
+            raise ValueError(f"tolerance scale must be finite and positive, got {factor}")
         return replace(
             self,
-            **{
-                f.name: getattr(self, f.name) * factor
-                for f in fields(self)
-                if f.name not in ("newton_cap", "checker_scale")
-            },
+            **{f.name: getattr(self, f.name) * factor for f in fields(self) if f.name != "newton_cap"},
         )
 
 

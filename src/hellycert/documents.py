@@ -13,13 +13,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 
 from .checker import CheckItem, CheckReport
-from .config import Tolerances
 from .errors import MalformedCertificate, MalformedDocument, ZeroNormal
 from .geometry import HPolytope, hpolytope_from_arrays
 from .pipeline import _ARRAY_FIELDS, _INT_FIELDS, Certificate
@@ -44,24 +42,24 @@ __all__ = [
 KIND_INSTANCE = "helly-instance"
 KIND_CERTIFICATE = "helly-certificate"
 KIND_REPORT = "helly-check-report"
-SCHEMA_VERSION = "3"
-# versions each kind is read at: versions 2 and 3 changed the certificate
-# fields (3 stores each fact once) and 2 the check items, not the instances
+SCHEMA_VERSION = "4"
+# versions each kind is read at: versions 2, 3 and 4 changed the certificate
+# fields (3 stores each fact once, 4 drops the tolerance record and the
+# bound) and 2 the check items, not the instances
 _READ_VERSIONS = {
-    KIND_INSTANCE: ("1", "2", SCHEMA_VERSION),
+    KIND_INSTANCE: ("1", "2", "3", SCHEMA_VERSION),
     KIND_CERTIFICATE: (SCHEMA_VERSION,),
-    KIND_REPORT: (SCHEMA_VERSION,),
+    KIND_REPORT: ("3", SCHEMA_VERSION),
 }
 
 # certificate JSON scalar keys, in writing order; the derived values (the
-# contraction ratio among them) are not written
+# contraction ratio and the bound among them) are not written
 _CERT_SCALARS = (
     ("dim", int),
     ("selector", str),
     ("contact_tol", float),
     ("window_slack", float),
     ("ratio", float),
-    ("bound", float),
 )
 
 
@@ -219,24 +217,6 @@ def instance_from_doc(doc: dict) -> tuple[HPolytope, dict]:
 # -------------------------------------------------------------- certificates
 
 
-def _tolerances_to_doc(tol: Tolerances) -> dict:
-    return {f.name: getattr(tol, f.name) for f in dataclass_fields(Tolerances)}
-
-
-def _tolerances_from_doc(value, name: str) -> Tolerances:
-    if not isinstance(value, dict):
-        raise _fail(f"{name} must be an object")
-    kwargs = {}
-    for f in dataclass_fields(Tolerances):
-        if f.name not in value:
-            continue
-        if isinstance(f.default, int):
-            kwargs[f.name] = _int_scalar(value[f.name], f"{name}.{f.name}")
-        else:
-            kwargs[f.name] = _float_scalar(value[f.name], f"{name}.{f.name}")
-    return Tolerances(**kwargs)
-
-
 def certificate_to_doc(cert: Certificate) -> dict:
     doc: dict = {"kind": KIND_CERTIFICATE, "version": SCHEMA_VERSION}
     for key, kind in _CERT_SCALARS:
@@ -244,7 +224,6 @@ def certificate_to_doc(cert: Certificate) -> dict:
         doc[key] = value if kind is not float else float(value)
     for name in _ARRAY_FIELDS:
         doc[name] = getattr(cert, name).tolist()
-    doc["tolerances"] = _tolerances_to_doc(cert.tolerances)
     doc["library"] = cert.library
     return doc
 
@@ -270,7 +249,6 @@ def certificate_from_doc(doc: dict) -> Certificate:
                 kwargs[name] = _int_array(value, name)
             else:
                 kwargs[name] = _float_array(value, name, ndim)
-        kwargs["tolerances"] = _tolerances_from_doc(_require(doc, "tolerances"), "tolerances")
         library = _require(doc, "library")
         if not isinstance(library, str):
             raise _fail("library must be a string")

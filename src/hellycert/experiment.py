@@ -12,8 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 from .checker import check_certificate
@@ -162,11 +162,16 @@ def grid_specs(
 
 
 def run_experiment(specs, jobs: int = 1) -> list[ExperimentRow]:
-    """Run every trial and return rows sorted by (d, m, seed)."""
+    """Run every trial and return rows sorted by (d, m, seed), over at most
+    `jobs` worker processes, and never more than one per trial or per CPU
+    (the pool starts all its workers at once)."""
     specs = list(specs)
-    if jobs > 1 and len(specs) > 1:
+    workers = min(jobs, len(specs), os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # select and check never need it
+
         try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(run_trial, specs, chunksize=1))
         except OSError:
             rows = [run_trial(s) for s in specs]  # no subprocesses here

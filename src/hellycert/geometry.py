@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT, DIM_CAP, FACET_CAP, Tolerances
+from .config import DIM_CAP, FACET_CAP
 from .errors import (
     CapExceeded,
     Degenerate,
@@ -59,6 +59,10 @@ _COMBO_CHUNK = 200_000
 _DEDUPE_BLOCK = 256
 _INTERIOR_FLOOR = 1e-10  # inscribed radius below which a body counts as flat
 _ZERO_NORMAL = 1e-12  # normal length at or below which a half-space is refused
+_UNIT_NORM = 1e-12  # how far an `HPolytope` normal's length may be from 1
+_SPD_FLOOR = 1e-12  # smallest admissible ellipsoid eigenvalue
+INCIDENCE = 1e-9  # vertex-on-facet slack in enumeration and volume
+DEDUPE = 1e-9  # two points closer than this are one point
 # d-subsets the brute-force vertex walk may try. At d=8 a volume costs about
 # 10 us per subset, walk and triangulation together (C(24, 8) = 735,471
 # subsets in about 8 s), so this is about 10 s there, and less below d=8.
@@ -103,7 +107,7 @@ class HPolytope:
             raise CapExceeded(f"{m} half-spaces outside [1, {FACET_CAP}]")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise ZeroNormal("half-space has non-finite entries")
-        if (np.abs(_row_norms(a) - 1.0) > DEFAULT.unit_norm).any():
+        if (np.abs(_row_norms(a) - 1.0) > _UNIT_NORM).any():
             raise ZeroNormal("half-space normal is not unit length")
         object.__setattr__(self, "normals", a)
         object.__setattr__(self, "offsets", b)
@@ -198,7 +202,7 @@ class Ellipsoid:
         if not (np.isfinite(c).all() and np.isfinite(s).all()):
             raise Degenerate("ellipsoid has non-finite entries")
         s = 0.5 * (s + s.T)
-        if np.linalg.eigvalsh(s).min() < DEFAULT.spd_floor:
+        if np.linalg.eigvalsh(s).min() < _SPD_FLOOR:
             raise Degenerate("ellipsoid shape matrix is not positive definite")
         object.__setattr__(self, "center", _freeze(c))
         object.__setattr__(self, "shape", _freeze(s))
@@ -345,7 +349,7 @@ def check_subset_budget(m: int, d: int) -> None:
         )
 
 
-def vertex_enumeration(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> VPolytope:
+def vertex_enumeration(poly: HPolytope) -> VPolytope:
     """All vertices of a bounded full-dimensional polytope, by brute force.
 
     Every d-subset of facets is solved; feasible solutions are deduplicated.
@@ -355,11 +359,10 @@ def vertex_enumeration(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> VPo
     Empty / Unbounded / Degenerate from these checks, and CapExceeded,
     before any subset is solved, when C(m, d) exceeds `_SUBSET_BUDGET`.
     """
-    verts = _vertex_array(poly, tolerances)
-    return VPolytope(verts)
+    return VPolytope(_vertex_array(poly))
 
 
-def _vertex_array(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> np.ndarray:
+def _vertex_array(poly: HPolytope) -> np.ndarray:
     a, b = poly.normals, poly.offsets
     m, d = a.shape
     if (b / np.linalg.norm(a, axis=1)).min() < _INTERIOR_FLOOR:
@@ -381,8 +384,8 @@ def _vertex_array(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> np.ndarr
         if not good.any():
             continue
         pts = np.linalg.solve(sub_a[good], sub_b[good][..., None])[..., 0]
-        feas = np.all(pts @ a.T <= b[None, :] + tolerances.incidence, axis=1)
-        verts = _dedupe_points(pts[feas], tolerances.dedupe, verts)
+        feas = np.all(pts @ a.T <= b[None, :] + INCIDENCE, axis=1)
+        verts = _dedupe_points(pts[feas], DEDUPE, verts)
     if not verts.shape[0]:
         raise Degenerate("no vertices found")
     return verts
@@ -451,9 +454,7 @@ def _pull_face(face: int, dim: int, facet_masks: list[int], memo: dict) -> list[
     return simplices
 
 
-def _polytope_volume(
-    verts: np.ndarray, a: np.ndarray, b: np.ndarray, tolerances: Tolerances
-) -> float:
+def _polytope_volume(verts: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """Volume of the polytope with vertices `verts` and outer description
     a x <= b, from a pulling triangulation of the vertex-facet incidence.
 
@@ -463,7 +464,7 @@ def _polytope_volume(
     pulled at its lowest vertex index.
     """
     n, d = verts.shape
-    on = verts @ a.T - b[None, :] >= -tolerances.incidence  # (n, m)
+    on = verts @ a.T - b[None, :] >= -INCIDENCE  # (n, m)
     facet_masks = [
         int.from_bytes(np.packbits(col, bitorder="little").tobytes(), "little") for col in on.T
     ]
@@ -473,7 +474,7 @@ def _polytope_volume(
     return float(np.abs(np.linalg.det(edges)).sum()) / math.factorial(d)
 
 
-def volume(body, tolerances: Tolerances = DEFAULT) -> float:
+def volume(body) -> float:
     """Euclidean volume of an ellipsoid, a simplex or a bounded H-polytope.
 
     For a polytope the vertices are enumerated (see `vertex_enumeration`
@@ -486,7 +487,7 @@ def volume(body, tolerances: Tolerances = DEFAULT) -> float:
     if isinstance(body, Simplex):
         return body.volume()
     if isinstance(body, HPolytope):
-        return _polytope_volume(_vertex_array(body, tolerances), body.normals, body.offsets, tolerances)
+        return _polytope_volume(_vertex_array(body), body.normals, body.offsets)
     raise TypeError(f"cannot take the volume of {type(body).__name__}")
 
 

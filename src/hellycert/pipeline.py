@@ -40,6 +40,7 @@ from .pivovarov import _index_probabilities
 
 _SAMPLE_CAP = 200
 _DROP_TOL = 1e-12  # combination weights below this count as zero
+DEGENERATE_RAY = 1e-10  # |u| at or below which the ray direction is moot
 
 _ARRAY_FIELDS = {
     "normals": 2,
@@ -69,11 +70,11 @@ def subfamily_rows(selected_rows, cara_rows) -> np.ndarray:
     return np.array(list(rows), dtype=int)
 
 
-def contraction_ratio(u, w, tolerances: Tolerances = DEFAULT) -> float:
+def contraction_ratio(u, w) -> float:
     """|w| / (|u| + |w|), which carries the center u of E1 to the origin when
-    w lies opposite u; 1 when |u| is at most tolerances.degenerate_ray."""
+    w lies opposite u; 1 when |u| is at most DEGENERATE_RAY."""
     nu = float(np.linalg.norm(u))
-    if nu <= tolerances.degenerate_ray:
+    if nu <= DEGENERATE_RAY:
         return 1.0
     nw = float(np.linalg.norm(w))
     return nw / (nu + nw)
@@ -91,9 +92,10 @@ class Certificate:
     The properties below derive everything else from these fields, by the
     same formulas the producer uses: the normalized rows, the contact
     points, the subfamily X and its rows G, the simplex ellipsoid E1 with
-    center u, the contraction ratio lam and E2 = lam E1. They are computed on
-    first use, so a certificate whose base simplex is flat still constructs;
-    reading E1 from it raises a HellyError (DegenerateSimplex).
+    center u, the contraction ratio lam and E2 = lam E1; `bound` is the a
+    priori `explicit_bound(dim)`. They are computed on first use, so a
+    certificate whose base simplex is flat still constructs; reading E1
+    from it raises a HellyError (DegenerateSimplex).
     """
 
     dim: int
@@ -112,8 +114,6 @@ class Certificate:
     cara_rows: np.ndarray
     cara_coeffs: np.ndarray
     ratio: float
-    bound: float
-    tolerances: Tolerances = DEFAULT
     library: str = "hellycert " + VERSION
 
     def __post_init__(self):
@@ -153,7 +153,7 @@ class Certificate:
         ):
             if idx.size and (idx.min() < 0 or idx.max() >= limit):
                 raise MalformedCertificate("an index field points outside its table")
-        for name in ("contact_tol", "window_slack", "ratio", "bound"):
+        for name in ("contact_tol", "window_slack", "ratio"):
             if not math.isfinite(float(getattr(self, name))):
                 raise MalformedCertificate(f"{name} is not finite")
         if not all(np.isfinite(arr).all() for arr in self._normalized):
@@ -219,7 +219,7 @@ class Certificate:
 
     @cached_property
     def lam(self) -> float:
-        return contraction_ratio(self.u, self.w, self.tolerances)
+        return contraction_ratio(self.u, self.w)
 
     @cached_property
     def e2_shape(self) -> np.ndarray:
@@ -228,6 +228,10 @@ class Certificate:
     @property
     def e2(self) -> Ellipsoid:
         return Ellipsoid(np.zeros(self.dim), self.e2_shape)
+
+    @property
+    def bound(self) -> float:
+        return explicit_bound(self.dim)
 
     @property
     def subfamily_size(self) -> int:
@@ -345,15 +349,13 @@ def caratheodory_reduce(point, vertices, coeffs):
     return support, out
 
 
-def contract_E1(
-    e1: Ellipsoid, u: np.ndarray, w: np.ndarray, tolerances: Tolerances = DEFAULT
-):
+def contract_E1(e1: Ellipsoid, u: np.ndarray, w: np.ndarray):
     """Contract the simplex ellipsoid toward the boundary point so its
     center lands on the origin.
 
     The ratio |w|/(|u|+|w|) does exactly that when w lies opposite u through
     the origin, and it never drops below 1/(d+1). A centered ellipsoid
-    (|u| at most tolerances.degenerate_ray) needs no contraction; see the
+    (|u| at most DEGENERATE_RAY) needs no contraction; see the
     pipeline notes for why that branch cannot fire on selected simplices.
     """
     u = np.asarray(u, dtype=float).ravel()
@@ -363,14 +365,14 @@ def contract_E1(
         raise Misaligned("u must be the center of the ellipsoid being contracted")
     nu = float(np.linalg.norm(u))
     nw = float(np.linalg.norm(w))
-    if nu <= tolerances.degenerate_ray:
+    if nu <= DEGENERATE_RAY:
         return Ellipsoid(np.zeros(d), e1.shape), 1.0
     if nw <= 1e-14:
         raise Misaligned("contraction center sits at the origin")
     cosine = float(u @ w) / (nu * nw)
     if cosine > -1.0 + 1e-8:
         raise Misaligned(f"w is not opposite u through the origin (cosine {cosine:.2e})")
-    lam = contraction_ratio(u, w, tolerances)
+    lam = contraction_ratio(u, w)
     center = w + lam * (u - w)
     if np.linalg.norm(center) > 1e-10:
         raise NumericalBreakdown(
@@ -407,7 +409,6 @@ def assemble_subfamily(
     e2: Ellipsoid,
     cara_rows: np.ndarray,
     cara_coeffs: np.ndarray,
-    tolerances: Tolerances = DEFAULT,
 ) -> Certificate:
     """Merge the touched contact points into X, name the half-spaces they
     came from, certify their volume ratio, and fill the certificate.
@@ -456,8 +457,6 @@ def assemble_subfamily(
         cara_rows=cara_rows,
         cara_coeffs=cara_coeffs,
         ratio=ratio,
-        bound=bound,
-        tolerances=tolerances,
     )
 
 
@@ -492,8 +491,9 @@ def select(
     """Run the whole construction on a bounded full-dimensional instance.
 
     Deterministic for the default greedy selector (input order decides
-    ties); the sampling selector takes its randomness from seed. Errors are
-    wrapped with the stage that raised them.
+    ties); the sampling selector takes its randomness from seed; tolerances
+    govern the position normalization. Errors are wrapped with the stage
+    that raised them.
     """
     if selector not in ("dr", "pivovarov"):
         raise ValueError(f"unknown selector {selector!r}")
@@ -516,10 +516,10 @@ def select(
         basis = stage("select", _sample_selection, dec, seed)
         _, e1, u = stage("simplex", build_S1, basis, enforce_floor=False)
     nu = np.linalg.norm(u)
-    direction = -u / nu if nu > tolerances.degenerate_ray else basis.basis[-1]
+    direction = -u / nu if nu > DEGENERATE_RAY else basis.basis[-1]
     w, coeffs = stage("ray", ray_hit_boundary, dec.points, direction)
     cara_rows, cara_coeffs = stage("reduce", caratheodory_reduce, w, dec.points, coeffs)
-    e2, _ = stage("contract", contract_E1, e1, u, w, tolerances)
+    e2, _ = stage("contract", contract_E1, e1, u, w)
     return stage(
         "assemble",
         assemble_subfamily,
@@ -530,5 +530,4 @@ def select(
         e2,
         cara_rows,
         cara_coeffs,
-        tolerances,
     )

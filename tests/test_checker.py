@@ -256,13 +256,6 @@ class TestFaultInjection:
         assert check_certificate(bad)["hull_chain"].slack < 0.0
         assert_flips(random_cert, bad, {"hull_chain", "certified_ratio"})
 
-    def test_halved_bound(self, random_cert):
-        assert_flips(
-            random_cert,
-            replace(random_cert, bound=0.5 * random_cert.bound),
-            {"ratio_bound"},
-        )
-
     # the stored fields the certified ratio reads (w through E2, the contact
     # indices through G), each with the checks that a corruption of it must
     # trip (at least one of them)

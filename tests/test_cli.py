@@ -81,6 +81,26 @@ class TestSelectVerify:
         main(["select", "--in", str(cube3), "--out", str(cert_path)])
         assert main(["verify", "--in", str(cert_path), "--tol-scale", "100"]) == 0
 
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+    def test_select_refuses_a_bad_tol_scale(self, cube3, scale, capsys):
+        assert main(["select", "--in", str(cube3), "--tol-scale", scale]) == 2
+        assert "finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+    def test_verify_refuses_a_bad_tol_scale(self, tmp_path, scale, capsys):
+        # an infinite scale would pass a forged certificate: refuse the scale
+        cert = select(gen_tangent_random(3, 10, seed=0))
+        doc = certificate_to_doc(cert)
+        doc["ratio"] *= 1e6
+        doc["w"] = (0.5 * cert.w).tolist()
+        path = tmp_path / "forged.json"
+        save_document(doc, path)
+        assert main(["verify", "--in", str(path)]) == 1
+        capsys.readouterr()
+        assert main(["verify", "--in", str(path), "--tol-scale", scale]) == 2
+        out, err = capsys.readouterr()
+        assert "verdict" not in out and "finite and positive" in err
+
 
 class TestExitCodes:
     def test_missing_file_is_malformed_input(self, tmp_path):
@@ -135,18 +155,23 @@ class TestExitCodes:
         assert main(["verify", "--in", str(cert)]) == 0
 
     def test_version_one_certificate_is_malformed_input(self, tmp_path, capsys):
-        # and version 2, which also stored the derived values
+        # and version 2, which also stored the derived values, and version 3,
+        # which also stored the tolerance record and the bound
         cert = select(gen_cube(3))
-        for old in ({"version": "1", "vol_f": 8.0, "vol_g": 8.0}, {"version": "2", "lambda": cert.lam}):
+        for old in (
+            {"version": "1", "vol_f": 8.0, "vol_g": 8.0},
+            {"version": "2", "lambda": cert.lam},
+            {"version": "3", "tolerances": {"contact": 1e-7}, "bound": cert.bound},
+        ):
             path = tmp_path / "old.json"
             save_document(certificate_to_doc(cert) | old, path)
             assert main(["verify", "--in", str(path)]) == 2
             assert "schema version" in capsys.readouterr().err
 
     def test_version_one_instance_still_selects(self, tmp_path):
-        # and version 2: versions 2 and 3 changed the certificate, not the
-        # instance format
-        for version in ("1", "2"):
+        # and versions 2 and 3: versions 2 to 4 changed the certificate, not
+        # the instance format
+        for version in ("1", "2", "3"):
             inst, cert = tmp_path / "old.json", tmp_path / "cert.json"
             poly = gen_tangent_random(2, 6, seed=1)
             save_document(instance_to_doc(poly) | {"version": version}, inst)

@@ -45,6 +45,7 @@ DERIVED = [
     "e1_shape",
     "lam",
     "e2_shape",
+    "bound",
 ]
 
 
@@ -69,7 +70,7 @@ class TestInstanceDocuments:
     def test_doc_shape(self):
         doc = instance_to_doc(gen_cube(2))
         assert doc["kind"] == KIND_INSTANCE
-        assert doc["version"] == SCHEMA_VERSION == "3"
+        assert doc["version"] == SCHEMA_VERSION == "4"
         assert doc["dim"] == 2
         assert len(doc["halfspaces"]) == 4
         assert set(doc["halfspaces"][0]) == {"a", "b"}
@@ -207,18 +208,23 @@ class TestCertificateDocuments:
         assert check_certificate(back).passed
 
     def test_doc_stores_each_fact_once(self, cert):
-        # the 19 stored fields, and none of the ten values derived from them
+        # the 17 stored fields, and none of the values derived from them
         doc = certificate_to_doc(cert)
         assert doc["kind"] == KIND_CERTIFICATE
         assert doc["library"].split()[0] == "hellycert"
         assert set(doc) == {f.name for f in dataclasses.fields(cert)} | {"kind", "version"}
-        assert len(doc) == 19 + 2
+        assert len(doc) == 17 + 2
         assert not set(DERIVED + ["lambda"]) & set(doc)
 
     def test_version_one_certificate_is_rejected(self, cert):
         # version 1 stored two measured volumes in place of the certified
-        # ratio, version 2 also the ten derived values
-        for old in ({"version": "1", "vol_f": 1.0, "vol_g": 2.0}, {"version": "2", "lambda": cert.lam}):
+        # ratio, version 2 also the ten derived values, version 3 the
+        # tolerance record and the bound
+        for old in (
+            {"version": "1", "vol_f": 1.0, "vol_g": 2.0},
+            {"version": "2", "lambda": cert.lam},
+            {"version": "3", "tolerances": {"contact": 1e-7, "newton_cap": 500}, "bound": cert.bound},
+        ):
             with pytest.raises(MalformedDocument, match="schema version"):
                 certificate_from_doc(certificate_to_doc(cert) | old)
 
@@ -236,7 +242,6 @@ class TestCertificateDocuments:
             lambda d: d.update(cara_rows=[0.5, 1.5]),
             lambda d: d.update(selector="unknown"),
             lambda d: d.update(ratio=float("nan")),
-            lambda d: d.update(tolerances=[1, 2, 3]),
         ],
     )
     def test_rejects_malformed(self, cert, mutate):
@@ -341,6 +346,11 @@ class TestReportDocuments:
         assert doc["items"][0]["slack"] == "inf"
         back = report_from_doc(doc)
         assert math.isinf(back.items[0].slack)
+
+    def test_version_three_report_still_reads(self, cert):
+        # schema 4 changed the certificate fields, not the report's
+        report = check_certificate(cert)
+        assert report_from_doc(report_to_doc(report) | {"version": "3"}) == report
 
     def test_doc_carries_verdict(self, cert):
         doc = report_to_doc(check_certificate(cert))

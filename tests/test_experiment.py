@@ -4,9 +4,14 @@ import csv
 import dataclasses
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hellycert
 from hellycert.bounds import explicit_bound
 from hellycert.experiment import (
     ExperimentRow,
@@ -108,6 +113,41 @@ class TestGrid:
         serial = [strip_wall(r) for r in run_experiment(specs, jobs=1)]
         parallel = [strip_wall(r) for r in run_experiment(specs, jobs=4)]
         assert serial == parallel
+
+    @pytest.mark.parametrize("cpus, want", [(64, 3), (2, 2)])
+    def test_pool_is_no_wider_than_the_trials_and_cpus(self, monkeypatch, cpus, want):
+        # a pool that records its width and maps serially: no process starts
+        widths = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("hellycert.experiment.ProcessPoolExecutor", SerialPool, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        rows = run_experiment(grid_specs([2], [6], trials=3), jobs=16)
+        assert widths == [want]
+        assert [r.status for r in rows] == ["ok"] * 3
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # select and check never start a pool, so importing the package
+        # does not pay for the pool's module
+        code = "import sys, hellycert; print('concurrent.futures.process' in sys.modules)"
+        env = os.environ | {"PYTHONPATH": str(Path(hellycert.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+        )
+        assert out.stdout.strip() == "False"
 
     def test_all_ok_rows_obey_bound(self):
         rows = run_experiment(grid_specs([2, 3], [7], trials=5, base_seed=1))

@@ -16,7 +16,6 @@ import scipy.spatial
 
 from hellycert import geometry, john
 from hellycert.checker import check_certificate
-from hellycert.config import DEFAULT
 from hellycert.errors import (
     CapExceeded,
     Degenerate,
@@ -446,7 +445,7 @@ def chebyshev_precheck(poly):
     geometry._ensure_full_rank(poly.normals)
 
 
-def reference_vertex_array(poly, tolerances=DEFAULT):
+def reference_vertex_array(poly):
     """Vertices from the Chebyshev-center pre-check followed by the walk over
     every d-subset, written out here as one batch; the reference for the
     origin pre-check of `vertex_enumeration`."""
@@ -458,8 +457,8 @@ def reference_vertex_array(poly, tolerances=DEFAULT):
     sub_a, sub_b = a[combos], b[combos]
     good = np.abs(np.linalg.det(sub_a)) > 1e-12
     pts = np.linalg.solve(sub_a[good], sub_b[good][..., None])[..., 0]
-    feas = np.all(pts @ a.T <= b[None, :] + tolerances.incidence, axis=1)
-    verts = geometry._dedupe_points(pts[feas], tolerances.dedupe)
+    feas = np.all(pts @ a.T <= b[None, :] + geometry.INCIDENCE, axis=1)
+    verts = geometry._dedupe_points(pts[feas], geometry.DEDUPE)
     if not verts.shape[0]:
         raise Degenerate("no vertices found")
     return verts
@@ -546,7 +545,7 @@ def test_origin_precheck_matches_chebyshev_reference(monkeypatch, kind, want):
             seen.add(ref)
         else:
             assert np.array_equal(got, ref), f"body {i}"
-            ref_vol = geometry._polytope_volume(ref, poly.normals, poly.offsets, DEFAULT)
+            ref_vol = geometry._polytope_volume(ref, poly.normals, poly.offsets)
             assert vol == ref_vol, f"body {i}"
             seen.add("vertices")
         if poly.offsets.min() >= geometry._INTERIOR_FLOOR:
@@ -635,7 +634,7 @@ def test_cross_polytope_volume_from_incidence(d):
     # s.x <= 1 (every vertex lies on half of them), with no vertex walk
     verts = np.vstack([np.eye(d), -np.eye(d)])
     signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * d)).reshape(d, -1).T
-    got = geometry._polytope_volume(verts, signs, np.ones(2**d), DEFAULT)
+    got = geometry._polytope_volume(verts, signs, np.ones(2**d))
     assert got == pytest.approx(2.0**d / math.factorial(d), rel=1e-9)
 
 
