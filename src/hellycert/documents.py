@@ -42,24 +42,23 @@ __all__ = [
 KIND_INSTANCE = "helly-instance"
 KIND_CERTIFICATE = "helly-certificate"
 KIND_REPORT = "helly-check-report"
-SCHEMA_VERSION = "4"
-# versions each kind is read at: versions 2, 3 and 4 changed the certificate
+SCHEMA_VERSION = "5"
+# versions each kind is read at: versions 2 to 5 changed the certificate
 # fields (3 stores each fact once, 4 drops the tolerance record and the
-# bound) and 2 the check items, not the instances
+# bound, 5 the certified ratio, the basis and the window slack) and 2 the
+# check items, not the instances
 _READ_VERSIONS = {
-    KIND_INSTANCE: ("1", "2", "3", SCHEMA_VERSION),
+    KIND_INSTANCE: ("1", "2", "3", "4", SCHEMA_VERSION),
     KIND_CERTIFICATE: (SCHEMA_VERSION,),
-    KIND_REPORT: ("3", SCHEMA_VERSION),
+    KIND_REPORT: ("3", "4", SCHEMA_VERSION),
 }
 
 # certificate JSON scalar keys, in writing order; the derived values (the
-# contraction ratio and the bound among them) are not written
+# certified ratio and the bound among them) are not written
 _CERT_SCALARS = (
     ("dim", int),
     ("selector", str),
     ("contact_tol", float),
-    ("window_slack", float),
-    ("ratio", float),
 )
 
 
@@ -229,10 +228,10 @@ def certificate_to_doc(cert: Certificate) -> dict:
 
 
 def certificate_from_doc(doc: dict) -> Certificate:
-    if document_kind(doc) != KIND_CERTIFICATE:
-        raise _fail("expected a helly-certificate document")
     kwargs: dict = {}
     try:
+        if document_kind(doc) != KIND_CERTIFICATE:
+            raise _fail("expected a helly-certificate document")
         for key, kind in _CERT_SCALARS:
             value = _require(doc, key)
             if kind is int:

@@ -29,6 +29,12 @@ def eq3_lower_bounds(d: int) -> np.ndarray:
     return np.sqrt((d - i + 1) / d)
 
 
+def window_allowance(d: int, residual: float) -> float:
+    """How far a window <v_i, z_i> may dip below its floor when the points
+    decompose the identity only up to `residual` (max-abs entry error)."""
+    return _WINDOW_TOL + 2.0 * math.sqrt(d) * residual
+
+
 @dataclass(frozen=True, eq=False)
 class DRBasis:
     """Orthonormal basis rows z_i with the selected contact rows v_i.
@@ -103,8 +109,7 @@ def dr_select(dec: ContactDecomposition) -> DRBasis:
     """
     d = dec.dim
     pts = dec.points
-    residual = verify_decomposition(dec).identity_residual
-    slack = _WINDOW_TOL + 2.0 * math.sqrt(d) * residual
+    slack = window_allowance(d, verify_decomposition(dec).identity_residual)
     basis = np.zeros((d, d))
     selected = np.zeros((d, d))
     indices = np.zeros(d, dtype=int)

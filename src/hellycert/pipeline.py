@@ -3,10 +3,11 @@
 The run moves the instance so its largest inscribed ellipsoid is the unit
 ball, picks d well-spread contact points, builds the base simplex over the
 origin and its largest inscribed ellipsoid, shoots a ray opposite that
-ellipsoid's center to the boundary of the contact hull, rewrites the hit
-point over at most d hull points, and contracts the ellipsoid to the origin.
-The contact points touched along the way name at most 2d input half-spaces
-whose intersection is provably small relative to the input's.
+ellipsoid's center to the boundary of the contact hull, where the ray LP
+writes the hit point over at most d hull points, and contracts the
+ellipsoid to the origin. The contact points touched along the way name at
+most 2d input half-spaces whose intersection is provably small relative to
+the input's.
 
 The Certificate stores each fact of the run once and derives the rest by
 the producer's own formulas, so an independent checker can replay each
@@ -49,7 +50,6 @@ _ARRAY_FIELDS = {
     "map_offset": 1,
     "contact_weights": 1,
     "contact_indices": 1,
-    "basis": 2,
     "selected_rows": 1,
     "w": 1,
     "cara_rows": 1,
@@ -82,7 +82,7 @@ def contraction_ratio(u, w) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    """Full transcript of one selection run: each fact stored once.
+    """Transcript of one selection run: only what the run chose is stored.
 
     Index conventions: contact_indices maps contact rows to rows of the
     original family; selected_rows and cara_rows index contact rows. All
@@ -92,10 +92,11 @@ class Certificate:
     The properties below derive everything else from these fields, by the
     same formulas the producer uses: the normalized rows, the contact
     points, the subfamily X and its rows G, the simplex ellipsoid E1 with
-    center u, the contraction ratio lam and E2 = lam E1; `bound` is the a
-    priori `explicit_bound(dim)`. They are computed on first use, so a
-    certificate whose base simplex is flat still constructs; reading E1
-    from it raises a HellyError (DegenerateSimplex).
+    center u, the contraction ratio lam, E2 = lam E1 and the certified
+    volume ratio from E2's determinant; `bound` is the a priori
+    `explicit_bound(dim)`. They are computed on first use, so a certificate
+    whose base simplex is flat still constructs; reading E1 from it raises a
+    HellyError (DegenerateSimplex), and its ratio reads inf.
     """
 
     dim: int
@@ -107,13 +108,10 @@ class Certificate:
     contact_tol: float
     contact_weights: np.ndarray
     contact_indices: np.ndarray
-    basis: np.ndarray
     selected_rows: np.ndarray
-    window_slack: float
     w: np.ndarray
     cara_rows: np.ndarray
     cara_coeffs: np.ndarray
-    ratio: float
     library: str = "hellycert " + VERSION
 
     def __post_init__(self):
@@ -136,7 +134,6 @@ class Certificate:
             "map_matrix": (d, d),
             "map_offset": (d,),
             "contact_weights": (n,),
-            "basis": (d, d),
             "selected_rows": (d,),
             "w": (d,),
             "cara_rows": (self.cara_coeffs.shape[0],),
@@ -153,9 +150,8 @@ class Certificate:
         ):
             if idx.size and (idx.min() < 0 or idx.max() >= limit):
                 raise MalformedCertificate("an index field points outside its table")
-        for name in ("contact_tol", "window_slack", "ratio"):
-            if not math.isfinite(float(getattr(self, name))):
-                raise MalformedCertificate(f"{name} is not finite")
+        if not math.isfinite(float(self.contact_tol)):
+            raise MalformedCertificate("contact_tol is not finite")
         if not all(np.isfinite(arr).all() for arr in self._normalized):
             raise MalformedCertificate("the map sends a normal to zero or out of range")
 
@@ -229,6 +225,14 @@ class Certificate:
     def e2(self) -> Ellipsoid:
         return Ellipsoid(np.zeros(self.dim), self.e2_shape)
 
+    @cached_property
+    def ratio(self) -> float:
+        try:
+            e2_shape = self.e2_shape
+        except HellyError:  # a flat base simplex inscribes no E1
+            return math.inf
+        return _certified_ratio(self.norm_offsets, self.g_indices, e2_shape)
+
     @property
     def bound(self) -> float:
         return explicit_bound(self.dim)
@@ -273,8 +277,8 @@ def ray_hit_boundary(points: np.ndarray, direction: np.ndarray):
 
     Maximizes t with t*direction a convex combination of the points;
     the simplex method's basic solution spends one basic variable on t, so
-    at most d combination weights are nonzero, which hands the follow-up
-    hull rewrite its starting point for free.
+    at most d combination weights are nonzero and the hit point needs no
+    hull rewrite.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = pts.shape
@@ -307,41 +311,24 @@ def ray_hit_boundary(points: np.ndarray, direction: np.ndarray):
 
 
 def caratheodory_reduce(point, vertices, coeffs):
-    """Rewrite a convex combination over at most d of its points.
+    """The boundary point's hull combination over at most d of its points.
 
-    Repeatedly finds an affine dependence among the supported points (the
-    point sits on a boundary face, so its supports are affinely dependent
-    once more than d are active) and walks coefficients along it until one
-    hits zero.
+    Drops the weights below _DROP_TOL and renormalizes the rest. The ray
+    LP's basic solution spends one basic variable on t >= 1/d, so at most d
+    weights survive; more is a ReductionFailed, as is a combination that is
+    not convex or does not reproduce the point.
     """
     vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
     point = np.asarray(point, dtype=float).ravel()
-    coeffs = np.asarray(coeffs, dtype=float).copy()
+    coeffs = np.asarray(coeffs, dtype=float)
     d = vertices.shape[1]
     if coeffs.min() < -1e-9 or abs(coeffs.sum() - 1.0) > 1e-9:
         raise ReductionFailed("input coefficients are not a convex combination")
     if np.linalg.norm(vertices.T @ coeffs - point) > 1e-8:
         raise ReductionFailed("input combination does not reproduce the point")
-    coeffs[coeffs < _DROP_TOL] = 0.0
-    support = np.flatnonzero(coeffs)
-    while support.size > d:
-        pts = vertices[support]
-        system = np.vstack([pts.T, np.ones(support.size)])
-        _, svals, vh = np.linalg.svd(system)
-        if svals[-1] > 1e-8:
-            raise ReductionFailed(
-                "supported points are affinely independent; the point is not "
-                "on a boundary face"
-            )
-        gamma = vh[-1]
-        if gamma.max() <= 0.0:
-            gamma = -gamma
-        movable = gamma > 1e-14
-        theta = float((coeffs[support][movable] / gamma[movable]).min())
-        shifted = coeffs[support] - theta * gamma
-        shifted[shifted < _DROP_TOL] = 0.0
-        coeffs[support] = shifted
-        support = np.flatnonzero(coeffs)
+    support = np.flatnonzero(coeffs >= _DROP_TOL)
+    if support.size > d:
+        raise ReductionFailed(f"{support.size} hull weights, more than d = {d}")
     out = coeffs[support]
     out = out / out.sum()
     if np.linalg.norm(vertices[support].T @ out - point) > 1e-8:
@@ -411,7 +398,7 @@ def assemble_subfamily(
     cara_coeffs: np.ndarray,
 ) -> Certificate:
     """Merge the touched contact points into X, name the half-spaces they
-    came from, certify their volume ratio, and fill the certificate.
+    came from, bound their volume ratio, and fill the certificate.
 
     Re-checks the one containment the ratio rests on: the contracted
     ellipsoid inside the apex simplex. The apex simplex lies in conv(X), up
@@ -450,13 +437,10 @@ def assemble_subfamily(
         contact_tol=inst.contact_tol,
         contact_weights=dec.weights,
         contact_indices=dec.source_indices,
-        basis=basis.basis,
         selected_rows=basis.indices,
-        window_slack=basis.slack,
         w=w,
         cara_rows=cara_rows,
         cara_coeffs=cara_coeffs,
-        ratio=ratio,
     )
 
 

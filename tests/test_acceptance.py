@@ -248,8 +248,8 @@ def test_selected_simplex_volume_floor_and_identity(corpus):
         cert = r.cert
         vol = abs(float(np.linalg.det(cert.selected_points))) / math.factorial(r.d)
         worst_floor = min(worst_floor, vol - simplex_volume_floor(r.d))
-        diag = np.einsum("ij,ij->i", cert.selected_points, cert.basis)
-        prod = float(np.prod(diag))
+        pts = cert.selected_points
+        prod = float(np.prod(np.diag(np.linalg.cholesky(pts @ pts.T))))
         worst_ident = max(
             worst_ident, abs(vol * math.factorial(r.d) - prod) / max(1.0, abs(prod))
         )

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hellycert.checker import CheckReport, check_certificate
+from hellycert.documents import certificate_from_doc, certificate_to_doc
 from hellycert.dr import eq3_lower_bounds
 from hellycert.errors import MalformedCertificate
 from hellycert.generators import gen_affine_warp, gen_cube, gen_tangent_random
@@ -26,7 +27,6 @@ ALL_CHECKS = {
     "ray_depth",
     "contraction",
     "hull_chain",
-    "certified_ratio",
     "ratio_bound",
     "subfamily_size",
     "subfamily_membership",
@@ -82,7 +82,8 @@ class TestHonestCertificates:
         # the experiment table reads its window column from this slack
         for seed in range(3):
             cert = select(gen_tangent_random(3, 9, seed=seed), selector=selector, seed=seed)
-            diag = np.einsum("ij,ij->i", cert.selected_points, cert.basis)
+            pts = cert.selected_points
+            diag = np.diag(np.linalg.cholesky(pts @ pts.T))
             margin = float(np.min(diag - eq3_lower_bounds(cert.dim)))
             slack = check_certificate(cert)["selection_window"].slack
             assert slack == pytest.approx(margin, abs=1e-15)
@@ -125,12 +126,12 @@ def assert_flips(cert, corrupted, must_fail, may_fail=frozenset()):
 class TestFaultInjection:
     def test_shifted_map(self, random_cert):
         # the shift moves every normalized offset, which the contacts'
-        # tangency and the certified ratio read too
+        # tangency reads too
         bad = replace(random_cert, map_offset=random_cert.map_offset + 0.01)
         assert_flips(
             random_cert,
             bad,
-            {"instance_map", "decomposition", "certified_ratio"},
+            {"instance_map", "decomposition"},
             may_fail={"subfamily_membership"},
         )
 
@@ -157,15 +158,6 @@ class TestFaultInjection:
             may_fail={"subfamily_membership"},
         )
 
-    def test_swapped_basis_rows(self, random_cert):
-        swapped = random_cert.basis[[1, 0, 2]]
-        assert_flips(
-            random_cert,
-            replace(random_cert, basis=swapped),
-            {"selection_window"},
-            may_fail={"simplex_floor"},
-        )
-
     def test_shrunk_boundary_point(self, random_cert):
         # the contraction ratio, and with it E2 and the ratio, follow |w|
         d = random_cert.dim
@@ -173,7 +165,7 @@ class TestFaultInjection:
         assert_flips(
             random_cert,
             replace(random_cert, w=w),
-            {"ray_depth", "certified_ratio"},
+            {"ray_depth"},
             may_fail={"contraction", "hull_chain"},
         )
 
@@ -199,8 +191,8 @@ class TestFaultInjection:
         assert_flips(
             random_cert,
             replace(random_cert, selected_rows=rows),
-            {"selection_window", "contraction", "hull_chain", "certified_ratio"},
-            may_fail={"simplex_floor", "ratio_bound"},
+            {"contraction", "hull_chain"},
+            may_fail={"selection_window", "simplex_floor", "ratio_bound"},
         )
 
     def test_shrunk_contracted_shape(self, random_cert):
@@ -208,7 +200,7 @@ class TestFaultInjection:
         assert_flips(
             random_cert,
             replace(random_cert, w=0.5 * random_cert.w),
-            {"hull_chain", "certified_ratio"},
+            {"hull_chain"},
         )
 
     def test_spec_ratio_overwrite(self, random_cert):
@@ -221,7 +213,7 @@ class TestFaultInjection:
         assert_flips(
             random_cert,
             bad,
-            {"contraction", "certified_ratio"},
+            {"contraction"},
             may_fail={"ray_depth", "hull_chain"},
         )
 
@@ -230,16 +222,20 @@ class TestFaultInjection:
         coeffs[0] += 0.1
         assert_flips(random_cert, replace(random_cert, cara_coeffs=coeffs), {"hull_chain"})
 
-    def test_doubled_ratio(self, random_cert):
-        assert_flips(
-            random_cert,
-            replace(random_cert, ratio=2.0 * random_cert.ratio),
-            {"certified_ratio"},
-        )
+    def test_forged_window_slack_is_ignored(self):
+        # a sampled selection relabelled greedy has no window guarantee; a
+        # stored window allowance of 1e6 used to pass its windows anyway, but
+        # the reader drops the key and the checker derives the allowance
+        cert = select(gen_tangent_random(3, 10, seed=0), selector="pivovarov", seed=0)
+        relabelled = replace(cert, selector="dr")
+        assert not check_certificate(relabelled)["selection_window"].passed
+        doc = certificate_to_doc(relabelled) | {"window_slack": 1e6}
+        forged = certificate_from_doc(doc)
+        assert not check_certificate(forged)["selection_window"].passed
 
     def test_doubled_stored_volume(self, random_cert):
-        # w lengthened until the derived E2 has twice its volume: the stored
-        # ratio no longer matches it
+        # w lengthened until the derived E2 has twice its volume: the apex
+        # simplex no longer holds it
         d = random_cert.dim
         lam = 2.0 ** (1.0 / d) * random_cert.lam
         nu, nw = np.linalg.norm(random_cert.u), np.linalg.norm(random_cert.w)
@@ -247,22 +243,21 @@ class TestFaultInjection:
         assert abs(np.linalg.det(bad.e2_shape)) == pytest.approx(
             2.0 * abs(np.linalg.det(random_cert.e2_shape))
         )
-        assert_flips(random_cert, bad, {"certified_ratio", "hull_chain"})
+        assert_flips(random_cert, bad, {"hull_chain"})
 
     def test_stored_ellipsoid_leaves_the_apex_simplex(self, random_cert):
         # E2 grown past the apex simplex breaks the inclusion that bounds X*
-        # inside the polar of E2, not only the ratio's arithmetic
+        # inside the polar of E2
         bad = replace(random_cert, w=10.0 * random_cert.w)
         assert check_certificate(bad)["hull_chain"].slack < 0.0
-        assert_flips(random_cert, bad, {"hull_chain", "certified_ratio"})
+        assert_flips(random_cert, bad, {"hull_chain"})
 
     # the stored fields the certified ratio reads (w through E2, the contact
     # indices through G), each with the checks that a corruption of it must
     # trip (at least one of them)
     RATIO_INPUTS = {
-        "ratio": {"certified_ratio"},
-        "w": {"certified_ratio", "contraction", "hull_chain"},
-        "contact_indices": {"certified_ratio", "decomposition", "subfamily_membership"},
+        "w": {"contraction", "hull_chain"},
+        "contact_indices": {"decomposition", "subfamily_membership"},
     }
 
     @settings(derandomize=True, max_examples=40, deadline=None)
@@ -274,9 +269,7 @@ class TestFaultInjection:
     def test_corrupted_ratio_input_is_caught(self, random_cert, field, seed, log_size):
         rng = np.random.default_rng(seed)
         size = 10.0**log_size * rng.choice([-1.0, 1.0])
-        if field == "ratio":
-            bad = replace(random_cert, ratio=random_cert.ratio * (1.0 + size))
-        elif field == "w":
+        if field == "w":
             noise = rng.uniform(-1.0, 1.0, random_cert.w.shape)
             noise /= np.abs(noise).max()
             scale = np.linalg.norm(random_cert.w)
@@ -300,7 +293,7 @@ class TestFaultInjection:
             random_cert,
             replace(random_cert, contact_indices=idx),
             {"subfamily_membership", "decomposition"},
-            may_fail={"hull_chain", "certified_ratio", "ratio_bound"},
+            may_fail={"hull_chain", "ratio_bound"},
         )
 
     def test_moved_selected_point(self, random_cert):
@@ -313,7 +306,7 @@ class TestFaultInjection:
             random_cert,
             replace(random_cert, normals=normals),
             {"hull_chain", "decomposition"},
-            may_fail={"instance_map", "certified_ratio", "subfamily_membership", "ratio_bound"},
+            may_fail={"instance_map", "subfamily_membership", "ratio_bound"},
         )
 
     def test_repeated_selected_row(self, random_cert):
@@ -330,7 +323,6 @@ class TestFaultInjection:
                 "simplex_floor",
                 "contraction",
                 "hull_chain",
-                "certified_ratio",
                 "ratio_bound",
             },
         )
@@ -344,7 +336,6 @@ class TestFaultInjection:
             "ray_depth",
             "contraction",
             "hull_chain",
-            "certified_ratio",
             "ratio_bound",
             "subfamily_membership",
         }

@@ -33,7 +33,7 @@ class TestSelectVerify:
         assert main(["verify", "--in", str(cert_path)]) == 0
         out = capsys.readouterr().out
         assert "verdict: pass" in out
-        assert out.count("pass") >= 12
+        assert out.count("pass") >= 11
 
     def test_select_writes_certificate_document(self, cube3, tmp_path):
         cert_path = tmp_path / "cert.json"
@@ -91,7 +91,6 @@ class TestSelectVerify:
         # an infinite scale would pass a forged certificate: refuse the scale
         cert = select(gen_tangent_random(3, 10, seed=0))
         doc = certificate_to_doc(cert)
-        doc["ratio"] *= 1e6
         doc["w"] = (0.5 * cert.w).tolist()
         path = tmp_path / "forged.json"
         save_document(doc, path)
@@ -155,13 +154,15 @@ class TestExitCodes:
         assert main(["verify", "--in", str(cert)]) == 0
 
     def test_version_one_certificate_is_malformed_input(self, tmp_path, capsys):
-        # and version 2, which also stored the derived values, and version 3,
-        # which also stored the tolerance record and the bound
+        # and version 2, which also stored the derived values, version 3,
+        # which also stored the tolerance record and the bound, and version
+        # 4, which also stored the certified ratio and the window slack
         cert = select(gen_cube(3))
         for old in (
             {"version": "1", "vol_f": 8.0, "vol_g": 8.0},
             {"version": "2", "lambda": cert.lam},
             {"version": "3", "tolerances": {"contact": 1e-7}, "bound": cert.bound},
+            {"version": "4", "ratio": cert.ratio, "window_slack": 1e-9},
         ):
             path = tmp_path / "old.json"
             save_document(certificate_to_doc(cert) | old, path)
@@ -169,9 +170,9 @@ class TestExitCodes:
             assert "schema version" in capsys.readouterr().err
 
     def test_version_one_instance_still_selects(self, tmp_path):
-        # and versions 2 and 3: versions 2 to 4 changed the certificate, not
+        # and versions 2 to 4: versions 2 to 5 changed the certificate, not
         # the instance format
-        for version in ("1", "2", "3"):
+        for version in ("1", "2", "3", "4"):
             inst, cert = tmp_path / "old.json", tmp_path / "cert.json"
             poly = gen_tangent_random(2, 6, seed=1)
             save_document(instance_to_doc(poly) | {"version": version}, inst)

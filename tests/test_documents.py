@@ -45,6 +45,7 @@ DERIVED = [
     "e1_shape",
     "lam",
     "e2_shape",
+    "ratio",
     "bound",
 ]
 
@@ -70,7 +71,7 @@ class TestInstanceDocuments:
     def test_doc_shape(self):
         doc = instance_to_doc(gen_cube(2))
         assert doc["kind"] == KIND_INSTANCE
-        assert doc["version"] == SCHEMA_VERSION == "4"
+        assert doc["version"] == SCHEMA_VERSION == "5"
         assert doc["dim"] == 2
         assert len(doc["halfspaces"]) == 4
         assert set(doc["halfspaces"][0]) == {"a", "b"}
@@ -208,24 +209,26 @@ class TestCertificateDocuments:
         assert check_certificate(back).passed
 
     def test_doc_stores_each_fact_once(self, cert):
-        # the 17 stored fields, and none of the values derived from them
+        # the 14 stored fields, and none of the values derived from them
         doc = certificate_to_doc(cert)
         assert doc["kind"] == KIND_CERTIFICATE
         assert doc["library"].split()[0] == "hellycert"
         assert set(doc) == {f.name for f in dataclasses.fields(cert)} | {"kind", "version"}
-        assert len(doc) == 17 + 2
-        assert not set(DERIVED + ["lambda"]) & set(doc)
+        assert len(doc) == 14 + 2
+        assert not set(DERIVED + ["lambda", "basis", "window_slack"]) & set(doc)
 
     def test_version_one_certificate_is_rejected(self, cert):
         # version 1 stored two measured volumes in place of the certified
         # ratio, version 2 also the ten derived values, version 3 the
-        # tolerance record and the bound
+        # tolerance record and the bound, version 4 the certified ratio, the
+        # basis and the window slack
         for old in (
             {"version": "1", "vol_f": 1.0, "vol_g": 2.0},
             {"version": "2", "lambda": cert.lam},
             {"version": "3", "tolerances": {"contact": 1e-7, "newton_cap": 500}, "bound": cert.bound},
+            {"version": "4", "ratio": cert.ratio, "basis": np.eye(3).tolist(), "window_slack": 1e-9},
         ):
-            with pytest.raises(MalformedDocument, match="schema version"):
+            with pytest.raises(MalformedCertificate, match="schema version"):
                 certificate_from_doc(certificate_to_doc(cert) | old)
 
     def test_extra_keys_are_ignored(self, cert):
@@ -237,11 +240,11 @@ class TestCertificateDocuments:
         "mutate",
         [
             lambda d: d.pop("w"),
-            lambda d: d.pop("basis"),
+            lambda d: d.pop("selected_rows"),
             lambda d: d.update(w="not an array"),
             lambda d: d.update(cara_rows=[0.5, 1.5]),
             lambda d: d.update(selector="unknown"),
-            lambda d: d.update(ratio=float("nan")),
+            lambda d: d.update(contact_tol=float("nan")),
         ],
     )
     def test_rejects_malformed(self, cert, mutate):
@@ -348,15 +351,17 @@ class TestReportDocuments:
         assert math.isinf(back.items[0].slack)
 
     def test_version_three_report_still_reads(self, cert):
-        # schema 4 changed the certificate fields, not the report's
+        # and version 4: schemas 4 and 5 changed the certificate fields, and
+        # a report's items are read whatever their names
         report = check_certificate(cert)
-        assert report_from_doc(report_to_doc(report) | {"version": "3"}) == report
+        for version in ("3", "4"):
+            assert report_from_doc(report_to_doc(report) | {"version": version}) == report
 
     def test_doc_carries_verdict(self, cert):
         doc = report_to_doc(check_certificate(cert))
         assert doc["kind"] == KIND_REPORT
         assert doc["passed"] is True
-        assert len(doc["items"]) == 11
+        assert len(doc["items"]) == 10
 
     def test_rejects_bad_slack_spelling(self, cert):
         doc = report_to_doc(check_certificate(cert))

@@ -11,8 +11,8 @@ import scipy.optimize
 
 from hellycert import geometry, john, pipeline
 from hellycert.bounds import explicit_bound, simplex_volume_floor
-from hellycert.checker import check_certificate
-from hellycert.dr import DRBasis, dr_select, eq3_lower_bounds
+from hellycert.checker import DEFAULT_SCALE, check_certificate
+from hellycert.dr import DRBasis, dr_select, eq3_lower_bounds, window_allowance
 from hellycert.errors import (
     CapExceeded,
     DegenerateSimplex,
@@ -33,7 +33,7 @@ from hellycert.geometry import (
     vertex_enumeration,
     volume,
 )
-from hellycert.john import normalize_position
+from hellycert.john import normalize_position, verify_decomposition
 from hellycert.pipeline import (
     Certificate,
     build_S1,
@@ -189,15 +189,14 @@ class TestCaratheodoryReduce:
         assert coeffs[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_square_facet_reduces(self):
+        # four weights on a square facet in 3-space are more than d: the ray
+        # LP's basic solution never hands over more, so none are walked away
         pts = np.array(
             [[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, 1.0], [1.0, -1.0, -1.0]]
         )
         w = np.array([1.0, 0.0, 0.0])
-        idx, coeffs = caratheodory_reduce(w, pts, np.full(4, 0.25))
-        assert idx.size <= 3
-        assert (coeffs > 0.0).all()
-        assert np.allclose(pts[idx].T @ coeffs, w, atol=1e-8)
-        assert coeffs.sum() == pytest.approx(1.0, abs=1e-10)
+        with pytest.raises(ReductionFailed, match="more than d"):
+            caratheodory_reduce(w, pts, np.full(4, 0.25))
 
     def test_interior_point_raises(self):
         pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
@@ -297,16 +296,15 @@ class TestSelectEndToEnd:
                 cert.normals[cert.g_indices], poly.normals[cert.g_indices]
             )
             assert len(set(cert.g_indices.tolist())) == cert.subfamily_size
-            # base simplex floor and the triangular volume identity
-            basis = DRBasis(
-                basis=cert.basis,
-                selected=cert.selected_points,
-                indices=cert.selected_rows,
-                slack=cert.window_slack,
-            )
-            s1_vol = abs(np.linalg.det(cert.selected_points)) / math.factorial(d)
+            # base simplex floor and the triangular volume identity, over the
+            # windows derived as the checker derives them
+            pts = cert.selected_points
+            windows = np.diag(np.linalg.cholesky(pts @ pts.T))
+            residual = verify_decomposition(cert.contact_points, cert.contact_weights).identity_residual
+            assert (windows >= eq3_lower_bounds(d) - window_allowance(d, residual)).all()
+            s1_vol = abs(np.linalg.det(pts)) / math.factorial(d)
             assert s1_vol >= floor - 1e-9
-            prod = float(np.prod(basis.inner_products()))
+            prod = float(np.prod(windows))
             assert s1_vol * math.factorial(d) == pytest.approx(prod, rel=1e-9)
 
     @pytest.mark.parametrize("selector", ["dr", "pivovarov"])
@@ -452,10 +450,17 @@ class TestSelectEndToEnd:
             assert 1.0 - 1e-9 <= measured <= cert.ratio
 
     def test_window_slack_recorded(self):
+        # the report records the window allowance the checker derives from
+        # the decomposition residual, not one the certificate stores
         cert = select(gen_tangent_random(3, 9, seed=1))
-        assert cert.window_slack >= 1e-9
-        inner = np.einsum("ij,ij->i", cert.selected_points, cert.basis)
-        assert (inner >= eq3_lower_bounds(3) - cert.window_slack).all()
+        residual = verify_decomposition(cert.contact_points, cert.contact_weights).identity_residual
+        allowance = window_allowance(3, residual)
+        assert allowance >= 1e-9
+        item = check_certificate(cert)["selection_window"]
+        assert f"allowance {allowance + 1e-9 * DEFAULT_SCALE:.2e}" in item.detail
+        pts = cert.selected_points
+        windows = np.diag(np.linalg.cholesky(pts @ pts.T))
+        assert (windows >= eq3_lower_bounds(3) - allowance).all()
 
     def test_unbounded_input_wrapped_with_stage(self):
         open_poly = hpolytope_from_arrays(
@@ -475,7 +480,7 @@ class TestSampledSelector:
         cert = select(gen_cube(2), selector="pivovarov", seed=0)
         assert cert.selector == "pivovarov"
         assert cert.subfamily_size <= 4
-        assert cert.window_slack == 0.0
+        assert not check_certificate(cert)["selection_window"].applicable
         assert cert.ratio >= volume(cert.subfamily()) / volume(gen_cube(2))
 
     def test_seeded_determinism(self):
