@@ -14,9 +14,11 @@ replays from stored data alone.
     True
 """
 
+from .bodies import Ellipsoid, HPolytope, Simplex, hpolytope_from_arrays
 from .bounds import (
     BoundReport,
     bound_report,
+    eq3_lower_bounds,
     explicit_bound,
     log_explicit_bound,
     simplex_ellipsoid_ratio,
@@ -24,6 +26,7 @@ from .bounds import (
     theorem_constant_scan,
     theorem_form_ratio,
 )
+from .certificate import Certificate
 from .checker import CheckItem, CheckReport, check_certificate
 from .config import DEFAULT, DIM_CAP, FACET_CAP, VERSION, Tolerances
 from .documents import (
@@ -36,7 +39,7 @@ from .documents import (
     report_to_doc,
     save_document,
 )
-from .dr import DRBasis, dr_select, eq3_lower_bounds, trace_pick
+from .dr import DRBasis, dr_select, trace_pick
 from .errors import (
     CapExceeded,
     DegenerateSimplex,
@@ -50,16 +53,7 @@ from .errors import (
 )
 from .experiment import ExperimentRow, TrialSpec, grid_specs, rows_to_csv, run_experiment
 from .generators import gen_affine_warp, gen_cube, gen_tangent_random
-from .geometry import (
-    Ellipsoid,
-    HPolytope,
-    Simplex,
-    VPolytope,
-    hpolytope_from_arrays,
-    polar_of_points,
-    vertex_enumeration,
-    volume,
-)
+from .geometry import VPolytope, polar_of_points, vertex_enumeration, volume
 from .john import (
     ContactDecomposition,
     NormalizedInstance,
@@ -70,7 +64,7 @@ from .john import (
     verify_decomposition,
 )
 from .oracle import oracle_min_subfamily
-from .pipeline import Certificate, select
+from .pipeline import select
 from .pivovarov import MomentReport, pivovarov_moments, pivovarov_sample
 
 __version__ = VERSION

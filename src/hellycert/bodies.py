@@ -1,0 +1,209 @@
+"""Closed-form convex bodies: the geometry a certificate is read with.
+
+Half-space polytopes, simplices and ellipsoids as validated read-only
+arrays, with the closed forms the checker relies on: ellipsoid volume, the
+regular simplex and the largest ellipsoid inscribed in a simplex. Nothing
+here solves an LP or enumerates a vertex; that code lives in `geometry`.
+
+An `HPolytope` is two read-only C-contiguous arrays, unit normals (m, d)
+and offsets (m,), validated once as a whole. `HPolytope(normals, offsets)`
+takes rows already of unit length and `hpolytope_from_arrays` scales any
+rows to unit length, each by the length `np.linalg.norm` gives that row
+alone, so a polytope's bits do not depend on the memory order of its input.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
+
+from .config import DIM_CAP, FACET_CAP
+from .errors import CapExceeded, Degenerate, DegenerateSimplex, ZeroNormal
+
+_ZERO_NORMAL = 1e-12  # normal length at or below which a half-space is refused
+_UNIT_NORM = 1e-12  # how far an `HPolytope` normal's length may be from 1
+_SPD_FLOOR = 1e-12  # smallest admissible ellipsoid eigenvalue
+DEDUPE = 1e-9  # two points closer than this are one point
+
+
+def unit_ball_volume(d: int) -> float:
+    """Volume of the d-dimensional Euclidean unit ball."""
+    return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+
+
+def freeze(arr: np.ndarray) -> np.ndarray:
+    """A read-only C-contiguous float copy of arr."""
+    out = np.array(arr, dtype=float, order="C")
+    out.setflags(write=False)
+    return out
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Length of each row of a C-contiguous array, bit for bit `np.linalg.norm`
+    of that row alone (`np.linalg.norm(a, axis=1)` sums in another order)."""
+    return np.sqrt(np.vecdot(a, a))
+
+
+@dataclass(frozen=True, eq=False)
+class HPolytope:
+    """{x : normals @ x <= offsets}, m half-spaces in R^d with unit normals."""
+
+    normals: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        a, b = freeze(self.normals), freeze(self.offsets)
+        if a.ndim != 2 or b.shape != a.shape[:1]:
+            raise ZeroNormal("half-space arrays have mismatched shapes")
+        m, d = a.shape
+        if not (1 <= d <= DIM_CAP):
+            raise CapExceeded(f"dimension {d} outside [1, {DIM_CAP}]")
+        if not (1 <= m <= FACET_CAP):
+            raise CapExceeded(f"{m} half-spaces outside [1, {FACET_CAP}]")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise ZeroNormal("half-space has non-finite entries")
+        if (np.abs(_row_norms(a) - 1.0) > _UNIT_NORM).any():
+            raise ZeroNormal("half-space normal is not unit length")
+        object.__setattr__(self, "normals", a)
+        object.__setattr__(self, "offsets", b)
+
+    @property
+    def dim(self) -> int:
+        return self.normals.shape[1]
+
+
+def hpolytope_from_arrays(a, b) -> HPolytope:
+    """The polytope {x : a x <= b}, each row (a_i, b_i) scaled so a_i has
+    unit length. Raises ZeroNormal, naming the row, for a normal of length
+    at most 1e-12."""
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.asarray(b, dtype=float).ravel()
+    if a.ndim != 2 or a.shape[0] != b.shape[0]:
+        raise ZeroNormal("half-space arrays have mismatched shapes")
+    norms = _row_norms(a)
+    short = np.flatnonzero(norms <= _ZERO_NORMAL)
+    if short.size:
+        raise ZeroNormal(f"half-space {short[0]} has a normal of length {norms[short[0]]:.3e}")
+    return HPolytope(a / norms[:, None], b / norms)
+
+
+@dataclass(frozen=True, eq=False)
+class Simplex:
+    """d+1 affinely independent points in dimension d."""
+
+    vertices: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", freeze(np.atleast_2d(self.vertices)))
+        n, d = self.vertices.shape
+        if n != d + 1:
+            raise DegenerateSimplex(f"{n} vertices in dimension {d}")
+        edges = self.vertices[1:] - self.vertices[0]
+        if abs(np.linalg.det(edges)) <= 1e-12:
+            raise DegenerateSimplex("vertices are affinely dependent")
+
+    @property
+    def dim(self) -> int:
+        return self.vertices.shape[1]
+
+    def volume(self) -> float:
+        edges = self.vertices[1:] - self.vertices[0]
+        return abs(float(np.linalg.det(edges))) / math.factorial(self.dim)
+
+    def facets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Unit normals and offsets of the facets; row i is opposite vertex i.
+
+        With C the inverse of the barycentric matrix [[v_i, 1]], the
+        barycentric coordinates of x are [x, 1] @ C, so facet i is
+        -C[:d, i].x <= C[d, i].
+        """
+        inv = np.linalg.inv(np.hstack([self.vertices, np.ones((self.dim + 1, 1))]))
+        a = -inv[:-1].T
+        norms = np.linalg.norm(a, axis=1)
+        return a / norms[:, None], inv[-1] / norms
+
+
+@dataclass(frozen=True, eq=False)
+class Ellipsoid:
+    """{center + shape @ u : |u| <= 1} with a symmetric positive definite shape."""
+
+    center: np.ndarray
+    shape: np.ndarray
+
+    def __post_init__(self):
+        c = np.asarray(self.center, dtype=float).ravel()
+        s = np.asarray(self.shape, dtype=float)
+        if s.shape != (c.shape[0], c.shape[0]):
+            raise Degenerate("ellipsoid shape matrix has wrong dimensions")
+        if not (np.isfinite(c).all() and np.isfinite(s).all()):
+            raise Degenerate("ellipsoid has non-finite entries")
+        s = 0.5 * (s + s.T)
+        if np.linalg.eigvalsh(s).min() < _SPD_FLOOR:
+            raise Degenerate("ellipsoid shape matrix is not positive definite")
+        object.__setattr__(self, "center", freeze(c))
+        object.__setattr__(self, "shape", freeze(s))
+
+    @property
+    def dim(self) -> int:
+        return self.center.shape[0]
+
+    def support(self, direction: np.ndarray) -> float:
+        """sup of direction.x over the ellipsoid."""
+        return float(direction @ self.center + np.linalg.norm(self.shape @ direction))
+
+    def contains(self, point: np.ndarray, tol: float = 1e-9) -> bool:
+        y = np.linalg.solve(self.shape, np.asarray(point, dtype=float) - self.center)
+        return bool(np.linalg.norm(y) <= 1.0 + tol)
+
+
+def ellipsoid_volume(ell: Ellipsoid) -> float:
+    return unit_ball_volume(ell.dim) * float(np.linalg.det(ell.shape))
+
+
+def _sqrtm_spd(mat: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(0.5 * (mat + mat.T))
+    w = np.clip(w, 0.0, None)
+    out = (v * np.sqrt(w)) @ v.T
+    return 0.5 * (out + out.T)
+
+
+def ellipsoid_affine_image(ell: Ellipsoid, mat: np.ndarray, shift: np.ndarray) -> Ellipsoid:
+    """Image of an ellipsoid under x -> mat @ x + shift."""
+    gen = mat @ ell.shape
+    return Ellipsoid(mat @ ell.center + shift, _sqrtm_spd(gen @ gen.T))
+
+
+@lru_cache(maxsize=None)
+def reference_simplex(d: int) -> np.ndarray:
+    """Regular simplex: d+1 unit vectors in R^d summing to zero, as rows
+    (read-only: one array per d serves every call)."""
+    ones = np.ones((d + 1, 1))
+    q_full, _ = np.linalg.qr(ones, mode="complete")
+    basis = q_full[:, 1:]  # orthonormal basis of the sum-zero hyperplane
+    centered = np.eye(d + 1) - np.full((d + 1, d + 1), 1.0 / (d + 1))
+    return freeze(math.sqrt((d + 1) / d) * centered @ basis)
+
+
+def max_ellipsoid_in_simplex(simplex: Simplex) -> Ellipsoid:
+    """Largest-volume ellipsoid inscribed in a simplex, in closed form.
+
+    The regular simplex's extremal ellipsoid is its inscribed ball (radius
+    1/d for unit circumradius); affine images of extremal ellipsoids are
+    extremal, so the answer is that ball pushed through the affine map that
+    carries the regular simplex onto this one.
+    """
+    d = simplex.dim
+    ref = reference_simplex(d)
+    q_edges = ref[1:] - ref[0]
+    s_edges = simplex.vertices[1:] - simplex.vertices[0]
+    mat = np.linalg.solve(q_edges, s_edges).T
+    shift = simplex.vertices[0] - mat @ ref[0]
+    shape = _sqrtm_spd(mat @ mat.T) / d
+    center = shift  # image of the reference center (the origin)
+    centroid = simplex.vertices.mean(axis=0)
+    if np.linalg.norm(center - centroid) > 1e-9 * (1.0 + np.linalg.norm(centroid)):
+        raise DegenerateSimplex("affine map did not carry centroid to centroid")
+    return Ellipsoid(center, shape)

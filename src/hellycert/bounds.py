@@ -3,7 +3,9 @@
 The selection pipeline promises vol of the reduced intersection at most
 explicit_bound(d) times the original. The headline statement uses the looser
 form C * e^d * d^(2d); theorem_constant_scan recovers the smallest C that
-covers a dimension range, which the explicit form attains at d = 1.
+covers a dimension range, which the explicit form attains at d = 1. The
+greedy selection's window floors and the base simplex's volume floor are
+closed forms too, read by both the producer and the checker.
 """
 
 from __future__ import annotations
@@ -11,7 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import unit_ball_volume
+import numpy as np
+
+from .bodies import unit_ball_volume
+
+WINDOW_TOL = 1e-9  # how far a window may dip below its floor at zero residual
 
 
 def log_explicit_bound(d: int) -> float:
@@ -67,6 +73,18 @@ def simplex_ellipsoid_ratio(d: int) -> float:
 def simplex_volume_floor(d: int) -> float:
     """Guaranteed volume of the selected base simplex: 1/(sqrt(d!) d^(d/2))."""
     return math.exp(-0.5 * math.lgamma(d + 1) - 0.5 * d * math.log(d))
+
+
+def eq3_lower_bounds(d: int) -> np.ndarray:
+    """Guaranteed floor of <v_i, z_i> for i = 1..d: sqrt((d-i+1)/d)."""
+    i = np.arange(1, d + 1)
+    return np.sqrt((d - i + 1) / d)
+
+
+def window_allowance(d: int, residual: float) -> float:
+    """How far a window <v_i, z_i> may dip below its floor when the points
+    decompose the identity only up to `residual` (max-abs entry error)."""
+    return WINDOW_TOL + 2.0 * math.sqrt(d) * residual
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,250 @@
+"""The certificate of one selection run, and the closed forms it is read with.
+
+The Certificate stores each fact of the run once and derives the rest by
+the producer's own formulas, so an independent checker can replay each
+inequality from the serialized data alone. Those formulas live here and
+nowhere else: the normalized rows, the subfamily's rows, the contraction
+ratio and the certified volume ratio. This module and what it imports (the
+closed-form bodies, the bounds, the caps and the error types) are all that
+`check_certificate` trusts; no LP, solver or selection code is among them.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
+
+from .bodies import Ellipsoid, HPolytope, Simplex, max_ellipsoid_in_simplex
+from .bounds import explicit_bound
+from .config import DIM_CAP, VERSION
+from .errors import HellyError, MalformedCertificate
+
+DEGENERATE_RAY = 1e-10  # |u| at or below which the ray direction is moot
+
+ARRAY_FIELDS = {
+    "normals": 2,
+    "offsets": 1,
+    "map_matrix": 2,
+    "map_offset": 1,
+    "contact_weights": 1,
+    "contact_indices": 1,
+    "selected_rows": 1,
+    "w": 1,
+    "cara_rows": 1,
+    "cara_coeffs": 1,
+}
+INT_FIELDS = {"contact_indices", "selected_rows", "cara_rows"}
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def normalized_rows(normals, offsets, map_matrix, map_offset) -> tuple[np.ndarray, np.ndarray]:
+    """The half-spaces a.x <= b seen from the frame x = map_matrix @ y +
+    map_offset, with every row scaled to a unit normal: (normals, offsets).
+    A row that the map sends to zero comes out non-finite."""
+    raw = normals @ map_matrix
+    scale = np.linalg.norm(raw, axis=1)
+    return raw / scale[:, None], (offsets - normals @ map_offset) / scale
+
+
+def subfamily_rows(selected_rows, cara_rows) -> np.ndarray:
+    """The contact rows of X: the selected rows, then the hull rows, each
+    once, in the order first seen."""
+    rows = dict.fromkeys(np.concatenate([selected_rows, cara_rows]).tolist())
+    return np.array(list(rows), dtype=int)
+
+
+def contraction_ratio(u, w) -> float:
+    """|w| / (|u| + |w|), which carries the center u of E1 to the origin when
+    w lies opposite u; 1 when |u| is at most DEGENERATE_RAY."""
+    nu = float(np.linalg.norm(u))
+    if nu <= DEGENERATE_RAY:
+        return 1.0
+    nw = float(np.linalg.norm(w))
+    return nw / (nu + nw)
+
+
+def certified_ratio(norm_offsets, g_indices, e2_shape) -> float:
+    """Upper bound on vol(G)/vol(K) from one determinant.
+
+    In the normalized frame K holds the ball of radius beta = min b_i. The
+    hull chain E2 in S2 in conv(X) puts X* inside the polar of E2, and
+    G = {y : a_g.y <= b_g} lies in (max_g b_g) X*. So
+    vol(G)/vol(K) <= (max_g b_g / beta)^d / |det E2|. It is computed as
+    1 / |det((beta / max_g b_g) E2)|, so no power can overflow; a certificate
+    whose offsets or E2 admit no bound reads inf.
+    """
+    beta = float(norm_offsets.min())
+    if beta <= 0.0:
+        return math.inf
+    scale = beta / float(norm_offsets[g_indices].max())
+    det = abs(float(np.linalg.det(scale * e2_shape)))
+    return 1.0 / det if det > 0.0 else math.inf
+
+
+@dataclass(frozen=True, eq=False)
+class Certificate:
+    """Transcript of one selection run: only what the run chose is stored.
+
+    Index conventions: contact_indices maps contact rows to rows of the
+    original family; selected_rows and cara_rows index contact rows. All
+    geometry except (normals, offsets) lives in the normalized frame, and
+    x_original = map_matrix @ x_normalized + map_offset converts back.
+
+    The properties below derive everything else from these fields, by the
+    same formulas the producer uses: the normalized rows, the contact
+    points, the subfamily X and its rows G, the simplex ellipsoid E1 with
+    center u, the contraction ratio lam, E2 = lam E1 and the certified
+    volume ratio from E2's determinant; `bound` is the a priori
+    `explicit_bound(dim)`. They are computed on first use, so a certificate
+    whose base simplex is flat still constructs; reading E1 from it raises a
+    HellyError (DegenerateSimplex), and its ratio reads inf.
+    """
+
+    dim: int
+    selector: str
+    normals: np.ndarray
+    offsets: np.ndarray
+    map_matrix: np.ndarray
+    map_offset: np.ndarray
+    contact_tol: float
+    contact_weights: np.ndarray
+    contact_indices: np.ndarray
+    selected_rows: np.ndarray
+    w: np.ndarray
+    cara_rows: np.ndarray
+    cara_coeffs: np.ndarray
+    library: str = "hellycert " + VERSION
+
+    def __post_init__(self):
+        for name, ndim in ARRAY_FIELDS.items():
+            dtype = int if name in INT_FIELDS else float
+            arr = np.asarray(getattr(self, name), dtype=dtype)
+            if arr.ndim != ndim:
+                raise MalformedCertificate(f"{name} must have {ndim} axes")
+            if not np.isfinite(arr).all():
+                raise MalformedCertificate(f"{name} has non-finite entries")
+            object.__setattr__(self, name, _frozen(arr))
+        d = int(self.dim)
+        if not 1 <= d <= DIM_CAP:
+            raise MalformedCertificate(f"dimension {d} outside [1, {DIM_CAP}]")
+        m = self.normals.shape[0]
+        n = self.contact_indices.shape[0]
+        shapes = {
+            "normals": (m, d),
+            "offsets": (m,),
+            "map_matrix": (d, d),
+            "map_offset": (d,),
+            "contact_weights": (n,),
+            "selected_rows": (d,),
+            "w": (d,),
+            "cara_rows": (self.cara_coeffs.shape[0],),
+        }
+        for name, want in shapes.items():
+            if getattr(self, name).shape != want:
+                raise MalformedCertificate(f"{name} has shape {getattr(self, name).shape}, want {want}")
+        if self.selector not in ("dr", "pivovarov"):
+            raise MalformedCertificate(f"unknown selector {self.selector!r}")
+        for idx, limit in (
+            (self.contact_indices, m),
+            (self.selected_rows, n),
+            (self.cara_rows, n),
+        ):
+            if idx.size and (idx.min() < 0 or idx.max() >= limit):
+                raise MalformedCertificate("an index field points outside its table")
+        if not math.isfinite(float(self.contact_tol)):
+            raise MalformedCertificate("contact_tol is not finite")
+        if not all(np.isfinite(arr).all() for arr in self._normalized):
+            raise MalformedCertificate("the map sends a normal to zero or out of range")
+
+    @cached_property
+    def _normalized(self) -> tuple[np.ndarray, np.ndarray]:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rows = normalized_rows(self.normals, self.offsets, self.map_matrix, self.map_offset)
+        return tuple(_frozen(arr) for arr in rows)
+
+    @property
+    def norm_normals(self) -> np.ndarray:
+        return self._normalized[0]
+
+    @property
+    def norm_offsets(self) -> np.ndarray:
+        return self._normalized[1]
+
+    @cached_property
+    def contact_points(self) -> np.ndarray:
+        return _frozen(self.norm_normals[self.contact_indices])
+
+    @cached_property
+    def x_rows(self) -> np.ndarray:
+        return _frozen(subfamily_rows(self.selected_rows, self.cara_rows))
+
+    @property
+    def x_points(self) -> np.ndarray:
+        return self.contact_points[self.x_rows]
+
+    @property
+    def g_indices(self) -> np.ndarray:
+        return self.contact_indices[self.x_rows]
+
+    @property
+    def selected_points(self) -> np.ndarray:
+        return self.contact_points[self.selected_rows]
+
+    @property
+    def s1_vertices(self) -> np.ndarray:
+        return np.vstack([np.zeros(self.dim), self.selected_points])
+
+    @property
+    def s2_vertices(self) -> np.ndarray:
+        return np.vstack([self.w, self.selected_points])
+
+    @cached_property
+    def s1(self) -> Simplex:
+        return Simplex(self.s1_vertices)
+
+    @cached_property
+    def e1(self) -> Ellipsoid:
+        return max_ellipsoid_in_simplex(self.s1)
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.e1.center
+
+    @property
+    def e1_shape(self) -> np.ndarray:
+        return self.e1.shape
+
+    @cached_property
+    def lam(self) -> float:
+        return contraction_ratio(self.u, self.w)
+
+    @cached_property
+    def e2_shape(self) -> np.ndarray:
+        return _frozen(self.lam * self.e1_shape)
+
+    @cached_property
+    def ratio(self) -> float:
+        try:
+            e2_shape = self.e2_shape
+        except HellyError:  # a flat base simplex inscribes no E1
+            return math.inf
+        return certified_ratio(self.norm_offsets, self.g_indices, e2_shape)
+
+    @property
+    def bound(self) -> float:
+        return explicit_bound(self.dim)
+
+    @property
+    def subfamily_size(self) -> int:
+        return self.x_rows.shape[0]
+
+    def subfamily(self) -> HPolytope:
+        """The selected half-spaces, verbatim rows of the original family."""
+        return HPolytope(self.normals[self.g_indices], self.offsets[self.g_indices])

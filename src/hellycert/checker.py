@@ -29,12 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import explicit_bound, simplex_volume_floor
+from .bodies import DEDUPE, Simplex
+from .bounds import eq3_lower_bounds, explicit_bound, simplex_volume_floor, window_allowance
+from .certificate import DEGENERATE_RAY, Certificate, certified_ratio
 from .config import DEFAULT
-from .dr import eq3_lower_bounds, window_allowance
 from .errors import DegenerateSimplex, HellyError, MalformedCertificate
-from .geometry import DEDUPE, Simplex
-from .pipeline import DEGENERATE_RAY, Certificate, _certified_ratio
 
 DEFAULT_SCALE = 10.0  # checker tolerance = producer tolerance x this, unless asked
 
@@ -286,7 +285,7 @@ def check_certificate(cert: Certificate, scale: float | None = None) -> CheckRep
     ratio_for_bound = (
         math.inf
         if math.isinf(delta)
-        else _certified_ratio(cert.norm_offsets, cert.g_indices, e2_shape / (1.0 + delta))
+        else certified_ratio(cert.norm_offsets, cert.g_indices, e2_shape / (1.0 + delta))
     )
     bound = explicit_bound(d)
     bound_margin = (bound - ratio_for_bound) / bound

@@ -9,8 +9,8 @@ duality gap the solver stops at (`solver_gap`) and its step budget
 select --tol-scale k` move the four thresholds together. The checker reads
 `feasibility` and `decomposition` from `DEFAULT`, times its own scale.
 Every other threshold is a constant where it is read, which no option
-moves: named ones such as `geometry.INCIDENCE`, `geometry.DEDUPE`,
-`pipeline.DEGENERATE_RAY` and `checker.DEFAULT_SCALE`, and literal slacks
+moves: named ones such as `geometry.INCIDENCE`, `bodies.DEDUPE`,
+`certificate.DEGENERATE_RAY` and `checker.DEFAULT_SCALE`, and literal slacks
 in the pipeline's and the checker's inequalities.
 """
 

@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .bodies import HPolytope, hpolytope_from_arrays
+from .certificate import ARRAY_FIELDS, INT_FIELDS, Certificate
 from .checker import CheckItem, CheckReport
 from .errors import MalformedCertificate, MalformedDocument, ZeroNormal
-from .geometry import HPolytope, hpolytope_from_arrays
-from .pipeline import _ARRAY_FIELDS, _INT_FIELDS, Certificate
 
 __all__ = [
     "KIND_CERTIFICATE",
@@ -221,7 +221,7 @@ def certificate_to_doc(cert: Certificate) -> dict:
     for key, kind in _CERT_SCALARS:
         value = getattr(cert, key)
         doc[key] = value if kind is not float else float(value)
-    for name in _ARRAY_FIELDS:
+    for name in ARRAY_FIELDS:
         doc[name] = getattr(cert, name).tolist()
     doc["library"] = cert.library
     return doc
@@ -242,9 +242,9 @@ def certificate_from_doc(doc: dict) -> Certificate:
                 raise _fail(f"{key} must be a string")
             else:
                 kwargs[key] = value
-        for name, ndim in _ARRAY_FIELDS.items():
+        for name, ndim in ARRAY_FIELDS.items():
             value = _require(doc, name)
-            if name in _INT_FIELDS:
+            if name in INT_FIELDS:
                 kwargs[name] = _int_array(value, name)
             else:
                 kwargs[name] = _float_array(value, name, ndim)

@@ -15,24 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import WINDOW_TOL, eq3_lower_bounds, window_allowance
 from .errors import NumericalBreakdown
 from .john import ContactDecomposition, verify_decomposition
 
 _ORTHO_TOL = 1e-10
 _SPAN_TOL = 1e-8
-_WINDOW_TOL = 1e-9
-
-
-def eq3_lower_bounds(d: int) -> np.ndarray:
-    """Guaranteed floor of <v_i, z_i> for i = 1..d: sqrt((d-i+1)/d)."""
-    i = np.arange(1, d + 1)
-    return np.sqrt((d - i + 1) / d)
-
-
-def window_allowance(d: int, residual: float) -> float:
-    """How far a window <v_i, z_i> may dip below its floor when the points
-    decompose the identity only up to `residual` (max-abs entry error)."""
-    return _WINDOW_TOL + 2.0 * math.sqrt(d) * residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +36,7 @@ class DRBasis:
     basis: np.ndarray
     selected: np.ndarray
     indices: np.ndarray
-    slack: float = _WINDOW_TOL
+    slack: float = WINDOW_TOL
     validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
@@ -83,7 +71,7 @@ class DRBasis:
 
 
 def trace_pick(
-    projector: np.ndarray, dec: ContactDecomposition, slack: float = _WINDOW_TOL
+    projector: np.ndarray, dec: ContactDecomposition, slack: float = WINDOW_TOL
 ) -> int:
     """Index maximizing <w_i, T w_i>; ties resolve to the smallest index.
 

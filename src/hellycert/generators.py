@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bodies import HPolytope, hpolytope_from_arrays
 from .errors import GenerationFailed, Unbounded
-from .geometry import HPolytope, ensure_bounded, hpolytope_from_arrays
+from .geometry import ensure_bounded
 
 RETRY_CAP = 1000
 

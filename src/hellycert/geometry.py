@@ -1,16 +1,11 @@
 """Exact-arithmetic-free convex geometry at desk scale.
 
-Polytopes in half-space form, brute-force vertex enumeration, triangulated
-volume, polar bodies, and ellipsoid primitives. Everything here is
-deterministic and dimension-capped; the combinatorial routines are
-exponential on purpose (they are the trusted ground truth the rest of the
-library is checked against).
-
-An `HPolytope` is two read-only C-contiguous arrays, unit normals (m, d)
-and offsets (m,), validated once as a whole. `HPolytope(normals, offsets)`
-takes rows already of unit length and `hpolytope_from_arrays` scales any
-rows to unit length, each by the length `np.linalg.norm` gives that row
-alone, so a polytope's bits do not depend on the memory order of its input.
+Brute-force vertex enumeration, facet recovery, triangulated volume, polar
+bodies, and the LPs that find an interior point and decide boundedness,
+over the bodies of `bodies`. Everything here is deterministic and
+dimension-capped; the combinatorial routines are exponential on purpose
+(they are the trusted ground truth the rest of the library is checked
+against).
 
 Volume comes from a pulling triangulation of the vertex-facet incidence
 (Bueler, Enge and Fukuda, "Exact volume computation for polytopes: a
@@ -27,11 +22,11 @@ combination of them must vanish. It does not test feasibility. An empty or
 flat body is ruled out by a witness ball of radius at least
 `_INTERIOR_FLOOR`: vertex enumeration takes the origin when every
 half-space keeps it that far inside (as in a normalized instance or the
-polar of unit contact points), and `_interior_point` takes the
+polar of unit contact points), and `interior_point` takes the
 least-squares solution of A x + t 1 = b; only when the witness misses the
 floor does the Chebyshev-center LP run, which raises Empty. Vertex
 enumeration then runs `ensure_bounded`. The John solver starts from
-`_interior_point` alone and needs the boundedness LP only when its
+`interior_point` alone and needs the boundedness LP only when its
 iteration fails or runs long.
 """
 
@@ -40,29 +35,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .config import DIM_CAP, FACET_CAP
-from .errors import (
-    CapExceeded,
-    Degenerate,
-    DegenerateSimplex,
-    Empty,
-    Unbounded,
-    ZeroNormal,
-)
+from .bodies import DEDUPE, Ellipsoid, HPolytope, Simplex, ellipsoid_volume, freeze, hpolytope_from_arrays
+from .config import DIM_CAP
+from .errors import CapExceeded, Degenerate, Empty, Unbounded
 from .lp import LPStatus, lp_solve
 
 _COMBO_CHUNK = 200_000
 _DEDUPE_BLOCK = 256
 _INTERIOR_FLOOR = 1e-10  # inscribed radius below which a body counts as flat
-_ZERO_NORMAL = 1e-12  # normal length at or below which a half-space is refused
-_UNIT_NORM = 1e-12  # how far an `HPolytope` normal's length may be from 1
-_SPD_FLOOR = 1e-12  # smallest admissible ellipsoid eigenvalue
 INCIDENCE = 1e-9  # vertex-on-facet slack in enumeration and volume
-DEDUPE = 1e-9  # two points closer than this are one point
 # d-subsets the brute-force vertex walk may try. At d=8 a volume costs about
 # 10 us per subset, walk and triangulation together (C(24, 8) = 735,471
 # subsets in about 8 s), so this is about 10 s there, and less below d=8.
@@ -72,66 +56,6 @@ _SUBSET_BUDGET = 1_000_000
 _BOUNDED_FLOOR = 1e-9
 
 
-def unit_ball_volume(d: int) -> float:
-    """Volume of the d-dimensional Euclidean unit ball."""
-    return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, order="C")
-    out.setflags(write=False)
-    return out
-
-
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Length of each row of a C-contiguous array, bit for bit `np.linalg.norm`
-    of that row alone (`np.linalg.norm(a, axis=1)` sums in another order)."""
-    return np.sqrt(np.vecdot(a, a))
-
-
-@dataclass(frozen=True, eq=False)
-class HPolytope:
-    """{x : normals @ x <= offsets}, m half-spaces in R^d with unit normals."""
-
-    normals: np.ndarray
-    offsets: np.ndarray
-
-    def __post_init__(self):
-        a, b = _freeze(self.normals), _freeze(self.offsets)
-        if a.ndim != 2 or b.shape != a.shape[:1]:
-            raise ZeroNormal("half-space arrays have mismatched shapes")
-        m, d = a.shape
-        if not (1 <= d <= DIM_CAP):
-            raise CapExceeded(f"dimension {d} outside [1, {DIM_CAP}]")
-        if not (1 <= m <= FACET_CAP):
-            raise CapExceeded(f"{m} half-spaces outside [1, {FACET_CAP}]")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise ZeroNormal("half-space has non-finite entries")
-        if (np.abs(_row_norms(a) - 1.0) > _UNIT_NORM).any():
-            raise ZeroNormal("half-space normal is not unit length")
-        object.__setattr__(self, "normals", a)
-        object.__setattr__(self, "offsets", b)
-
-    @property
-    def dim(self) -> int:
-        return self.normals.shape[1]
-
-
-def hpolytope_from_arrays(a, b) -> HPolytope:
-    """The polytope {x : a x <= b}, each row (a_i, b_i) scaled so a_i has
-    unit length. Raises ZeroNormal, naming the row, for a normal of length
-    at most 1e-12."""
-    a = np.ascontiguousarray(a, dtype=float)
-    b = np.asarray(b, dtype=float).ravel()
-    if a.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ZeroNormal("half-space arrays have mismatched shapes")
-    norms = _row_norms(a)
-    short = np.flatnonzero(norms <= _ZERO_NORMAL)
-    if short.size:
-        raise ZeroNormal(f"half-space {short[0]} has a normal of length {norms[short[0]]:.3e}")
-    return HPolytope(a / norms[:, None], b / norms)
-
-
 @dataclass(frozen=True, eq=False)
 class VPolytope:
     """The vertices of a polytope, as a frozen (n, d) array."""
@@ -139,7 +63,7 @@ class VPolytope:
     vertices: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", _freeze(np.atleast_2d(self.vertices)))
+        object.__setattr__(self, "vertices", freeze(np.atleast_2d(self.vertices)))
         d = self.vertices.shape[1]
         if not (1 <= d <= DIM_CAP):
             raise CapExceeded(f"dimension {d} outside [1, {DIM_CAP}]")
@@ -149,75 +73,6 @@ class VPolytope:
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class Simplex:
-    """d+1 affinely independent points in dimension d."""
-
-    vertices: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", _freeze(np.atleast_2d(self.vertices)))
-        n, d = self.vertices.shape
-        if n != d + 1:
-            raise DegenerateSimplex(f"{n} vertices in dimension {d}")
-        edges = self.vertices[1:] - self.vertices[0]
-        if abs(np.linalg.det(edges)) <= 1e-12:
-            raise DegenerateSimplex("vertices are affinely dependent")
-
-    @property
-    def dim(self) -> int:
-        return self.vertices.shape[1]
-
-    def volume(self) -> float:
-        edges = self.vertices[1:] - self.vertices[0]
-        return abs(float(np.linalg.det(edges))) / math.factorial(self.dim)
-
-    def facets(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unit normals and offsets of the facets; row i is opposite vertex i.
-
-        With C the inverse of the barycentric matrix [[v_i, 1]], the
-        barycentric coordinates of x are [x, 1] @ C, so facet i is
-        -C[:d, i].x <= C[d, i].
-        """
-        inv = np.linalg.inv(np.hstack([self.vertices, np.ones((self.dim + 1, 1))]))
-        a = -inv[:-1].T
-        norms = np.linalg.norm(a, axis=1)
-        return a / norms[:, None], inv[-1] / norms
-
-
-@dataclass(frozen=True, eq=False)
-class Ellipsoid:
-    """{center + shape @ u : |u| <= 1} with a symmetric positive definite shape."""
-
-    center: np.ndarray
-    shape: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.center, dtype=float).ravel()
-        s = np.asarray(self.shape, dtype=float)
-        if s.shape != (c.shape[0], c.shape[0]):
-            raise Degenerate("ellipsoid shape matrix has wrong dimensions")
-        if not (np.isfinite(c).all() and np.isfinite(s).all()):
-            raise Degenerate("ellipsoid has non-finite entries")
-        s = 0.5 * (s + s.T)
-        if np.linalg.eigvalsh(s).min() < _SPD_FLOOR:
-            raise Degenerate("ellipsoid shape matrix is not positive definite")
-        object.__setattr__(self, "center", _freeze(c))
-        object.__setattr__(self, "shape", _freeze(s))
-
-    @property
-    def dim(self) -> int:
-        return self.center.shape[0]
-
-    def support(self, direction: np.ndarray) -> float:
-        """sup of direction.x over the ellipsoid."""
-        return float(direction @ self.center + np.linalg.norm(self.shape @ direction))
-
-    def contains(self, point: np.ndarray, tol: float = 1e-9) -> bool:
-        y = np.linalg.solve(self.shape, np.asarray(point, dtype=float) - self.center)
-        return bool(np.linalg.norm(y) <= 1.0 + tol)
 
 
 def chebyshev_center(poly: HPolytope) -> tuple[np.ndarray, float]:
@@ -258,7 +113,7 @@ def ensure_bounded(poly: HPolytope) -> None:
     and 1.z + m*t = 1, which has d + 1 equality rows.
 
     Feasibility is not tested: an empty intersection can pass. Callers that
-    need it either know an interior point or run `_interior_point` first,
+    need it either know an interior point or run `interior_point` first,
     which raises Empty. The John solver calls this only when its iteration
     fails or runs long: a converged iterate already carries the weights y.
     """
@@ -279,7 +134,7 @@ def ensure_bounded(poly: HPolytope) -> None:
         raise Unbounded("no strictly positive combination of the normals vanishes")
 
 
-def _interior_point(poly: HPolytope) -> tuple[np.ndarray, float]:
+def interior_point(poly: HPolytope) -> tuple[np.ndarray, float]:
     """A point x and radius r, the smallest slack min_i (b_i - a_i.x), of a
     full-dimensional polytope whose normals span R^d: the ball of radius r
     about x lies inside.
@@ -368,7 +223,7 @@ def _vertex_array(poly: HPolytope) -> np.ndarray:
     if (b / np.linalg.norm(a, axis=1)).min() < _INTERIOR_FLOOR:
         # no ball of the floor's radius about the origin: the Chebyshev LP
         # rules out an empty or flat body
-        _interior_point(poly)
+        interior_point(poly)
     ensure_bounded(poly)
     check_subset_budget(m, d)
     verts = np.empty((0, d))
@@ -498,53 +353,3 @@ def polar_of_points(points: np.ndarray) -> HPolytope:
     if norms.min() <= 1e-14:
         raise Unbounded("polar of a set containing the origin is unbounded")
     return hpolytope_from_arrays(points, np.ones(points.shape[0]))
-
-
-def ellipsoid_volume(ell: Ellipsoid) -> float:
-    return unit_ball_volume(ell.dim) * float(np.linalg.det(ell.shape))
-
-
-def _sqrtm_spd(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (mat + mat.T))
-    w = np.clip(w, 0.0, None)
-    out = (v * np.sqrt(w)) @ v.T
-    return 0.5 * (out + out.T)
-
-
-def ellipsoid_affine_image(ell: Ellipsoid, mat: np.ndarray, shift: np.ndarray) -> Ellipsoid:
-    """Image of an ellipsoid under x -> mat @ x + shift."""
-    gen = mat @ ell.shape
-    return Ellipsoid(mat @ ell.center + shift, _sqrtm_spd(gen @ gen.T))
-
-
-@lru_cache(maxsize=None)
-def reference_simplex(d: int) -> np.ndarray:
-    """Regular simplex: d+1 unit vectors in R^d summing to zero, as rows
-    (read-only: one array per d serves every call)."""
-    ones = np.ones((d + 1, 1))
-    q_full, _ = np.linalg.qr(ones, mode="complete")
-    basis = q_full[:, 1:]  # orthonormal basis of the sum-zero hyperplane
-    centered = np.eye(d + 1) - np.full((d + 1, d + 1), 1.0 / (d + 1))
-    return _freeze(math.sqrt((d + 1) / d) * centered @ basis)
-
-
-def max_ellipsoid_in_simplex(simplex: Simplex) -> Ellipsoid:
-    """Largest-volume ellipsoid inscribed in a simplex, in closed form.
-
-    The regular simplex's extremal ellipsoid is its inscribed ball (radius
-    1/d for unit circumradius); affine images of extremal ellipsoids are
-    extremal, so the answer is that ball pushed through the affine map that
-    carries the regular simplex onto this one.
-    """
-    d = simplex.dim
-    ref = reference_simplex(d)
-    q_edges = ref[1:] - ref[0]
-    s_edges = simplex.vertices[1:] - simplex.vertices[0]
-    mat = np.linalg.solve(q_edges, s_edges).T
-    shift = simplex.vertices[0] - mat @ ref[0]
-    shape = _sqrtm_spd(mat @ mat.T) / d
-    center = shift  # image of the reference center (the origin)
-    centroid = simplex.vertices.mean(axis=0)
-    if np.linalg.norm(center - centroid) > 1e-9 * (1.0 + np.linalg.norm(centroid)):
-        raise DegenerateSimplex("affine map did not carry centroid to centroid")
-    return Ellipsoid(center, shape)

@@ -17,7 +17,7 @@ configured target and the residuals vanish; the ellipsoid is then shrunk
 about its center until every half-space holds exactly.
 
 The start is a point with a ball of radius at least the flatness floor
-about it, and normals of full rank (`geometry._interior_point`): the
+about it, and normals of full rank (`geometry.interior_point`): the
 least-squares solution of A x + t 1 = b when its smallest slack clears the
 floor, and otherwise the Chebyshev LP, which rules out an empty or flat
 body. The first ellipsoid is that point's Dikin ellipsoid, row weights
@@ -46,9 +46,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bodies import Ellipsoid, HPolytope
+from .certificate import normalized_rows
 from .config import DEFAULT, Tolerances
 from .errors import Degenerate, GenerationFailed, NoConvergence, NoDecomposition
-from .geometry import Ellipsoid, HPolytope, _interior_point, ensure_bounded
+from .geometry import ensure_bounded, interior_point
 from .nnls import nnls
 
 _START_REACH = 0.9  # the start ellipsoid goes this share of the way to the nearest facet
@@ -164,7 +166,7 @@ def _john_solve(
     gap = tolerances.solver_gap
     cap = tolerances.newton_cap
     dropped_cap = _SETTLE_SHARE * tolerances.decomposition
-    center, radius = _interior_point(poly)
+    center, radius = interior_point(poly)
 
     # Iterates live in the start's frame (shifted to the interior point,
     # scaled by its radius, so b0 >= 1); y0 and z0 are scaled to its unit
@@ -371,15 +373,6 @@ def contact_points(
 
 
 # --------------------------------------------------------------- normalization
-
-
-def normalized_rows(normals, offsets, map_matrix, map_offset) -> tuple[np.ndarray, np.ndarray]:
-    """The half-spaces a.x <= b seen from the frame x = map_matrix @ y +
-    map_offset, with every row scaled to a unit normal: (normals, offsets).
-    A row that the map sends to zero comes out non-finite."""
-    raw = normals @ map_matrix
-    scale = np.linalg.norm(raw, axis=1)
-    return raw / scale[:, None], (offsets - normals @ map_offset) / scale
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,8 @@ import itertools
 import math
 
 from .errors import CapExceeded, HellyError
-from .geometry import HPolytope, volume
+from .bodies import HPolytope
+from .geometry import volume
 
 __all__ = ["ORACLE_DIM_CAP", "ORACLE_FACET_CAP", "oracle_min_subfamily"]
 

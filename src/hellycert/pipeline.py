@@ -7,243 +7,35 @@ ellipsoid's center to the boundary of the contact hull, where the ray LP
 writes the hit point over at most d hull points, and contracts the
 ellipsoid to the origin. The contact points touched along the way name at
 most 2d input half-spaces whose intersection is provably small relative to
-the input's.
-
-The Certificate stores each fact of the run once and derives the rest by
-the producer's own formulas, so an independent checker can replay each
-inequality from the serialized data alone.
+the input's. The run ends in a `Certificate`, which derives everything
+it does not store by the closed forms of `certificate`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
+from .bodies import DEDUPE, Ellipsoid, HPolytope, Simplex, max_ellipsoid_in_simplex
 from .bounds import explicit_bound, simplex_volume_floor
-from .config import DEFAULT, DIM_CAP, VERSION, Tolerances
+from .certificate import DEGENERATE_RAY, Certificate, certified_ratio, contraction_ratio, subfamily_rows
+from .config import DEFAULT, Tolerances
 from .dr import DRBasis, dr_select, sampled_basis
 from .errors import (
     DegenerateSimplex,
     HellyError,
-    MalformedCertificate,
     Misaligned,
     NumericalBreakdown,
     PipelineError,
     ReductionFailed,
 )
-from .geometry import Ellipsoid, HPolytope, Simplex, max_ellipsoid_in_simplex
-from .john import NormalizedInstance, normalize_position, normalized_rows
+from .john import NormalizedInstance, normalize_position
 from .lp import LPStatus, lp_solve
-from .pivovarov import _index_probabilities
+from .pivovarov import sample_indices
 
 _SAMPLE_CAP = 200
 _DROP_TOL = 1e-12  # combination weights below this count as zero
-DEGENERATE_RAY = 1e-10  # |u| at or below which the ray direction is moot
-
-_ARRAY_FIELDS = {
-    "normals": 2,
-    "offsets": 1,
-    "map_matrix": 2,
-    "map_offset": 1,
-    "contact_weights": 1,
-    "contact_indices": 1,
-    "selected_rows": 1,
-    "w": 1,
-    "cara_rows": 1,
-    "cara_coeffs": 1,
-}
-_INT_FIELDS = {"contact_indices", "selected_rows", "cara_rows"}
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-def subfamily_rows(selected_rows, cara_rows) -> np.ndarray:
-    """The contact rows of X: the selected rows, then the hull rows, each
-    once, in the order first seen."""
-    rows = dict.fromkeys(np.concatenate([selected_rows, cara_rows]).tolist())
-    return np.array(list(rows), dtype=int)
-
-
-def contraction_ratio(u, w) -> float:
-    """|w| / (|u| + |w|), which carries the center u of E1 to the origin when
-    w lies opposite u; 1 when |u| is at most DEGENERATE_RAY."""
-    nu = float(np.linalg.norm(u))
-    if nu <= DEGENERATE_RAY:
-        return 1.0
-    nw = float(np.linalg.norm(w))
-    return nw / (nu + nw)
-
-
-@dataclass(frozen=True, eq=False)
-class Certificate:
-    """Transcript of one selection run: only what the run chose is stored.
-
-    Index conventions: contact_indices maps contact rows to rows of the
-    original family; selected_rows and cara_rows index contact rows. All
-    geometry except (normals, offsets) lives in the normalized frame, and
-    x_original = map_matrix @ x_normalized + map_offset converts back.
-
-    The properties below derive everything else from these fields, by the
-    same formulas the producer uses: the normalized rows, the contact
-    points, the subfamily X and its rows G, the simplex ellipsoid E1 with
-    center u, the contraction ratio lam, E2 = lam E1 and the certified
-    volume ratio from E2's determinant; `bound` is the a priori
-    `explicit_bound(dim)`. They are computed on first use, so a certificate
-    whose base simplex is flat still constructs; reading E1 from it raises a
-    HellyError (DegenerateSimplex), and its ratio reads inf.
-    """
-
-    dim: int
-    selector: str
-    normals: np.ndarray
-    offsets: np.ndarray
-    map_matrix: np.ndarray
-    map_offset: np.ndarray
-    contact_tol: float
-    contact_weights: np.ndarray
-    contact_indices: np.ndarray
-    selected_rows: np.ndarray
-    w: np.ndarray
-    cara_rows: np.ndarray
-    cara_coeffs: np.ndarray
-    library: str = "hellycert " + VERSION
-
-    def __post_init__(self):
-        for name, ndim in _ARRAY_FIELDS.items():
-            dtype = int if name in _INT_FIELDS else float
-            arr = np.asarray(getattr(self, name), dtype=dtype)
-            if arr.ndim != ndim:
-                raise MalformedCertificate(f"{name} must have {ndim} axes")
-            if not np.isfinite(arr).all():
-                raise MalformedCertificate(f"{name} has non-finite entries")
-            object.__setattr__(self, name, _frozen(arr))
-        d = int(self.dim)
-        if not 1 <= d <= DIM_CAP:
-            raise MalformedCertificate(f"dimension {d} outside [1, {DIM_CAP}]")
-        m = self.normals.shape[0]
-        n = self.contact_indices.shape[0]
-        shapes = {
-            "normals": (m, d),
-            "offsets": (m,),
-            "map_matrix": (d, d),
-            "map_offset": (d,),
-            "contact_weights": (n,),
-            "selected_rows": (d,),
-            "w": (d,),
-            "cara_rows": (self.cara_coeffs.shape[0],),
-        }
-        for name, want in shapes.items():
-            if getattr(self, name).shape != want:
-                raise MalformedCertificate(f"{name} has shape {getattr(self, name).shape}, want {want}")
-        if self.selector not in ("dr", "pivovarov"):
-            raise MalformedCertificate(f"unknown selector {self.selector!r}")
-        for idx, limit in (
-            (self.contact_indices, m),
-            (self.selected_rows, n),
-            (self.cara_rows, n),
-        ):
-            if idx.size and (idx.min() < 0 or idx.max() >= limit):
-                raise MalformedCertificate("an index field points outside its table")
-        if not math.isfinite(float(self.contact_tol)):
-            raise MalformedCertificate("contact_tol is not finite")
-        if not all(np.isfinite(arr).all() for arr in self._normalized):
-            raise MalformedCertificate("the map sends a normal to zero or out of range")
-
-    @cached_property
-    def _normalized(self) -> tuple[np.ndarray, np.ndarray]:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            rows = normalized_rows(self.normals, self.offsets, self.map_matrix, self.map_offset)
-        return tuple(_frozen(arr) for arr in rows)
-
-    @property
-    def norm_normals(self) -> np.ndarray:
-        return self._normalized[0]
-
-    @property
-    def norm_offsets(self) -> np.ndarray:
-        return self._normalized[1]
-
-    @cached_property
-    def contact_points(self) -> np.ndarray:
-        return _frozen(self.norm_normals[self.contact_indices])
-
-    @cached_property
-    def x_rows(self) -> np.ndarray:
-        return _frozen(subfamily_rows(self.selected_rows, self.cara_rows))
-
-    @property
-    def x_points(self) -> np.ndarray:
-        return self.contact_points[self.x_rows]
-
-    @property
-    def g_indices(self) -> np.ndarray:
-        return self.contact_indices[self.x_rows]
-
-    @property
-    def selected_points(self) -> np.ndarray:
-        return self.contact_points[self.selected_rows]
-
-    @property
-    def s1_vertices(self) -> np.ndarray:
-        return np.vstack([np.zeros(self.dim), self.selected_points])
-
-    @property
-    def s2_vertices(self) -> np.ndarray:
-        return np.vstack([self.w, self.selected_points])
-
-    @cached_property
-    def s1(self) -> Simplex:
-        return Simplex(self.s1_vertices)
-
-    @cached_property
-    def e1(self) -> Ellipsoid:
-        return max_ellipsoid_in_simplex(self.s1)
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.e1.center
-
-    @property
-    def e1_shape(self) -> np.ndarray:
-        return self.e1.shape
-
-    @cached_property
-    def lam(self) -> float:
-        return contraction_ratio(self.u, self.w)
-
-    @cached_property
-    def e2_shape(self) -> np.ndarray:
-        return _frozen(self.lam * self.e1_shape)
-
-    @property
-    def e2(self) -> Ellipsoid:
-        return Ellipsoid(np.zeros(self.dim), self.e2_shape)
-
-    @cached_property
-    def ratio(self) -> float:
-        try:
-            e2_shape = self.e2_shape
-        except HellyError:  # a flat base simplex inscribes no E1
-            return math.inf
-        return _certified_ratio(self.norm_offsets, self.g_indices, e2_shape)
-
-    @property
-    def bound(self) -> float:
-        return explicit_bound(self.dim)
-
-    @property
-    def subfamily_size(self) -> int:
-        return self.x_rows.shape[0]
-
-    def subfamily(self) -> HPolytope:
-        """The selected half-spaces, verbatim rows of the original family."""
-        return HPolytope(self.normals[self.g_indices], self.offsets[self.g_indices])
 
 
 def build_S1(basis: DRBasis, enforce_floor: bool = True):
@@ -370,24 +162,6 @@ def contract_E1(e1: Ellipsoid, u: np.ndarray, w: np.ndarray):
     return Ellipsoid(np.zeros(d), lam * e1.shape), lam
 
 
-def _certified_ratio(norm_offsets, g_indices, e2_shape) -> float:
-    """Upper bound on vol(G)/vol(K) from one determinant.
-
-    In the normalized frame K holds the ball of radius beta = min b_i. The
-    hull chain E2 in S2 in conv(X) puts X* inside the polar of E2, and
-    G = {y : a_g.y <= b_g} lies in (max_g b_g) X*. So
-    vol(G)/vol(K) <= (max_g b_g / beta)^d / |det E2|. It is computed as
-    1 / |det((beta / max_g b_g) E2)|, so no power can overflow; a certificate
-    whose offsets or E2 admit no bound reads inf.
-    """
-    beta = float(norm_offsets.min())
-    if beta <= 0.0:
-        return math.inf
-    scale = beta / float(norm_offsets[g_indices].max())
-    det = abs(float(np.linalg.det(scale * e2_shape)))
-    return 1.0 / det if det > 0.0 else math.inf
-
-
 def assemble_subfamily(
     inst: NormalizedInstance,
     selector: str,
@@ -400,13 +174,26 @@ def assemble_subfamily(
     """Merge the touched contact points into X, name the half-spaces they
     came from, bound their volume ratio, and fill the certificate.
 
-    Re-checks the one containment the ratio rests on: the contracted
-    ellipsoid inside the apex simplex. The apex simplex lies in conv(X), up
-    to the 1e-8 by which caratheodory_reduce lets its hull combination miss
-    the apex, so polarity puts X* inside the contracted ellipsoid's polar.
+    A hull point within DEDUPE of a selected point, or of an earlier hull
+    point, is that point: its row becomes the chosen row and the two hull
+    coefficients add up, so X never holds a half-space twice (a family may
+    repeat one). Re-checks the one containment the ratio rests on: the
+    contracted ellipsoid inside the apex simplex. The apex simplex lies in
+    conv(X), up to the 1e-8 by which caratheodory_reduce lets its hull
+    combination miss the apex and the DEDUPE by which a merged point moves,
+    so polarity puts X* inside the contracted ellipsoid's polar.
     """
     dec = inst.decomposition
     d = inst.dim
+    merged: dict[int, float] = {}
+    for row, coeff in zip(cara_rows.tolist(), cara_coeffs.tolist()):
+        chosen = [*basis.indices.tolist(), *merged]
+        near = np.linalg.norm(dec.points[chosen] - dec.points[row], axis=1) <= DEDUPE
+        if near.any():
+            row = chosen[int(near.argmax())]
+        merged[row] = merged.get(row, 0.0) + coeff
+    cara_rows = np.array(list(merged), dtype=int)
+    cara_coeffs = np.array(list(merged.values()))
     x_rows = subfamily_rows(basis.indices, cara_rows)
     if x_rows.size > 2 * d:
         raise NumericalBreakdown(f"{x_rows.size} selected points exceed 2d = {2 * d}")
@@ -420,7 +207,7 @@ def assemble_subfamily(
             f"contracted ellipsoid leaves the apex simplex by {worst:.2e}"
         )
 
-    ratio = _certified_ratio(inst.norm_offsets, dec.source_indices[x_rows], e2.shape)
+    ratio = certified_ratio(inst.norm_offsets, dec.source_indices[x_rows], e2.shape)
     bound = explicit_bound(d)
     if selector == "dr" and ratio > bound * (1.0 + 1e-9):
         raise NumericalBreakdown(
@@ -445,15 +232,13 @@ def assemble_subfamily(
 
 
 def _sample_selection(dec, seed) -> DRBasis:
-    """Random alternative to the greedy pick: d contact points drawn
-    i.i.d. with probabilities c_i/d, as `pivovarov_sample` draws them. Draws
-    whose simplex is numerically flat are rejected, since the downstream
-    ellipsoid needs interior to live in; no window guarantee travels with
-    the result."""
+    """Random alternative to the greedy pick: d contact points drawn by
+    `sample_indices`, as `pivovarov_sample` draws them. Draws whose simplex
+    is numerically flat are rejected, since the downstream ellipsoid needs
+    interior to live in; no window guarantee travels with the result."""
     rng = np.random.default_rng(seed)
-    prob = _index_probabilities(dec)
     for _ in range(_SAMPLE_CAP):
-        idx = rng.choice(dec.size, size=dec.dim, replace=True, p=prob)
+        idx = sample_indices(dec, rng, dec.dim)
         pts = dec.points[idx]
         if abs(np.linalg.det(pts)) > 1e-9:
             return DRBasis(

@@ -19,23 +19,24 @@ import numpy as np
 from .bounds import simplex_volume_floor
 from .john import ContactDecomposition
 
-__all__ = ["MomentReport", "pivovarov_moments", "pivovarov_sample", "sample_volume"]
+__all__ = ["MomentReport", "pivovarov_moments", "pivovarov_sample", "sample_indices", "sample_volume"]
 
 
-def _index_probabilities(dec: ContactDecomposition) -> np.ndarray:
+def sample_indices(dec: ContactDecomposition, rng: np.random.Generator, size) -> np.ndarray:
+    """Contact indices of the given size (an int or a shape), drawn i.i.d.
+    by one `rng.choice` call with probabilities c_i / d (the weights sum to
+    d, so these are a distribution). Repeats are allowed."""
     p = dec.weights / dec.weights.sum()
-    return p / p.sum()
+    return rng.choice(dec.size, size=size, replace=True, p=p / p.sum())
 
 
 def pivovarov_sample(dec: ContactDecomposition, seed=None) -> np.ndarray:
     """Draw one random simplex as a (d+1, d) vertex array, origin first.
 
-    Indices are sampled i.i.d. with probabilities c_i / d (the weights sum
-    to d, so these are a distribution). Repeats are allowed.
+    The other vertices are d contact points drawn by `sample_indices`.
     """
-    rng = np.random.default_rng(seed)
     d = dec.points.shape[1]
-    idx = rng.choice(dec.points.shape[0], size=d, replace=True, p=_index_probabilities(dec))
+    idx = sample_indices(dec, np.random.default_rng(seed), d)
     return np.vstack([np.zeros(d), dec.points[idx]])
 
 
@@ -69,9 +70,8 @@ def pivovarov_moments(dec: ContactDecomposition, trials: int, seed=None) -> Mome
     """Estimate E[vol] and E[vol^2] of the random simplex over `trials` draws."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    m, d = dec.points.shape
-    idx = rng.choice(m, size=(trials, d), replace=True, p=_index_probabilities(dec))
+    d = dec.points.shape[1]
+    idx = sample_indices(dec, np.random.default_rng(seed), (trials, d))
     vols = np.abs(np.linalg.det(dec.points[idx])) / math.factorial(d)
     sq = vols * vols
 

@@ -16,7 +16,9 @@ import pytest
 
 from conftest import record_verdict
 
+from hellycert.bodies import HPolytope, ellipsoid_volume
 from hellycert.bounds import (
+    eq3_lower_bounds,
     explicit_bound,
     log_explicit_bound,
     simplex_ellipsoid_ratio,
@@ -24,16 +26,9 @@ from hellycert.bounds import (
     theorem_constant_scan,
 )
 from hellycert.checker import check_certificate
-from hellycert.dr import dr_select, eq3_lower_bounds
+from hellycert.dr import dr_select
 from hellycert.generators import gen_affine_warp, gen_cube, gen_tangent_random
-from hellycert.geometry import (
-    HPolytope,
-    ellipsoid_volume,
-    facets_from_vertices,
-    polar_of_points,
-    vertex_enumeration,
-    volume,
-)
+from hellycert.geometry import facets_from_vertices, polar_of_points, vertex_enumeration, volume
 from hellycert.john import (
     inscribed_ellipsoid,
     normalize_position,

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hellycert.bounds import eq3_lower_bounds
 from hellycert.checker import CheckReport, check_certificate
 from hellycert.documents import certificate_from_doc, certificate_to_doc
-from hellycert.dr import eq3_lower_bounds
 from hellycert.errors import MalformedCertificate
 from hellycert.generators import gen_affine_warp, gen_cube, gen_tangent_random
 from hellycert.pipeline import select

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hellycert.bodies import HPolytope, hpolytope_from_arrays
+from hellycert.certificate import ARRAY_FIELDS, INT_FIELDS
 from hellycert.checker import CheckReport, check_certificate
 from hellycert.documents import (
     KIND_CERTIFICATE,
@@ -29,8 +31,7 @@ from hellycert.documents import (
 )
 from hellycert.errors import HellyError, MalformedCertificate, MalformedDocument
 from hellycert.generators import gen_cube, gen_tangent_random
-from hellycert.geometry import HPolytope, hpolytope_from_arrays
-from hellycert.pipeline import _ARRAY_FIELDS, _INT_FIELDS, select
+from hellycert.pipeline import select
 
 
 # the certificate values derived from its stored fields
@@ -51,7 +52,7 @@ DERIVED = [
 
 
 # the certificate's float array fields, with their ranks
-FLOAT_ARRAYS = {n: k for n, k in _ARRAY_FIELDS.items() if n not in _INT_FIELDS}
+FLOAT_ARRAYS = {n: k for n, k in ARRAY_FIELDS.items() if n not in INT_FIELDS}
 
 
 @pytest.fixture(scope="module")

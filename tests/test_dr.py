@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from hellycert.dr import DRBasis, dr_select, eq3_lower_bounds, sampled_basis, trace_pick
+from hellycert.bounds import eq3_lower_bounds
+from hellycert.dr import DRBasis, dr_select, sampled_basis, trace_pick
 from hellycert.errors import NumericalBreakdown
 from hellycert.john import ContactDecomposition, random_decomposition
 

@@ -15,6 +15,17 @@ import pytest
 import scipy.spatial
 
 from hellycert import geometry, john
+from hellycert.bodies import (
+    Ellipsoid,
+    HPolytope,
+    Simplex,
+    ellipsoid_affine_image,
+    ellipsoid_volume,
+    hpolytope_from_arrays,
+    max_ellipsoid_in_simplex,
+    reference_simplex,
+    unit_ball_volume,
+)
 from hellycert.checker import check_certificate
 from hellycert.errors import (
     CapExceeded,
@@ -28,19 +39,10 @@ from hellycert.errors import (
     ZeroNormal,
 )
 from hellycert.geometry import (
-    Ellipsoid,
-    HPolytope,
-    Simplex,
     chebyshev_center,
-    ellipsoid_affine_image,
-    ellipsoid_volume,
     ensure_bounded,
     facets_from_vertices,
-    hpolytope_from_arrays,
-    max_ellipsoid_in_simplex,
     polar_of_points,
-    reference_simplex,
-    unit_ball_volume,
     vertex_enumeration,
     volume,
 )

@@ -9,6 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hellycert import john
+from hellycert.bodies import (
+    HPolytope,
+    Simplex,
+    ellipsoid_volume,
+    hpolytope_from_arrays,
+    max_ellipsoid_in_simplex,
+    reference_simplex,
+    unit_ball_volume,
+)
 from hellycert.config import DEFAULT
 from hellycert.errors import (
     Degenerate,
@@ -18,17 +27,7 @@ from hellycert.errors import (
     Unbounded,
 )
 from hellycert.generators import gen_affine_warp, gen_cube, gen_tangent_random
-from hellycert.geometry import (
-    HPolytope,
-    Simplex,
-    chebyshev_center,
-    ellipsoid_volume,
-    facets_from_vertices,
-    hpolytope_from_arrays,
-    max_ellipsoid_in_simplex,
-    reference_simplex,
-    unit_ball_volume,
-)
+from hellycert.geometry import chebyshev_center, facets_from_vertices
 from hellycert.john import (
     ContactDecomposition,
     contact_points,

@@ -10,9 +10,21 @@ import pytest
 import scipy.optimize
 
 from hellycert import geometry, john, pipeline
-from hellycert.bounds import explicit_bound, simplex_volume_floor
+from hellycert.bodies import (
+    Ellipsoid,
+    HPolytope,
+    ellipsoid_volume,
+    hpolytope_from_arrays,
+    reference_simplex,
+)
+from hellycert.bounds import (
+    eq3_lower_bounds,
+    explicit_bound,
+    simplex_volume_floor,
+    window_allowance,
+)
 from hellycert.checker import DEFAULT_SCALE, check_certificate
-from hellycert.dr import DRBasis, dr_select, eq3_lower_bounds, window_allowance
+from hellycert.dr import DRBasis, dr_select
 from hellycert.errors import (
     CapExceeded,
     DegenerateSimplex,
@@ -22,20 +34,9 @@ from hellycert.errors import (
     ReductionFailed,
 )
 from hellycert.generators import gen_affine_warp, gen_cube, gen_tangent_random
-from hellycert.geometry import (
-    Ellipsoid,
-    HPolytope,
-    ellipsoid_volume,
-    facets_from_vertices,
-    hpolytope_from_arrays,
-    polar_of_points,
-    reference_simplex,
-    vertex_enumeration,
-    volume,
-)
+from hellycert.geometry import facets_from_vertices, polar_of_points, vertex_enumeration, volume
 from hellycert.john import normalize_position, verify_decomposition
 from hellycert.pipeline import (
-    Certificate,
     build_S1,
     caratheodory_reduce,
     contract_E1,
@@ -418,7 +419,7 @@ class TestSelectEndToEnd:
     def test_contacts_ignore_a_start_shift_below_every_tolerance(self, monkeypatch, d):
         # moving the solver's start point by 5e-13 moves its exit point by
         # noise; the contacts and the selected rows must not follow it
-        exact = john._interior_point
+        exact = john.interior_point
         rng = np.random.default_rng(d)
 
         def shifted(poly):
@@ -429,9 +430,9 @@ class TestSelectEndToEnd:
             poly = gen_tangent_random(d, 8 * d, seed=seed)
             warped, _, _ = gen_affine_warp(poly, seed=seed + 5000)
             for body in (poly, warped):
-                monkeypatch.setattr(john, "_interior_point", exact)
+                monkeypatch.setattr(john, "interior_point", exact)
                 want = select(body)
-                monkeypatch.setattr(john, "_interior_point", shifted)
+                monkeypatch.setattr(john, "interior_point", shifted)
                 got = select(body)
                 assert np.array_equal(got.contact_indices, want.contact_indices)
                 assert np.array_equal(got.g_indices, want.g_indices)
@@ -461,6 +462,31 @@ class TestSelectEndToEnd:
         pts = cert.selected_points
         windows = np.diag(np.linalg.cholesky(pts @ pts.T))
         assert (windows >= eq3_lower_bounds(3) - allowance).all()
+
+    @pytest.mark.parametrize(
+        "d, seed, selector, moved",
+        [
+            (2, 5, "pivovarov", None),
+            (3, 7, "pivovarov", "offsets"),
+            (4, 4, "pivovarov", "offsets"),
+            (2, 3, "dr", "normals"),
+            (3, 6, "dr", "normals"),
+        ],
+    )
+    def test_repeated_half_spaces_enter_the_subfamily_once(self, d, seed, selector, moved):
+        # the family holds each half-space twice, the copy exact or moved by
+        # 1e-11; a hull point that copies a chosen point must not enter X as
+        # a second member, or the certificate fails its own subfamily_size
+        poly = gen_tangent_random(d, 4 * d, seed=seed)
+        normals, offsets = poly.normals, poly.offsets
+        if moved == "normals":
+            normals = normals + 1e-11 * np.random.default_rng(seed).standard_normal(normals.shape)
+        elif moved == "offsets":
+            offsets = offsets + 1e-11
+        body = hpolytope_from_arrays(
+            np.vstack([poly.normals, normals]), np.concatenate([poly.offsets, offsets])
+        )
+        assert check_certificate(select(body, selector=selector, seed=seed)).passed
 
     def test_unbounded_input_wrapped_with_stage(self):
         open_poly = hpolytope_from_arrays(
