@@ -39,7 +39,7 @@ from .documents import (
     report_to_doc,
     save_document,
 )
-from .dr import DRBasis, dr_select, trace_pick
+from .dr import dr_select, trace_pick
 from .errors import (
     CapExceeded,
     DegenerateSimplex,
@@ -78,7 +78,6 @@ __all__ = [
     "ContactDecomposition",
     "DEFAULT",
     "DIM_CAP",
-    "DRBasis",
     "DegenerateSimplex",
     "Ellipsoid",
     "Empty",

@@ -5,7 +5,8 @@ explicit_bound(d) times the original. The headline statement uses the looser
 form C * e^d * d^(2d); theorem_constant_scan recovers the smallest C that
 covers a dimension range, which the explicit form attains at d = 1. The
 greedy selection's window floors and the base simplex's volume floor are
-closed forms too, read by both the producer and the checker.
+closed forms too, as are the windows themselves, read by both the producer
+and the checker.
 """
 
 from __future__ import annotations
@@ -79,6 +80,14 @@ def eq3_lower_bounds(d: int) -> np.ndarray:
     """Guaranteed floor of <v_i, z_i> for i = 1..d: sqrt((d-i+1)/d)."""
     i = np.arange(1, d + 1)
     return np.sqrt((d - i + 1) / d)
+
+
+def selection_windows(points: np.ndarray) -> np.ndarray:
+    """The windows <v_i, z_i> of d rows v_i in order, where z_i is the unit
+    part of v_i orthogonal to v_1..v_{i-1}: the diagonal of the Cholesky
+    factor of their Gram matrix. np.linalg.LinAlgError when the rows are
+    linearly dependent."""
+    return np.diag(np.linalg.cholesky(points @ points.T))
 
 
 def window_allowance(d: int, residual: float) -> float:

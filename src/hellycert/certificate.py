@@ -125,7 +125,7 @@ class Certificate:
     def __post_init__(self):
         for name, ndim in ARRAY_FIELDS.items():
             dtype = int if name in INT_FIELDS else float
-            arr = np.asarray(getattr(self, name), dtype=dtype)
+            arr = np.array(getattr(self, name), dtype=dtype)  # a copy: the caller's stays writable
             if arr.ndim != ndim:
                 raise MalformedCertificate(f"{name} must have {ndim} axes")
             if not np.isfinite(arr).all():

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import DEDUPE, Simplex
-from .bounds import eq3_lower_bounds, explicit_bound, simplex_volume_floor, window_allowance
+from .bounds import eq3_lower_bounds, explicit_bound, selection_windows, simplex_volume_floor, window_allowance
 from .certificate import DEGENERATE_RAY, Certificate, certified_ratio
 from .config import DEFAULT
 from .errors import DegenerateSimplex, HellyError, MalformedCertificate
@@ -140,13 +140,12 @@ def check_certificate(cert: Certificate, scale: float | None = None) -> CheckRep
         )
     )
 
-    # Greedy selection windows: <v_i, z_i> for the Gram-Schmidt basis z of
-    # the selected points in pick order is the diagonal of the Cholesky
-    # factor of their Gram matrix, which a flat selection does not have. The
-    # floors are widened by the allowance the decomposition residual earns.
+    # Greedy selection windows of the selected points in pick order, which a
+    # flat selection does not have. The floors are widened by the allowance
+    # the decomposition residual earns.
     selected = cert.selected_points
     try:
-        diag = np.diag(np.linalg.cholesky(selected @ selected.T))
+        diag = selection_windows(selected)
     except np.linalg.LinAlgError:
         window_margin, upper_ok = -math.inf, False
     else:

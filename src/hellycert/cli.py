@@ -23,8 +23,7 @@ from .documents import (
     save_document,
 )
 from .errors import CapExceeded, HellyError, MalformedDocument
-from .experiment import grid_specs, rows_to_csv, run_experiment
-from .generators import gen_affine_warp, gen_cube, gen_tangent_random
+from .experiment import GENERATORS, TrialSpec, build_instance, grid_specs, rows_to_csv, run_experiment
 from .geometry import check_subset_budget
 from .john import normalize_position
 from .oracle import ORACLE_DIM_CAP, ORACLE_FACET_CAP
@@ -89,14 +88,9 @@ def cmd_verify(args) -> int:
 def cmd_gen(args) -> int:
     if args.d is None:
         raise MalformedDocument("gen requires --d")
-    if args.generator == "cube":
-        poly = gen_cube(args.d)
-    else:
-        if args.m is None:
-            raise MalformedDocument(f"generator {args.generator!r} requires --m")
-        poly = gen_tangent_random(args.d, args.m, seed=args.seed)
-        if args.generator == "warped":
-            poly, _, _ = gen_affine_warp(poly, seed=args.seed + 10_007)
+    if args.generator != "cube" and args.m is None:
+        raise MalformedDocument(f"generator {args.generator!r} requires --m")
+    poly = build_instance(TrialSpec(d=args.d, m=args.m, seed=args.seed, generator=args.generator))
     meta = {"generator": args.generator, "seed": args.seed, "d": args.d}
     if args.generator != "cube":
         meta["m"] = args.m
@@ -183,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a test instance")
     add_io(p, needs_in=False)
-    p.add_argument("--generator", choices=("cube", "tangent", "warped"), default="tangent")
+    p.add_argument("--generator", choices=GENERATORS, default="tangent")
     p.add_argument("--d", type=int, default=None, help="ambient dimension")
     p.add_argument("--m", type=int, default=None, help="number of half-spaces")
     p.add_argument("--seed", type=int, default=0)
@@ -195,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, nargs="+", required=True, help="facet counts")
     p.add_argument("--trials", type=int, default=10, help="seeds per (d, m) cell")
     p.add_argument("--seed", type=int, default=0, help="first seed of each cell")
-    p.add_argument("--generator", choices=("tangent", "warped", "cube"), default="tangent")
+    p.add_argument("--generator", choices=GENERATORS, default="tangent")
     p.add_argument("--selector", choices=("dr", "pivovarov"), default="dr")
     p.add_argument("--oracle", action="store_true", help="add exhaustive-optimum column")
     p.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per trial and CPU")

@@ -11,63 +11,14 @@ volume bounded below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import WINDOW_TOL, eq3_lower_bounds, window_allowance
+from .bounds import WINDOW_TOL, eq3_lower_bounds, selection_windows, window_allowance
 from .errors import NumericalBreakdown
 from .john import ContactDecomposition, verify_decomposition
 
 _ORTHO_TOL = 1e-10
-_SPAN_TOL = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class DRBasis:
-    """Orthonormal basis rows z_i with the selected contact rows v_i.
-
-    v_i lies in span{z_1..z_i}, and <v_i, z_i> sits inside the window
-    [sqrt((d-i+1)/d), 1]. slack widens the lower window edge; selections
-    built from decompositions with nonzero residual inherit a proportional
-    allowance.
-    """
-
-    basis: np.ndarray
-    selected: np.ndarray
-    indices: np.ndarray
-    slack: float = WINDOW_TOL
-    validate: bool = field(default=True, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "basis", np.asarray(self.basis, dtype=float))
-        object.__setattr__(self, "selected", np.asarray(self.selected, dtype=float))
-        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=int).ravel())
-        if not self.validate:
-            return
-        d = self.basis.shape[0]
-        if self.basis.shape != (d, d) or self.selected.shape != (d, d):
-            raise NumericalBreakdown("basis/selected must be d x d")
-        gram = self.basis @ self.basis.T
-        if np.abs(gram - np.eye(d)).max() > _ORTHO_TOL:
-            raise NumericalBreakdown("basis rows are not orthonormal")
-        coords = self.selected @ self.basis.T  # v_i in z coordinates
-        strict_upper = np.triu(coords, k=1)
-        if np.abs(strict_upper).max(initial=0.0) > _SPAN_TOL:
-            raise NumericalBreakdown("v_i leaves span{z_1..z_i}")
-        diag = np.diag(coords)
-        floor = eq3_lower_bounds(d) - self.slack
-        if (diag < floor).any() or (diag > 1.0 + _ORTHO_TOL).any():
-            raise NumericalBreakdown("an inner product <v_i, z_i> left its window")
-        if len(set(self.indices.tolist())) != d:
-            raise NumericalBreakdown("selected indices repeat")
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    def inner_products(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.selected, self.basis)
 
 
 def trace_pick(
@@ -88,47 +39,36 @@ def trace_pick(
     return pick
 
 
-def dr_select(dec: ContactDecomposition) -> DRBasis:
-    """Greedy orthonormal selection over the decomposition's points.
+def dr_select(dec: ContactDecomposition) -> np.ndarray:
+    """The d contact rows the greedy pass picks, in pick order.
 
     The first pick is the first point; afterwards each step projects away
     the chosen span and takes the trace-pick winner. Needs only the identity
-    condition, so unbalanced decompositions work too.
+    condition, so unbalanced decompositions work too. The picks' windows
+    must clear their floors, less the allowance the decomposition residual
+    earns, and stay at most 1, or NumericalBreakdown: trace_pick bounds only
+    the squared windows, which lets the last one dip by sqrt(d)/2 times that
+    allowance.
     """
     d = dec.dim
     pts = dec.points
     slack = window_allowance(d, verify_decomposition(dec).identity_residual)
     basis = np.zeros((d, d))
-    selected = np.zeros((d, d))
-    indices = np.zeros(d, dtype=int)
+    rows = np.zeros(d, dtype=int)
     projector = np.eye(d)
     for k in range(d):
         pick = 0 if k == 0 else trace_pick(projector, dec, slack=slack)
-        v = pts[pick]
-        tv = projector @ v
-        sq = float(tv @ tv)
-        if sq < (d - k) / d - max(1e-6, slack):
-            raise NumericalBreakdown(
-                f"projected square length {sq:.3e} below {(d - k) / d:.3e} at step {k + 1}"
-            )
-        z = tv / math.sqrt(sq)
+        tv = projector @ pts[pick]
+        z = tv / math.sqrt(float(tv @ tv))
         if k > 0:
             # second projection pass keeps the basis orthonormal to working
             # precision even when tv is small
             z = z - basis[:k].T @ (basis[:k] @ z)
             z = z / np.linalg.norm(z)
         basis[k] = z
-        selected[k] = v
-        indices[k] = pick
+        rows[k] = pick
         projector = projector - np.outer(z, z)
-    return DRBasis(basis=basis, selected=selected, indices=indices, slack=slack)
-
-
-def sampled_basis(points: np.ndarray) -> np.ndarray:
-    """Orthonormalize d independent rows in order: z_i spans grow with i
-    and <v_i, z_i> > 0. Used by the sampling selector, which offers no
-    window guarantee."""
-    q, r = np.linalg.qr(points.T)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    return (q * signs).T
+    windows = selection_windows(pts[rows])
+    if (windows < eq3_lower_bounds(d) - slack).any() or (windows > 1.0 + _ORTHO_TOL).any():
+        raise NumericalBreakdown("a selection window left [floor - allowance, 1]")
+    return rows

@@ -63,7 +63,8 @@ class ExperimentRow:
         return (self.d, self.m, self.seed)
 
 
-def _build_instance(spec: TrialSpec):
+def build_instance(spec: TrialSpec):
+    """The instance a trial of this spec runs on."""
     if spec.generator == "cube":
         return gen_cube(spec.d)
     base = gen_tangent_random(spec.d, spec.m, seed=spec.seed)
@@ -80,7 +81,7 @@ def run_trial(spec: TrialSpec) -> ExperimentRow:
     start = time.perf_counter()
     nan = math.nan
     try:
-        poly = _build_instance(spec)
+        poly = build_instance(spec)
         cert = select(poly, selector=spec.selector, seed=spec.seed)
         report = check_certificate(cert)
         status = "ok" if report.passed else "check-failed"

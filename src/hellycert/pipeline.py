@@ -13,15 +13,13 @@ it does not store by the closed forms of `certificate`.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .bodies import DEDUPE, Ellipsoid, HPolytope, Simplex, max_ellipsoid_in_simplex
 from .bounds import explicit_bound, simplex_volume_floor
 from .certificate import DEGENERATE_RAY, Certificate, certified_ratio, contraction_ratio, subfamily_rows
 from .config import DEFAULT, Tolerances
-from .dr import DRBasis, dr_select, sampled_basis
+from .dr import dr_select
 from .errors import (
     DegenerateSimplex,
     HellyError,
@@ -38,30 +36,21 @@ _SAMPLE_CAP = 200
 _DROP_TOL = 1e-12  # combination weights below this count as zero
 
 
-def build_S1(basis: DRBasis, enforce_floor: bool = True):
-    """Simplex over the origin and the selected points, with its largest
-    inscribed ellipsoid and that ellipsoid's center.
+def build_S1(points: np.ndarray, enforce_floor: bool = True) -> Ellipsoid:
+    """Largest ellipsoid inscribed in the simplex over the origin and the d
+    selected points; its center u is the simplex's centroid.
 
-    The greedy windows force vol >= 1/(sqrt(d!) d^(d/2)); the volume also
-    factors as the product of the window inner products over d! because the
-    selected points are triangular in the basis coordinates. Both facts are
-    certified here (the floor only when requested; sampled selections offer
-    no floor).
+    The greedy windows force vol >= 1/(sqrt(d!) d^(d/2)), which is certified
+    here when requested; sampled selections offer no floor.
     """
-    d = basis.dim
-    simplex = Simplex(np.vstack([np.zeros(d), basis.selected]))
+    d = points.shape[1]
+    simplex = Simplex(np.vstack([np.zeros(d), points]))
     vol = simplex.volume()
-    prod = float(np.prod(basis.inner_products()))
-    if abs(vol * math.factorial(d) - prod) > 1e-9 * max(1.0, abs(prod)):
-        raise NumericalBreakdown(
-            f"volume {vol:.6e} disagrees with the triangular product {prod:.6e}"
-        )
     if enforce_floor and vol < simplex_volume_floor(d) - 1e-9:
         raise DegenerateSimplex(
             f"selected simplex volume {vol:.6e} below the guaranteed floor"
         )
-    ell = max_ellipsoid_in_simplex(simplex)
-    return simplex, ell, ell.center
+    return max_ellipsoid_in_simplex(simplex)
 
 
 def ray_hit_boundary(points: np.ndarray, direction: np.ndarray):
@@ -128,20 +117,22 @@ def caratheodory_reduce(point, vertices, coeffs):
     return support, out
 
 
-def contract_E1(e1: Ellipsoid, u: np.ndarray, w: np.ndarray):
-    """Contract the simplex ellipsoid toward the boundary point so its
-    center lands on the origin.
+def contract_E1(e1: Ellipsoid, w: np.ndarray):
+    """Contract the simplex ellipsoid toward the boundary point w so its
+    center u lands on the origin.
 
     The ratio |w|/(|u|+|w|) does exactly that when w lies opposite u through
     the origin, and it never drops below 1/(d+1). A centered ellipsoid
-    (|u| at most DEGENERATE_RAY) needs no contraction; see the
-    pipeline notes for why that branch cannot fire on selected simplices.
+    (|u| at most DEGENERATE_RAY) needs no contraction, and on a selected
+    simplex only rounding can make one: u is the centroid of S1, so
+    (d+1)<u, z_d> = <v_1 + ... + v_d, z_d> = <v_d, z_d>, the last window.
+    The greedy windows put that at least 1/sqrt(d), so |u| >= 1/((d+1)
+    sqrt(d)). A sampled draw has |det V| > 1e-9 and windows at most 1, so
+    |u| >= |det V|/(d+1) > 1.1e-10 > DEGENERATE_RAY for d <= 8.
     """
-    u = np.asarray(u, dtype=float).ravel()
+    u = e1.center
     w = np.asarray(w, dtype=float).ravel()
     d = u.shape[0]
-    if np.linalg.norm(u - e1.center) > 1e-10:
-        raise Misaligned("u must be the center of the ellipsoid being contracted")
     nu = float(np.linalg.norm(u))
     nw = float(np.linalg.norm(w))
     if nu <= DEGENERATE_RAY:
@@ -165,7 +156,7 @@ def contract_E1(e1: Ellipsoid, u: np.ndarray, w: np.ndarray):
 def assemble_subfamily(
     inst: NormalizedInstance,
     selector: str,
-    basis: DRBasis,
+    rows: np.ndarray,
     w: np.ndarray,
     e2: Ellipsoid,
     cara_rows: np.ndarray,
@@ -187,18 +178,18 @@ def assemble_subfamily(
     d = inst.dim
     merged: dict[int, float] = {}
     for row, coeff in zip(cara_rows.tolist(), cara_coeffs.tolist()):
-        chosen = [*basis.indices.tolist(), *merged]
+        chosen = [*rows.tolist(), *merged]
         near = np.linalg.norm(dec.points[chosen] - dec.points[row], axis=1) <= DEDUPE
         if near.any():
             row = chosen[int(near.argmax())]
         merged[row] = merged.get(row, 0.0) + coeff
     cara_rows = np.array(list(merged), dtype=int)
     cara_coeffs = np.array(list(merged.values()))
-    x_rows = subfamily_rows(basis.indices, cara_rows)
+    x_rows = subfamily_rows(rows, cara_rows)
     if x_rows.size > 2 * d:
         raise NumericalBreakdown(f"{x_rows.size} selected points exceed 2d = {2 * d}")
 
-    s2 = np.vstack([w, dec.points[basis.indices]])
+    s2 = np.vstack([w, dec.points[rows]])
     facet_a, facet_b = Simplex(s2).facets()
     support = np.linalg.norm(facet_a @ e2.shape, axis=1)
     worst = float((support - facet_b).max())
@@ -224,30 +215,23 @@ def assemble_subfamily(
         contact_tol=inst.contact_tol,
         contact_weights=dec.weights,
         contact_indices=dec.source_indices,
-        selected_rows=basis.indices,
+        selected_rows=rows,
         w=w,
         cara_rows=cara_rows,
         cara_coeffs=cara_coeffs,
     )
 
 
-def _sample_selection(dec, seed) -> DRBasis:
-    """Random alternative to the greedy pick: d contact points drawn by
-    `sample_indices`, as `pivovarov_sample` draws them. Draws whose simplex
-    is numerically flat are rejected, since the downstream ellipsoid needs
-    interior to live in; no window guarantee travels with the result."""
+def _sample_selection(dec, seed) -> np.ndarray:
+    """Random alternative to the greedy pick: the rows of d contact points
+    drawn by `sample_indices`, as `pivovarov_sample` draws them. Draws whose
+    simplex is numerically flat are rejected, since the downstream ellipsoid
+    needs interior to live in; no window guarantee travels with the result."""
     rng = np.random.default_rng(seed)
     for _ in range(_SAMPLE_CAP):
-        idx = sample_indices(dec, rng, dec.dim)
-        pts = dec.points[idx]
-        if abs(np.linalg.det(pts)) > 1e-9:
-            return DRBasis(
-                basis=sampled_basis(pts),
-                selected=pts,
-                indices=idx,
-                slack=0.0,
-                validate=False,
-            )
+        rows = sample_indices(dec, rng, dec.dim)
+        if abs(np.linalg.det(dec.points[rows])) > 1e-9:
+            return rows
     raise DegenerateSimplex(f"no full-dimensional sample in {_SAMPLE_CAP} draws")
 
 
@@ -279,22 +263,21 @@ def select(
     dec = inst.decomposition
     d = poly.dim
     if selector == "dr":
-        basis = stage("select", dr_select, dec)
-        _, e1, u = stage("simplex", build_S1, basis)
+        rows = stage("select", dr_select, dec)
     else:
-        basis = stage("select", _sample_selection, dec, seed)
-        _, e1, u = stage("simplex", build_S1, basis, enforce_floor=False)
-    nu = np.linalg.norm(u)
-    direction = -u / nu if nu > DEGENERATE_RAY else basis.basis[-1]
+        rows = stage("select", _sample_selection, dec, seed)
+    e1 = stage("simplex", build_S1, dec.points[rows], enforce_floor=selector == "dr")
+    nu = np.linalg.norm(e1.center)
+    direction = -e1.center / nu if nu > DEGENERATE_RAY else np.eye(d)[0]
     w, coeffs = stage("ray", ray_hit_boundary, dec.points, direction)
     cara_rows, cara_coeffs = stage("reduce", caratheodory_reduce, w, dec.points, coeffs)
-    e2, _ = stage("contract", contract_E1, e1, u, w)
+    e2, _ = stage("contract", contract_E1, e1, w)
     return stage(
         "assemble",
         assemble_subfamily,
         inst,
         selector,
-        basis,
+        rows,
         w,
         e2,
         cara_rows,

@@ -21,6 +21,7 @@ from hellycert.bounds import (
     eq3_lower_bounds,
     explicit_bound,
     log_explicit_bound,
+    selection_windows,
     simplex_ellipsoid_ratio,
     simplex_volume_floor,
     theorem_constant_scan,
@@ -166,7 +167,7 @@ def test_simplex_inner_ellipsoid_ratio_matches_closed_form():
 
 def test_selection_windows_hold_over_random_decompositions():
     worst_window = math.inf
-    worst_span = 0.0
+    worst_product = 0.0
     count = 0
     for balanced in (True, False):
         for d in (2, 3, 4, 5, 6):
@@ -174,19 +175,19 @@ def test_selection_windows_hold_over_random_decompositions():
                 dec = random_decomposition(
                     d, seed=1_000 * d + trial + (0 if balanced else 50_000), balanced=balanced
                 )
-                basis = dr_select(dec)
-                diag = np.einsum("ij,ij->i", basis.selected, basis.basis)
-                worst_window = min(worst_window, float(np.min(diag - eq3_lower_bounds(d))))
-                above = np.triu(basis.selected @ basis.basis.T, k=1)
-                worst_span = max(worst_span, float(np.abs(above).max()))
+                pts = dec.points[dr_select(dec)]
+                windows = selection_windows(pts)
+                worst_window = min(worst_window, float(np.min(windows - eq3_lower_bounds(d))))
+                det = abs(float(np.linalg.det(pts)))
+                worst_product = max(worst_product, abs(float(np.prod(windows)) - det) / det)
                 count += 1
-    ok = worst_window >= -1e-9 and worst_span <= 1e-8 and count >= 200
+    ok = worst_window >= -1e-9 and worst_product <= 1e-9 and count >= 200
     announce(
         "greedy selection meets its per-step inner-product windows on random "
         "decompositions, balanced or not",
         ok,
         f"{count} decompositions d<=6, worst window margin {worst_window:.2e}, "
-        f"worst span residual {worst_span:.2e}",
+        f"worst relative gap between |det V| and the window product {worst_product:.2e}",
     )
 
 
@@ -244,7 +245,7 @@ def test_selected_simplex_volume_floor_and_identity(corpus):
         vol = abs(float(np.linalg.det(cert.selected_points))) / math.factorial(r.d)
         worst_floor = min(worst_floor, vol - simplex_volume_floor(r.d))
         pts = cert.selected_points
-        prod = float(np.prod(np.diag(np.linalg.cholesky(pts @ pts.T))))
+        prod = float(np.prod(selection_windows(pts)))
         worst_ident = max(
             worst_ident, abs(vol * math.factorial(r.d) - prod) / max(1.0, abs(prod))
         )

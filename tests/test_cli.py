@@ -7,14 +7,17 @@ import json
 import numpy as np
 import pytest
 
+from hellycert import experiment
 from hellycert.cli import main
 from hellycert.documents import (
     SCHEMA_VERSION,
     certificate_to_doc,
+    instance_from_doc,
     instance_to_doc,
     load_document,
     save_document,
 )
+from hellycert.experiment import TrialSpec
 from hellycert.generators import gen_cube, gen_tangent_random
 from hellycert.pipeline import select
 
@@ -216,6 +219,22 @@ class TestGen:
         assert main(argv) == 2
         assert "never bound a body" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_warped_rows_are_the_experiment_instance(self, tmp_path, monkeypatch):
+        path = tmp_path / "warp.json"
+        argv = ["gen", "--generator", "warped", "--d", "3", "--m", "8", "--seed", "2"]
+        assert main([*argv, "--out", str(path)]) == 0
+        seen = []
+
+        def spy(poly, **kwargs):
+            seen.append(poly)
+            return select(poly, **kwargs)
+
+        monkeypatch.setattr(experiment, "select", spy)
+        assert experiment.run_trial(TrialSpec(d=3, m=8, seed=2, generator="warped")).status == "ok"
+        poly, _ = instance_from_doc(load_document(path))
+        assert np.array_equal(poly.normals, seen[0].normals)
+        assert np.array_equal(poly.offsets, seen[0].offsets)
 
     def test_gen_feeds_select(self, tmp_path):
         inst, cert = tmp_path / "i.json", tmp_path / "c.json"

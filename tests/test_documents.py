@@ -60,6 +60,17 @@ def cert():
     return select(gen_tangent_random(3, 8, seed=2))
 
 
+def test_certificate_copies_the_arrays_it_is_given(cert):
+    # the caller's arrays stay writable; the certificate freezes its own copies
+    given = {name: np.array(getattr(cert, name)) for name in ARRAY_FIELDS}
+    again = dataclasses.replace(cert, **given)
+    for name, arr in given.items():
+        assert arr.flags.writeable, name
+        assert getattr(again, name) is not arr, name
+        assert not getattr(again, name).flags.writeable, name
+        assert np.array_equal(getattr(again, name), arr), name
+
+
 class TestInstanceDocuments:
     def test_round_trip_is_bit_identical(self):
         poly = gen_tangent_random(3, 10, seed=4)

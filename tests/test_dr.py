@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from hellycert.bounds import eq3_lower_bounds
-from hellycert.dr import DRBasis, dr_select, sampled_basis, trace_pick
-from hellycert.errors import NumericalBreakdown
+from hellycert import dr
+from hellycert.bounds import eq3_lower_bounds, selection_windows
+from hellycert.dr import dr_select, trace_pick
+from hellycert.errors import NumericalBreakdown, PipelineError
+from hellycert.generators import gen_tangent_random
 from hellycert.john import ContactDecomposition, random_decomposition
+from hellycert.pipeline import select
 
 
 def regular_triangle():
@@ -67,14 +70,13 @@ class TestTracePick:
 
 class TestDRSelect:
     def test_regular_triangle_frozen(self):
-        sel = dr_select(regular_triangle())
-        assert sel.indices.tolist() == [0, 1]
-        assert np.allclose(sel.basis[0], [0.0, 1.0], atol=1e-12)
-        assert np.allclose(sel.selected[0], [0.0, 1.0], atol=1e-12)
-        assert np.allclose(sel.basis[1], [-1.0, 0.0], atol=1e-12)
-        inner = sel.inner_products()
-        assert inner[0] == pytest.approx(1.0, abs=1e-12)
-        assert inner[1] == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-12)
+        dec = regular_triangle()
+        rows = dr_select(dec)
+        assert rows.tolist() == [0, 1]
+        assert np.allclose(dec.points[rows[0]], [0.0, 1.0], atol=1e-12)
+        windows = selection_windows(dec.points[rows])
+        assert windows[0] == pytest.approx(1.0, abs=1e-12)
+        assert windows[1] == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-12)
 
     def test_cube_contacts_pick_axes(self):
         d = 3
@@ -82,85 +84,46 @@ class TestDRSelect:
         dec = ContactDecomposition(
             points=pts, weights=np.full(2 * d, 0.5), source_indices=np.arange(2 * d)
         )
-        sel = dr_select(dec)
-        assert np.allclose(np.abs(sel.basis), np.eye(d), atol=1e-12)
-        assert np.allclose(sel.inner_products(), 1.0, atol=1e-12)
+        rows = dr_select(dec)
+        assert np.allclose(np.abs(pts[rows]), np.eye(d), atol=1e-12)
+        assert np.allclose(selection_windows(pts[rows]), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_window_invariant_random(self, d):
         for seed in range(20):
-            sel = dr_select(random_decomposition(d, seed=seed))
-            inner = sel.inner_products()
+            dec = random_decomposition(d, seed=seed)
+            pts = dec.points[dr_select(dec)]
+            windows = selection_windows(pts)
             floor = eq3_lower_bounds(d)
-            assert (inner >= floor - 1e-9).all()
-            assert (inner <= 1.0 + 1e-12).all()
-            gram = sel.basis @ sel.basis.T
-            assert np.abs(gram - np.eye(d)).max() < 1e-10
-            # span condition: v_i has no weight on later basis rows
-            coords = sel.selected @ sel.basis.T
-            assert np.abs(np.triu(coords, k=1)).max() < 1e-10
+            assert (windows >= floor - 1e-9).all()
+            assert (windows <= 1.0 + 1e-12).all()
+            # the windows are the Gram-Schmidt diagonal, so they multiply to |det V|
+            det = abs(np.linalg.det(pts))
+            assert np.prod(windows) == pytest.approx(det, rel=1e-9)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_unbalanced_decompositions_select_fine(self, d):
         for seed in range(10):
             dec = random_decomposition(d, seed=seed, balanced=False)
-            sel = dr_select(dec)
-            assert (sel.inner_products() >= eq3_lower_bounds(d) - 1e-9).all()
+            windows = selection_windows(dec.points[dr_select(dec)])
+            assert (windows >= eq3_lower_bounds(d) - 1e-9).all()
 
     def test_deterministic(self):
         dec = random_decomposition(4, seed=7)
-        a = dr_select(dec)
-        b = dr_select(dec)
-        assert np.array_equal(a.basis, b.basis)
-        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(dr_select(dec), dr_select(dec))
 
     def test_selected_points_are_distinct_decomposition_rows(self):
         dec = random_decomposition(5, seed=3)
-        sel = dr_select(dec)
-        assert np.allclose(sel.selected, dec.points[sel.indices], atol=0.0)
-        assert len(set(sel.indices.tolist())) == 5
+        rows = dr_select(dec)
+        assert rows.dtype.kind == "i"
+        assert len(set(rows.tolist())) == 5
+        assert rows.min() >= 0 and rows.max() < dec.size
 
-
-class TestDRBasisValidation:
-    def test_rejects_nonorthonormal_basis(self):
-        sel = dr_select(regular_triangle())
-        bad = sel.basis.copy()
-        bad[1] *= 1.5
-        with pytest.raises(NumericalBreakdown):
-            DRBasis(basis=bad, selected=sel.selected, indices=sel.indices)
-
-    def test_rejects_span_violation(self):
-        sel = dr_select(random_decomposition(3, seed=0))
-        swapped = sel.selected[[1, 0, 2]]
-        with pytest.raises(NumericalBreakdown):
-            DRBasis(basis=sel.basis, selected=swapped, indices=sel.indices)
-
-    def test_rejects_repeated_indices(self):
-        sel = dr_select(regular_triangle())
-        with pytest.raises(NumericalBreakdown):
-            DRBasis(
-                basis=sel.basis,
-                selected=sel.selected,
-                indices=np.array([0, 0]),
-            )
-
-    def test_validate_false_skips_checks(self):
-        DRBasis(
-            basis=np.zeros((2, 2)),
-            selected=np.zeros((2, 2)),
-            indices=np.array([0, 0]),
-            validate=False,
-        )
-
-
-class TestSampledBasis:
-    def test_orthonormal_with_growing_spans(self):
-        rng = np.random.default_rng(5)
-        for d in (2, 3, 5):
-            pts = rng.standard_normal((d, d))
-            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-            basis = sampled_basis(pts)
-            assert np.abs(basis @ basis.T - np.eye(d)).max() < 1e-10
-            coords = pts @ basis.T
-            assert np.abs(np.triu(coords, k=1)).max() < 1e-10
-            assert (np.diag(coords) > 0.0).all()
+    def test_window_below_its_floor_is_refused(self, monkeypatch):
+        floors = dr.eq3_lower_bounds
+        monkeypatch.setattr(dr, "eq3_lower_bounds", lambda d: floors(d) + 1e-6)
+        with pytest.raises(NumericalBreakdown, match="selection window"):
+            dr_select(random_decomposition(3, seed=0))
+        with pytest.raises(PipelineError) as info:
+            select(gen_tangent_random(3, 8, seed=0))
+        assert info.value.stage == "select"

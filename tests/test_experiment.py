@@ -16,7 +16,7 @@ from hellycert.bounds import explicit_bound
 from hellycert.experiment import (
     ExperimentRow,
     TrialSpec,
-    _build_instance,
+    build_instance,
     grid_specs,
     rows_to_csv,
     run_experiment,
@@ -70,7 +70,7 @@ class TestSingleTrial:
         spec = TrialSpec(d=2, m=8, seed=seed, generator="warped", oracle=True)
         row = run_trial(spec)
         assert row.status == "ok"
-        poly = _build_instance(spec)
+        poly = build_instance(spec)
         _, best_vol = oracle_min_subfamily(poly, k=4)
         cert = select(poly, seed=seed)
         vol_poly = volume(poly)
