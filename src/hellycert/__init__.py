@@ -26,7 +26,7 @@ from .bounds import (
     theorem_constant_scan,
     theorem_form_ratio,
 )
-from .certificate import Certificate
+from .certificate import Certificate, verify_decomposition
 from .checker import CheckItem, CheckReport, check_certificate
 from .config import DEFAULT, DIM_CAP, FACET_CAP, VERSION, Tolerances
 from .documents import (
@@ -61,7 +61,6 @@ from .john import (
     inscribed_ellipsoid,
     john_weights,
     normalize_position,
-    verify_decomposition,
 )
 from .oracle import oracle_min_subfamily
 from .pipeline import select

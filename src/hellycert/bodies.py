@@ -34,6 +34,12 @@ def unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
 
 
+def simplex_volume(edges: np.ndarray) -> np.ndarray:
+    """Volume |det(edges)| / d! of the simplex spanned by d edges (rows) from
+    one vertex, over any leading axes; 0.0 when flat."""
+    return np.abs(np.linalg.det(edges)) / math.factorial(edges.shape[-1])
+
+
 def freeze(arr: np.ndarray) -> np.ndarray:
     """A read-only C-contiguous float copy of arr."""
     out = np.array(arr, dtype=float, order="C")
@@ -110,8 +116,7 @@ class Simplex:
         return self.vertices.shape[1]
 
     def volume(self) -> float:
-        edges = self.vertices[1:] - self.vertices[0]
-        return abs(float(np.linalg.det(edges))) / math.factorial(self.dim)
+        return float(simplex_volume(self.vertices[1:] - self.vertices[0]))
 
     def facets(self) -> tuple[np.ndarray, np.ndarray]:
         """Unit normals and offsets of the facets; row i is opposite vertex i.

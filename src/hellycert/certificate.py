@@ -53,6 +53,30 @@ def normalized_rows(normals, offsets, map_matrix, map_offset) -> tuple[np.ndarra
     return raw / scale[:, None], (offsets - normals @ map_offset) / scale
 
 
+@dataclass(frozen=True)
+class DecompositionReport:
+    identity_residual: float  # max abs entry of sum c w w^T - I
+    barycenter_norm: float  # |sum c w|
+    weight_sum: float  # sum c (should be the dimension)
+    min_weight: float  # inf when there are no weights
+    max_unit_deviation: float  # max | |w_i| - 1 |
+
+
+def verify_decomposition(points, weights) -> DecompositionReport:
+    """Residuals of John's decomposition sum c_i w_i w_i^T = I, sum c_i w_i
+    = 0 over points w_i and weights c_i, no thresholds."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    wts = np.asarray(weights, dtype=float).ravel()
+    outer = np.einsum("i,ip,iq->pq", wts, pts, pts)
+    return DecompositionReport(
+        identity_residual=float(np.abs(outer - np.eye(pts.shape[1])).max()),
+        barycenter_norm=float(np.linalg.norm(wts @ pts)),
+        weight_sum=float(wts.sum()),
+        min_weight=float(wts.min(initial=math.inf)),
+        max_unit_deviation=float(np.abs(np.linalg.norm(pts, axis=1) - 1.0).max(initial=0.0)),
+    )
+
+
 def subfamily_rows(selected_rows, cara_rows) -> np.ndarray:
     """The contact rows of X: the selected rows, then the hull rows, each
     once, in the order first seen."""

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import DEDUPE, Simplex
+from .bodies import DEDUPE, Simplex, simplex_volume
 from .bounds import eq3_lower_bounds, explicit_bound, selection_windows, simplex_volume_floor, window_allowance
-from .certificate import DEGENERATE_RAY, Certificate, certified_ratio
+from .certificate import DEGENERATE_RAY, Certificate, certified_ratio, verify_decomposition
 from .config import DEFAULT
 from .errors import DegenerateSimplex, HellyError, MalformedCertificate
 
@@ -116,13 +116,10 @@ def check_certificate(cert: Certificate, scale: float | None = None) -> CheckRep
     )
 
     # Decomposition of the identity over near-tangent facets.
-    pts, wts, idx = cert.contact_points, cert.contact_weights, cert.contact_indices
-    outer = np.einsum("i,ip,iq->pq", wts, pts, pts)
-    identity_res = float(np.abs(outer - np.eye(d)).max())
-    bary = float(np.linalg.norm(wts @ pts))
-    sum_res = abs(float(wts.sum()) - d)
-    weight_floor = float(wts.min(initial=math.inf))
-    tangency = float((cert.norm_offsets[idx] - 1.0).max(initial=-math.inf))
+    res = verify_decomposition(cert.contact_points, cert.contact_weights)
+    identity_res, bary, weight_floor = res.identity_residual, res.barycenter_norm, res.min_weight
+    sum_res = abs(res.weight_sum - d)
+    tangency = float((cert.norm_offsets[cert.contact_indices] - 1.0).max(initial=-math.inf))
     dec_bad = max(identity_res, bary, sum_res, -weight_floor if weight_floor <= 0 else 0.0)
     dec_tol = DEFAULT.decomposition * k
     tangency_ok = tangency <= cert.contact_tol * k
@@ -167,7 +164,7 @@ def check_certificate(cert: Certificate, scale: float | None = None) -> CheckRep
     )
 
     # Base simplex volume: the floor only the greedy windows guarantee.
-    vol_s1 = abs(float(np.linalg.det(selected))) / math.factorial(d)
+    vol_s1 = float(simplex_volume(selected))
     floor_margin = vol_s1 - simplex_volume_floor(d)
     items.append(
         _item(

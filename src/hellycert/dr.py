@@ -15,8 +15,9 @@ import math
 import numpy as np
 
 from .bounds import WINDOW_TOL, eq3_lower_bounds, selection_windows, window_allowance
+from .certificate import verify_decomposition
 from .errors import NumericalBreakdown
-from .john import ContactDecomposition, verify_decomposition
+from .john import ContactDecomposition
 
 _ORTHO_TOL = 1e-10
 
@@ -52,7 +53,7 @@ def dr_select(dec: ContactDecomposition) -> np.ndarray:
     """
     d = dec.dim
     pts = dec.points
-    slack = window_allowance(d, verify_decomposition(dec).identity_residual)
+    slack = window_allowance(d, verify_decomposition(pts, dec.weights).identity_residual)
     basis = np.zeros((d, d))
     rows = np.zeros(d, dtype=int)
     projector = np.eye(d)

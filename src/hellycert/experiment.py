@@ -16,13 +16,13 @@ import os
 import time
 from dataclasses import dataclass, fields
 
+from .bodies import simplex_volume
 from .checker import check_certificate
 from .errors import HellyError
 from .generators import gen_affine_warp, gen_cube, gen_tangent_random
 from .geometry import volume
 from .oracle import oracle_min_subfamily
 from .pipeline import select
-from .pivovarov import sample_volume
 
 __all__ = ["ExperimentRow", "TrialSpec", "grid_specs", "rows_to_csv", "run_experiment", "run_trial"]
 
@@ -124,7 +124,7 @@ def run_trial(spec: TrialSpec) -> ExperimentRow:
         ratio=cert.ratio,
         bound=cert.bound,
         lam=cert.lam,
-        vol_s1=sample_volume(cert.s1_vertices),
+        vol_s1=float(simplex_volume(cert.selected_points)),
         min_window_slack=report["selection_window"].slack,
         wall_ms=wall,
         oracle_ratio=oracle_ratio,

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bodies import Ellipsoid, HPolytope
-from .certificate import normalized_rows
+from .certificate import normalized_rows, verify_decomposition
 from .config import DEFAULT, Tolerances
 from .errors import Degenerate, GenerationFailed, NoConvergence, NoDecomposition
 from .geometry import ensure_bounded, interior_point
@@ -289,33 +289,6 @@ class ContactDecomposition:
     @property
     def size(self) -> int:
         return self.points.shape[0]
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    identity_residual: float  # max abs entry of sum c w w^T - I
-    barycenter_norm: float  # |sum c w|
-    weight_sum: float  # sum c (should be the dimension)
-    min_weight: float
-    max_unit_deviation: float  # max | |w_i| - 1 |
-
-
-def verify_decomposition(points, weights=None) -> DecompositionReport:
-    """Residuals of the identity and barycenter conditions, no thresholds."""
-    if weights is None:
-        points, weights = points.points, points.weights
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    wts = np.asarray(weights, dtype=float).ravel()
-    outer = np.einsum("i,ip,iq->pq", wts, pts, pts)
-    identity_residual = float(np.abs(outer - np.eye(pts.shape[1])).max())
-    barycenter = wts @ pts
-    return DecompositionReport(
-        identity_residual=identity_residual,
-        barycenter_norm=float(np.linalg.norm(barycenter)),
-        weight_sum=float(wts.sum()),
-        min_weight=float(wts.min()) if wts.size else math.nan,
-        max_unit_deviation=float(np.abs(np.linalg.norm(pts, axis=1) - 1.0).max()),
-    )
 
 
 def john_weights(

@@ -16,10 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bodies import simplex_volume
 from .bounds import simplex_volume_floor
 from .john import ContactDecomposition
 
-__all__ = ["MomentReport", "pivovarov_moments", "pivovarov_sample", "sample_indices", "sample_volume"]
+__all__ = ["MomentReport", "pivovarov_moments", "pivovarov_sample", "sample_indices"]
+
+_TRIAL_BLOCK = 4096  # trials drawn and gathered at once, so the gather stays small
 
 
 def sample_indices(dec: ContactDecomposition, rng: np.random.Generator, size) -> np.ndarray:
@@ -38,12 +41,6 @@ def pivovarov_sample(dec: ContactDecomposition, seed=None) -> np.ndarray:
     d = dec.points.shape[1]
     idx = sample_indices(dec, np.random.default_rng(seed), d)
     return np.vstack([np.zeros(d), dec.points[idx]])
-
-
-def sample_volume(vertices: np.ndarray) -> float:
-    """Volume of the simplex spanned by a vertex array; 0.0 when flat."""
-    edges = vertices[1:] - vertices[0]
-    return abs(float(np.linalg.det(edges))) / math.factorial(edges.shape[1])
 
 
 @dataclass(frozen=True)
@@ -67,12 +64,20 @@ class MomentReport:
 
 
 def pivovarov_moments(dec: ContactDecomposition, trials: int, seed=None) -> MomentReport:
-    """Estimate E[vol] and E[vol^2] of the random simplex over `trials` draws."""
+    """Estimate E[vol] and E[vol^2] of the random simplex over `trials` draws.
+
+    The draws are taken _TRIAL_BLOCK trials at a time; consecutive draws
+    from one generator are the draw of all trials at once, so the block
+    size changes no volume.
+    """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     d = dec.points.shape[1]
-    idx = sample_indices(dec, np.random.default_rng(seed), (trials, d))
-    vols = np.abs(np.linalg.det(dec.points[idx])) / math.factorial(d)
+    rng = np.random.default_rng(seed)
+    vols = np.empty(trials)
+    for start in range(0, trials, _TRIAL_BLOCK):
+        block = min(_TRIAL_BLOCK, trials - start)
+        vols[start : start + block] = simplex_volume(dec.points[sample_indices(dec, rng, (block, d))])
     sq = vols * vols
 
     def with_se(values: np.ndarray) -> tuple[float, float]:

@@ -26,6 +26,7 @@ from hellycert.bounds import (
     simplex_volume_floor,
     theorem_constant_scan,
 )
+from hellycert.certificate import verify_decomposition
 from hellycert.checker import check_certificate
 from hellycert.dr import dr_select
 from hellycert.generators import gen_affine_warp, gen_cube, gen_tangent_random
@@ -34,7 +35,6 @@ from hellycert.john import (
     inscribed_ellipsoid,
     normalize_position,
     random_decomposition,
-    verify_decomposition,
 )
 from hellycert.oracle import oracle_min_subfamily
 from hellycert.pipeline import select

@@ -18,6 +18,7 @@ from hellycert.bodies import (
     reference_simplex,
     unit_ball_volume,
 )
+from hellycert.certificate import verify_decomposition
 from hellycert.config import DEFAULT
 from hellycert.errors import (
     Degenerate,
@@ -35,7 +36,6 @@ from hellycert.john import (
     john_weights,
     normalize_position,
     random_decomposition,
-    verify_decomposition,
 )
 from hellycert.pipeline import select
 
@@ -204,7 +204,8 @@ def test_solver_regression_far_center():
     ell = inscribed_ellipsoid(warped)
     assert ellipsoid_volume(ell) == pytest.approx(want, rel=1e-8)
     assert worst_violation(warped, ell) <= 0.0
-    rep = verify_decomposition(normalize_position(warped).decomposition)
+    dec = normalize_position(warped).decomposition
+    rep = verify_decomposition(dec.points, dec.weights)
     assert rep.identity_residual <= 1e-6
     assert rep.barycenter_norm <= 1e-6
 
@@ -225,7 +226,8 @@ def test_solver_property_feasible_and_certified(d, extra, seed, log_scale, log_c
     warped, _, _ = gen_affine_warp(base, seed=seed, cond_cap=10.0**log_cond)
     poly = hpolytope_from_arrays(warped.normals, warped.offsets * 10.0**log_scale)
     assert worst_violation(poly, inscribed_ellipsoid(poly)) <= DEFAULT.feasibility
-    rep = verify_decomposition(normalize_position(poly).decomposition)
+    dec = normalize_position(poly).decomposition
+    rep = verify_decomposition(dec.points, dec.weights)
     assert rep.identity_residual <= DEFAULT.decomposition
     assert rep.barycenter_norm <= DEFAULT.decomposition
 
@@ -298,7 +300,7 @@ def test_normalized_offsets_at_least_one():
     for d, m, seed in [(2, 7, 1), (3, 9, 2), (4, 13, 3), (5, 16, 4)]:
         ni = normalize_position(gen_tangent_random(d, m, seed))
         assert ni.norm_offsets.min() >= 1.0 - 1e-8
-        rep = verify_decomposition(ni.decomposition)
+        rep = verify_decomposition(ni.decomposition.points, ni.decomposition.weights)
         assert rep.identity_residual <= 1e-6
         assert rep.barycenter_norm <= 1e-6
         assert rep.weight_sum == pytest.approx(d, abs=1e-5)
@@ -310,7 +312,7 @@ def test_normalize_warped_instances():
         base = gen_tangent_random(d, 2 * d + 1, seed)
         warped, _, _ = gen_affine_warp(base, seed)
         ni = normalize_position(warped)
-        rep = verify_decomposition(ni.decomposition)
+        rep = verify_decomposition(ni.decomposition.points, ni.decomposition.weights)
         assert rep.identity_residual <= 1e-6
         assert rep.barycenter_norm <= 1e-6
 
@@ -383,7 +385,7 @@ def test_row_just_off_the_ellipsoid_keeps_no_weight(pull, want, scale):
     ni = normalize_position(HPolytope(poly.normals, offsets), tolerances)
     np.testing.assert_array_equal(ni.decomposition.source_indices, want)
     assert ni.contact_tol == tolerances.contact
-    rep = verify_decomposition(ni.decomposition)
+    rep = verify_decomposition(ni.decomposition.points, ni.decomposition.weights)
     assert max(rep.identity_residual, rep.barycenter_norm) <= DEFAULT.decomposition
 
 
@@ -399,7 +401,7 @@ def test_decomposition_residual_is_checked_at_the_callers_tolerance(monkeypatch)
     monkeypatch.setattr(john, "_john_solve", heavy)
     square = gen_cube(2)
     ni = normalize_position(square, DEFAULT.scaled(10.0))
-    rep = verify_decomposition(ni.decomposition)
+    rep = verify_decomposition(ni.decomposition.points, ni.decomposition.weights)
     assert 1e-6 < rep.identity_residual <= 1e-5
     with pytest.raises(NoDecomposition):
         normalize_position(square)
@@ -411,7 +413,7 @@ def test_decomposition_residual_is_checked_at_the_callers_tolerance(monkeypatch)
 @pytest.mark.parametrize("d", [2, 3, 4, 6])
 def test_random_decomposition_residuals(d):
     dec = random_decomposition(d, seed=d * 7)
-    rep = verify_decomposition(dec)
+    rep = verify_decomposition(dec.points, dec.weights)
     assert rep.identity_residual <= 1e-10
     assert rep.barycenter_norm <= 1e-10
     assert rep.weight_sum == pytest.approx(d, abs=1e-9)
@@ -428,7 +430,7 @@ def test_random_decomposition_deterministic():
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_random_unbalanced_decomposition(d):
     dec = random_decomposition(d, seed=d * 13, balanced=False)
-    rep = verify_decomposition(dec)
+    rep = verify_decomposition(dec.points, dec.weights)
     assert rep.identity_residual <= 1e-10
     assert rep.barycenter_norm >= 1e-3  # genuinely unbalanced
     assert not dec.balanced

@@ -26,6 +26,7 @@ from hellycert.bounds import (
     simplex_volume_floor,
     window_allowance,
 )
+from hellycert.certificate import verify_decomposition
 from hellycert.checker import DEFAULT_SCALE, check_certificate
 from hellycert.dr import dr_select
 from hellycert.errors import (
@@ -38,7 +39,7 @@ from hellycert.errors import (
 )
 from hellycert.generators import gen_affine_warp, gen_cube, gen_tangent_random
 from hellycert.geometry import facets_from_vertices, polar_of_points, vertex_enumeration, volume
-from hellycert.john import normalize_position, verify_decomposition
+from hellycert.john import normalize_position
 from hellycert.pipeline import (
     build_S1,
     caratheodory_reduce,

@@ -11,10 +11,12 @@ import math
 import numpy as np
 import pytest
 
+from hellycert.bodies import simplex_volume
 from hellycert.bounds import simplex_volume_floor
 from hellycert.generators import gen_tangent_random
+from hellycert import pivovarov
 from hellycert.john import ContactDecomposition, normalize_position
-from hellycert.pivovarov import MomentReport, pivovarov_moments, pivovarov_sample, sample_volume
+from hellycert.pivovarov import MomentReport, pivovarov_moments, pivovarov_sample
 
 
 def axis_cross(d):
@@ -58,14 +60,15 @@ class TestSample:
         dec = axis_cross(2)
         seen_zero = False
         for seed in range(50):
-            vol = sample_volume(pivovarov_sample(dec, seed=seed))
+            verts = pivovarov_sample(dec, seed=seed)
+            vol = simplex_volume(verts[1:] - verts[0])
             assert vol in (0.0, 0.5)
             seen_zero = seen_zero or vol == 0.0
         assert seen_zero  # repeats and antipodal pairs do occur
 
     def test_sample_volume_matches_edge_determinant(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        assert sample_volume(verts) == pytest.approx(0.5)
+        assert simplex_volume(verts[1:] - verts[0]) == pytest.approx(0.5)
 
 
 class TestMoments:
@@ -106,6 +109,13 @@ class TestMoments:
     def test_single_trial_has_no_error_bar(self):
         rep = pivovarov_moments(axis_cross(2), trials=1, seed=3)
         assert math.isinf(rep.se_mean) and math.isinf(rep.se_sq)
+
+    def test_block_size_changes_nothing(self, monkeypatch):
+        # 100 trials over blocks of 7 are the one draw of 100: same report
+        dec = normalize_position(gen_tangent_random(4, 12, seed=3)).decomposition
+        whole = pivovarov_moments(dec, trials=100, seed=5)
+        monkeypatch.setattr(pivovarov, "_TRIAL_BLOCK", 7)
+        assert pivovarov_moments(dec, trials=100, seed=5) == whole
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
