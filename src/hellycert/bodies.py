@@ -1,8 +1,8 @@
 """Closed-form convex bodies: the geometry a certificate is read with.
 
 Half-space polytopes, simplices and ellipsoids as validated read-only
-arrays, with the closed forms the checker relies on: ellipsoid volume, the
-regular simplex and the largest ellipsoid inscribed in a simplex. Nothing
+arrays, with the closed forms the checker relies on: simplex and ellipsoid
+volume and the largest ellipsoid inscribed in a simplex. Nothing
 here solves an LP or enumerates a vertex; that code lives in `geometry`.
 
 An `HPolytope` is two read-only C-contiguous arrays, unit normals (m, d)
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -168,47 +167,25 @@ def ellipsoid_volume(ell: Ellipsoid) -> float:
     return unit_ball_volume(ell.dim) * float(np.linalg.det(ell.shape))
 
 
-def _sqrtm_spd(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (mat + mat.T))
-    w = np.clip(w, 0.0, None)
-    out = (v * np.sqrt(w)) @ v.T
-    return 0.5 * (out + out.T)
-
-
 def ellipsoid_affine_image(ell: Ellipsoid, mat: np.ndarray, shift: np.ndarray) -> Ellipsoid:
-    """Image of an ellipsoid under x -> mat @ x + shift."""
-    gen = mat @ ell.shape
-    return Ellipsoid(mat @ ell.center + shift, _sqrtm_spd(gen @ gen.T))
-
-
-@lru_cache(maxsize=None)
-def reference_simplex(d: int) -> np.ndarray:
-    """Regular simplex: d+1 unit vectors in R^d summing to zero, as rows
-    (read-only: one array per d serves every call)."""
-    ones = np.ones((d + 1, 1))
-    q_full, _ = np.linalg.qr(ones, mode="complete")
-    basis = q_full[:, 1:]  # orthonormal basis of the sum-zero hyperplane
-    centered = np.eye(d + 1) - np.full((d + 1, d + 1), 1.0 / (d + 1))
-    return freeze(math.sqrt((d + 1) / d) * centered @ basis)
+    """Image of an ellipsoid under x -> mat @ x + shift. Its shape is the
+    root of G G^T with G = mat @ shape, read off G's singular vectors."""
+    left, spread, _ = np.linalg.svd(mat @ ell.shape)
+    return Ellipsoid(mat @ ell.center + shift, (left * spread) @ left.T)
 
 
 def max_ellipsoid_in_simplex(simplex: Simplex) -> Ellipsoid:
     """Largest-volume ellipsoid inscribed in a simplex, in closed form.
 
-    The regular simplex's extremal ellipsoid is its inscribed ball (radius
-    1/d for unit circumradius); affine images of extremal ellipsoids are
-    extremal, so the answer is that ball pushed through the affine map that
-    carries the regular simplex onto this one.
+    Its center is the centroid c and its shape (S / (d (d+1)))^(1/2), with
+    S = sum_i (v_i - c)(v_i - c)^T over the d+1 vertices. A regular simplex
+    of unit circumradius has S = ((d+1)/d) I and its inscribed ball, radius
+    1/d, as extremal ellipsoid; both carry over under an affine map, and
+    affine images of extremal ellipsoids are extremal. The root is read off
+    the singular values of the centered vertices, so S, whose condition
+    number is the square of the simplex's, is never formed.
     """
     d = simplex.dim
-    ref = reference_simplex(d)
-    q_edges = ref[1:] - ref[0]
-    s_edges = simplex.vertices[1:] - simplex.vertices[0]
-    mat = np.linalg.solve(q_edges, s_edges).T
-    shift = simplex.vertices[0] - mat @ ref[0]
-    shape = _sqrtm_spd(mat @ mat.T) / d
-    center = shift  # image of the reference center (the origin)
-    centroid = simplex.vertices.mean(axis=0)
-    if np.linalg.norm(center - centroid) > 1e-9 * (1.0 + np.linalg.norm(centroid)):
-        raise DegenerateSimplex("affine map did not carry centroid to centroid")
-    return Ellipsoid(center, shape)
+    center = simplex.vertices.mean(axis=0)
+    _, spread, axes = np.linalg.svd(simplex.vertices - center, full_matrices=False)
+    return Ellipsoid(center, (axes.T * (spread / math.sqrt(d * (d + 1)))) @ axes)

@@ -23,6 +23,7 @@ from .config import DIM_CAP, VERSION
 from .errors import HellyError, MalformedCertificate
 
 DEGENERATE_RAY = 1e-10  # |u| at or below which the ray direction is moot
+SELECTORS = ("dr", "pivovarov")  # the greedy pass and the weighted draw
 
 ARRAY_FIELDS = {
     "normals": 2,
@@ -173,7 +174,7 @@ class Certificate:
         for name, want in shapes.items():
             if getattr(self, name).shape != want:
                 raise MalformedCertificate(f"{name} has shape {getattr(self, name).shape}, want {want}")
-        if self.selector not in ("dr", "pivovarov"):
+        if self.selector not in SELECTORS:
             raise MalformedCertificate(f"unknown selector {self.selector!r}")
         for idx, limit in (
             (self.contact_indices, m),
@@ -222,16 +223,12 @@ class Certificate:
         return self.contact_points[self.selected_rows]
 
     @property
-    def s1_vertices(self) -> np.ndarray:
-        return np.vstack([np.zeros(self.dim), self.selected_points])
-
-    @property
     def s2_vertices(self) -> np.ndarray:
         return np.vstack([self.w, self.selected_points])
 
     @cached_property
     def s1(self) -> Simplex:
-        return Simplex(self.s1_vertices)
+        return Simplex(np.vstack([np.zeros(self.dim), self.selected_points]))
 
     @cached_property
     def e1(self) -> Ellipsoid:

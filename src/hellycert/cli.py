@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .certificate import SELECTORS
 from .checker import check_certificate
 from .config import DEFAULT, DIM_CAP, FACET_CAP
 from .documents import (
@@ -166,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="produce a certificate for an instance")
     add_io(p)
     p.add_argument("--seed", type=int, default=None, help="sampled-selector seed")
-    p.add_argument("--selector", choices=("dr", "pivovarov"), default="dr")
+    p.add_argument("--selector", choices=SELECTORS, default="dr")
     p.add_argument("--tol-scale", type=float, default=None, help="scale the John solver's tolerances")
     p.set_defaults(func=cmd_select)
 
@@ -190,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10, help="seeds per (d, m) cell")
     p.add_argument("--seed", type=int, default=0, help="first seed of each cell")
     p.add_argument("--generator", choices=GENERATORS, default="tangent")
-    p.add_argument("--selector", choices=("dr", "pivovarov"), default="dr")
+    p.add_argument("--selector", choices=SELECTORS, default="dr")
     p.add_argument("--oracle", action="store_true", help="add exhaustive-optimum column")
     p.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per trial and CPU")
     p.set_defaults(func=cmd_experiment)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .bodies import HPolytope, hpolytope_from_arrays
-from .certificate import ARRAY_FIELDS, INT_FIELDS, Certificate
+from .certificate import ARRAY_FIELDS, INT_FIELDS, SELECTORS, Certificate
 from .checker import CheckItem, CheckReport
 from .errors import MalformedCertificate, MalformedDocument, ZeroNormal
 
@@ -302,6 +302,12 @@ def report_to_doc(report: CheckReport) -> dict:
 def report_from_doc(doc: dict) -> CheckReport:
     if document_kind(doc) != KIND_REPORT:
         raise _fail("expected a helly-check-report document")
+    selector = _require(doc, "selector")
+    if selector not in SELECTORS:
+        raise _fail(f"unknown selector {selector!r}")
+    scale = _float_scalar(_require(doc, "scale"), "scale")
+    if scale <= 0.0:
+        raise _fail(f"scale must be positive, got {scale!r}")
     rows = _require(doc, "items")
     if not isinstance(rows, list):
         raise _fail("items must be a list")
@@ -328,9 +334,9 @@ def report_from_doc(doc: dict) -> CheckReport:
         )
     return CheckReport(
         dim=_int_scalar(_require(doc, "dim"), "dim"),
-        selector=str(_require(doc, "selector")),
+        selector=selector,
         items=tuple(items),
         ratio=_float_scalar(_require(doc, "ratio"), "ratio"),
         bound=_float_scalar(_require(doc, "bound"), "bound"),
-        scale=_float_scalar(_require(doc, "scale"), "scale"),
+        scale=scale,
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bodies import DEDUPE, Ellipsoid, HPolytope, Simplex, max_ellipsoid_in_simplex
 from .bounds import explicit_bound, simplex_volume_floor
-from .certificate import DEGENERATE_RAY, Certificate, certified_ratio, contraction_ratio, subfamily_rows
+from .certificate import DEGENERATE_RAY, SELECTORS, Certificate, certified_ratio, contraction_ratio, subfamily_rows
 from .config import DEFAULT, Tolerances
 from .dr import dr_select
 from .errors import (
@@ -248,7 +248,7 @@ def select(
     govern the position normalization. Errors are wrapped with the stage
     that raised them.
     """
-    if selector not in ("dr", "pivovarov"):
+    if selector not in SELECTORS:
         raise ValueError(f"unknown selector {selector!r}")
 
     def stage(name, fn, *args, **kwargs):

@@ -64,12 +64,8 @@ class MomentReport:
 
 
 def pivovarov_moments(dec: ContactDecomposition, trials: int, seed=None) -> MomentReport:
-    """Estimate E[vol] and E[vol^2] of the random simplex over `trials` draws.
-
-    The draws are taken _TRIAL_BLOCK trials at a time; consecutive draws
-    from one generator are the draw of all trials at once, so the block
-    size changes no volume.
-    """
+    """Estimate E[vol] and E[vol^2] of the random simplex over `trials` draws,
+    taken _TRIAL_BLOCK at a time: consecutive draws are the draw of all."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     d = dec.points.shape[1]

@@ -375,6 +375,23 @@ class TestReportDocuments:
         assert doc["passed"] is True
         assert len(doc["items"]) == 10
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("selector", None),
+            ("selector", 5),
+            ("selector", ["dr"]),
+            ("selector", "greedy"),
+            ("scale", -1.0),
+            ("scale", 0.0),
+        ],
+        ids=["null-selector", "int-selector", "list-selector", "unknown-selector", "negative-scale", "zero-scale"],
+    )
+    def test_rejects_malformed_scalars(self, cert, field, value):
+        doc = report_to_doc(check_certificate(cert)) | {field: value}
+        with pytest.raises(MalformedDocument, match=field):
+            report_from_doc(doc)
+
     def test_rejects_bad_slack_spelling(self, cert):
         doc = report_to_doc(check_certificate(cert))
         doc["items"][0]["slack"] = "huge"

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 import scipy.spatial
 
+from conftest import reference_simplex
+
 from hellycert import geometry, john
 from hellycert.bodies import (
     Ellipsoid,
@@ -23,7 +25,6 @@ from hellycert.bodies import (
     ellipsoid_volume,
     hpolytope_from_arrays,
     max_ellipsoid_in_simplex,
-    reference_simplex,
     unit_ball_volume,
 )
 from hellycert.checker import check_certificate
@@ -777,7 +778,7 @@ def inner_ratio_closed_form(d):
     )
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("d", range(1, 9))
 def test_inner_ellipsoid_volume_ratio(d):
     rng = np.random.default_rng(d)
     for _ in range(8):
@@ -804,6 +805,47 @@ def test_inner_ellipsoid_affine_equivariance():
         np.testing.assert_allclose(
             e_direct.shape @ e_direct.shape, e_mapped.shape @ e_mapped.shape, atol=1e-9
         )
+
+
+def mapped_inball(simplex):
+    """E1 as the inscribed ball of the regular simplex, radius 1/d, pushed
+    through the affine map that carries that simplex onto this one, with
+    the root of mat @ mat.T taken by its eigendecomposition."""
+    d = simplex.dim
+    ref = reference_simplex(d)
+    mat = np.linalg.solve(ref[1:] - ref[0], simplex.vertices[1:] - simplex.vertices[0]).T
+    lam, vec = np.linalg.eigh(mat @ mat.T)
+    root = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.T
+    return Ellipsoid(simplex.vertices[0] - mat @ ref[0], root / d)
+
+
+def tangency_gap(simplex, ell):
+    """Largest distance between a facet and E1's support along its normal."""
+    a, b = simplex.facets()
+    return float(np.abs(a @ ell.center + np.linalg.norm(a @ ell.shape, axis=1) - b).max())
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_inner_ellipsoid_closed_form_matches_the_mapped_inball(d):
+    # random, stretched (aspect 1e6) and far (shifted by 1e4) simplices
+    rng = np.random.default_rng(100 + d)
+    cases = []
+    while len(cases) < 30:
+        verts = rng.normal(size=(d + 1, d))
+        if np.linalg.cond(verts[1:] - verts[0]) > 10.0:
+            continue
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        stretched = verts @ q @ np.diag(np.logspace(0.0, 6.0, d)) @ q.T
+        cases += [verts, stretched, stretched + 1e4 * q[0]]
+    for verts in cases:
+        s = Simplex(verts)
+        new, old = max_ellipsoid_in_simplex(s), mapped_inball(s)
+        scale = float(np.abs(verts).max())
+        np.testing.assert_allclose(new.center, old.center, rtol=0.0, atol=1e-12 * scale)
+        assert np.linalg.norm(new.shape - old.shape, 2) <= 1e-9 * np.linalg.norm(old.shape, 2)
+        # no less tangent than the mapped ball, up to a few roundings of the
+        # gap's own evaluation at this scale
+        assert tangency_gap(s, new) <= max(tangency_gap(s, old), 8 * np.finfo(float).eps * scale)
 
 
 def test_inner_ellipsoid_touches_facets():

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_simplex
+
 from hellycert import john
 from hellycert.bodies import (
     HPolytope,
@@ -15,7 +17,6 @@ from hellycert.bodies import (
     ellipsoid_volume,
     hpolytope_from_arrays,
     max_ellipsoid_in_simplex,
-    reference_simplex,
     unit_ball_volume,
 )
 from hellycert.certificate import verify_decomposition

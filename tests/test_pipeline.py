@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from conftest import reference_simplex
+
 from hellycert import geometry, john, pipeline
 from hellycert.bodies import (
     Ellipsoid,
@@ -16,7 +18,6 @@ from hellycert.bodies import (
     Simplex,
     ellipsoid_volume,
     hpolytope_from_arrays,
-    reference_simplex,
 )
 from hellycert.bounds import (
     eq3_lower_bounds,

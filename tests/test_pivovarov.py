@@ -11,10 +11,10 @@ import math
 import numpy as np
 import pytest
 
+from hellycert import pivovarov
 from hellycert.bodies import simplex_volume
 from hellycert.bounds import simplex_volume_floor
 from hellycert.generators import gen_tangent_random
-from hellycert import pivovarov
 from hellycert.john import ContactDecomposition, normalize_position
 from hellycert.pivovarov import MomentReport, pivovarov_moments, pivovarov_sample
 
