@@ -5,8 +5,7 @@ explicit_bound(d) times the original. The headline statement uses the looser
 form C * e^d * d^(2d); theorem_constant_scan recovers the smallest C that
 covers a dimension range, which the explicit form attains at d = 1. The
 greedy selection's window floors and the base simplex's volume floor are
-closed forms too, as are the windows themselves, read by both the producer
-and the checker.
+closed forms too, as are the windows themselves, which the checker reads.
 """
 
 from __future__ import annotations

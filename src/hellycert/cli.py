@@ -1,8 +1,9 @@
 """Command-line surface: select, verify, gen, experiment, pivovarov.
 
-Exit codes: 0 success, 1 a verification or experiment row failed, 2 the
-input was malformed or outside the size caps, 3 the numerics broke down
-while producing a certificate.
+Exit codes: 0 success, 1 a verification or experiment row failed (a
+certificate that `select` wrote included), 2 the input was malformed or
+outside the size caps, 3 the numerics broke down while producing a
+certificate.
 """
 
 from __future__ import annotations
@@ -59,10 +60,26 @@ def _producer_tolerances(args):
     return DEFAULT if scale in (None, 1.0) else DEFAULT.scaled(scale)
 
 
+def _print_items(report, file) -> None:
+    for item in report.items:
+        if not item.applicable:
+            status = "skip"
+        else:
+            status = "pass" if item.passed else "FAIL"
+        print(f"{item.name:22s} {status}  {item.detail}", file=file)
+    print(f"verdict: {'pass' if report.passed else 'FAIL'}", file=file)
+
+
 def cmd_select(args) -> int:
     poly, _ = instance_from_doc(load_document(args.infile))
     cert = select(poly, selector=args.selector, seed=args.seed, tolerances=_producer_tolerances(args))
-    _emit(certificate_to_doc(cert), args.out)
+    doc = certificate_to_doc(cert)
+    _emit(doc, args.out)
+    report = check_certificate(certificate_from_doc(doc))
+    if not report.passed:
+        # stdout may carry the document
+        _print_items(report, sys.stderr)
+        return EXIT_CHECK_FAILED
     print(
         f"selected {cert.subfamily_size} of {poly.normals.shape[0]} half-spaces, "
         f"certified ratio {cert.ratio:.6g} <= bound {cert.bound:.6g}",
@@ -76,13 +93,7 @@ def cmd_verify(args) -> int:
     report = check_certificate(cert, scale=args.tol_scale)
     if args.out is not None:
         save_document(report_to_doc(report), args.out)
-    for item in report.items:
-        if not item.applicable:
-            status = "skip"
-        else:
-            status = "pass" if item.passed else "FAIL"
-        print(f"{item.name:22s} {status}  {item.detail}")
-    print(f"verdict: {'pass' if report.passed else 'FAIL'}")
+    _print_items(report, sys.stdout)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 

@@ -260,18 +260,19 @@ def certificate_from_doc(doc: dict) -> Certificate:
 # ------------------------------------------------------------- check reports
 
 
-def _slack_to_doc(slack: float):
-    if math.isfinite(slack):
-        return float(slack)
-    if math.isnan(slack):
+def _real_to_doc(value: float):
+    """A float, or its name when JSON has no literal for it."""
+    if math.isfinite(value):
+        return float(value)
+    if math.isnan(value):
         return "nan"
-    return "inf" if slack > 0 else "-inf"
+    return "inf" if value > 0 else "-inf"
 
 
-def _slack_from_doc(value, name: str) -> float:
+def _real_from_doc(value, name: str) -> float:
     if isinstance(value, str):
         if value not in ("inf", "-inf", "nan"):
-            raise _fail(f"{name} has invalid slack spelling {value!r}")
+            raise _fail(f"{name} has invalid spelling {value!r}")
         return float(value)
     return _float_scalar(value, name)
 
@@ -283,7 +284,7 @@ def report_to_doc(report: CheckReport) -> dict:
         "dim": report.dim,
         "selector": report.selector,
         "scale": float(report.scale),
-        "ratio": float(report.ratio),
+        "ratio": _real_to_doc(report.ratio),
         "bound": float(report.bound),
         "passed": report.passed,
         "items": [
@@ -291,7 +292,7 @@ def report_to_doc(report: CheckReport) -> dict:
                 "name": item.name,
                 "passed": item.passed,
                 "applicable": item.applicable,
-                "slack": _slack_to_doc(item.slack),
+                "slack": _real_to_doc(item.slack),
                 "detail": item.detail,
             }
             for item in report.items
@@ -328,7 +329,7 @@ def report_from_doc(doc: dict) -> CheckReport:
                 name=name,
                 passed=passed,
                 applicable=applicable,
-                slack=_slack_from_doc(_require(row, "slack"), f"item {i} slack"),
+                slack=_real_from_doc(_require(row, "slack"), f"item {i} slack"),
                 detail=detail,
             )
         )
@@ -336,7 +337,7 @@ def report_from_doc(doc: dict) -> CheckReport:
         dim=_int_scalar(_require(doc, "dim"), "dim"),
         selector=selector,
         items=tuple(items),
-        ratio=_float_scalar(_require(doc, "ratio"), "ratio"),
+        ratio=_real_from_doc(_require(doc, "ratio"), "ratio"),
         bound=_float_scalar(_require(doc, "bound"), "bound"),
         scale=scale,
     )

@@ -46,15 +46,7 @@ class NoDecomposition(HellyError):
 
 
 class NumericalBreakdown(HellyError):
-    """An inequality the construction guarantees failed numerically."""
-
-
-class ReductionFailed(HellyError):
-    """Affine-dependence search found no usable null direction."""
-
-
-class Misaligned(HellyError):
-    """Contraction endpoints are not antipodal through the origin."""
+    """A stage could not compute (the ray LP did not end OPTIMAL)."""
 
 
 class GenerationFailed(HellyError):

@@ -222,6 +222,20 @@ class TestFaultInjection:
         coeffs[0] += 0.1
         assert_flips(random_cert, replace(random_cert, cara_coeffs=coeffs), {"hull_chain"})
 
+    def test_hull_row_beyond_d(self, random_cert):
+        # a contact outside X joins the hull combination at weight 0: the
+        # combination still reproduces w, but over d + 1 rows, and X over 2d
+        d = random_cert.dim
+        assert random_cert.cara_rows.size == d and random_cert.x_rows.size == 2 * d
+        x_rows = set(random_cert.x_rows.tolist())
+        spare = next(r for r in range(random_cert.contact_indices.size) if r not in x_rows)
+        bad = replace(
+            random_cert,
+            cara_rows=np.append(random_cert.cara_rows, spare),
+            cara_coeffs=np.append(random_cert.cara_coeffs, 0.0),
+        )
+        assert_flips(random_cert, bad, {"hull_chain", "subfamily_size"})
+
     def test_forged_window_slack_is_ignored(self):
         # a sampled selection relabelled greedy has no window guarantee; a
         # stored window allowance of 1e6 used to pass its windows anyway, but
@@ -337,10 +351,11 @@ class TestFaultInjection:
             "contraction",
             "hull_chain",
             "ratio_bound",
+            "subfamily_size",
             "subfamily_membership",
         }
         rep = check_certificate(random_cert)
         applicable = {i.name for i in rep.items if i.applicable}
-        # simplex_floor and subfamily_size witnesses are shared
-        # with neighbouring checks; they are exercised as may_fail members
+        # simplex_floor fails only beside selection_window, when a selected
+        # row repeats
         assert covered <= applicable

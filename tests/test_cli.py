@@ -7,14 +7,16 @@ import json
 import numpy as np
 import pytest
 
-from hellycert import experiment
+from hellycert import checker, experiment
 from hellycert.cli import main
 from hellycert.documents import (
     SCHEMA_VERSION,
+    canonical_dumps,
     certificate_to_doc,
     instance_from_doc,
     instance_to_doc,
     load_document,
+    report_from_doc,
     save_document,
 )
 from hellycert.experiment import TrialSpec
@@ -70,6 +72,36 @@ class TestSelectVerify:
         assert main(["verify", "--in", str(path)]) == 1
         out = capsys.readouterr().out
         assert "contraction" in out and "FAIL" in out
+
+    def test_select_checks_what_it_writes(self, tmp_path, monkeypatch, capsys):
+        # the checker's window floors lifted past the greedy windows: select
+        # writes the same document, reports the failing item and exits 1
+        poly = gen_tangent_random(3, 8, seed=0)
+        inst_path, cert_path = tmp_path / "inst.json", tmp_path / "cert.json"
+        save_document(instance_to_doc(poly), inst_path)
+        honest = canonical_dumps(certificate_to_doc(select(poly)))
+        assert main(["select", "--in", str(inst_path), "--out", str(cert_path)]) == 0
+        assert cert_path.read_text() == honest
+        capsys.readouterr()
+        floors = checker.eq3_lower_bounds
+        monkeypatch.setattr(checker, "eq3_lower_bounds", lambda d: floors(d) + 1e-6)
+        assert main(["select", "--in", str(inst_path), "--out", str(cert_path)]) == 1
+        assert cert_path.read_text() == honest
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "selection_window       FAIL" in err and "verdict: FAIL" in err
+
+    def test_verify_writes_the_report_of_an_infinite_ratio(self, tmp_path, capsys):
+        # no hull combination, so no E2 and no certified ratio
+        doc = certificate_to_doc(select(gen_tangent_random(3, 9, seed=1)))
+        doc["cara_rows"], doc["cara_coeffs"] = [], []
+        cert_path, report_path = tmp_path / "cert.json", tmp_path / "report.json"
+        save_document(doc, cert_path)
+        assert main(["verify", "--in", str(cert_path), "--out", str(report_path)]) == 1
+        out = capsys.readouterr().out
+        assert "hull_chain" in out and "verdict: FAIL" in out
+        report = report_from_doc(load_document(report_path))
+        assert report.ratio == float("inf") and "hull_chain" in report.failures()
 
     def test_sampled_selector_flag(self, cube3, tmp_path):
         cert_path = tmp_path / "cert.json"

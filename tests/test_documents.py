@@ -362,6 +362,16 @@ class TestReportDocuments:
         back = report_from_doc(doc)
         assert math.isinf(back.items[0].slack)
 
+    def test_infinite_ratio_round_trips(self, cert):
+        # a certificate with no hull combination certifies no ratio; its
+        # failing report must still be writable
+        empty = dataclasses.replace(cert, cara_rows=np.array([], dtype=int), cara_coeffs=np.array([]))
+        report = check_certificate(empty)
+        assert math.isinf(report.ratio) and not report.passed
+        doc = report_to_doc(report)
+        assert doc["ratio"] == "inf"
+        assert report_from_doc(canonical_loads(canonical_dumps(doc))) == report
+
     def test_version_three_report_still_reads(self, cert):
         # and version 4: schemas 4 and 5 changed the certificate fields, and
         # a report's items are read whatever their names

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from hellycert import dr
+from hellycert import checker
 from hellycert.bounds import eq3_lower_bounds, selection_windows
+from hellycert.checker import check_certificate
 from hellycert.dr import dr_select, trace_pick
-from hellycert.errors import NumericalBreakdown, PipelineError
 from hellycert.generators import gen_tangent_random
 from hellycert.john import ContactDecomposition, random_decomposition
 from hellycert.pipeline import select
@@ -48,24 +48,11 @@ class TestTracePick:
                 rng = np.random.default_rng(10_000 + 97 * d + seed)
                 for rank in range(1, d + 1):
                     t_mat = random_projector(d, rank, rng)
-                    pick = trace_pick(t_mat, dec, slack=1e-9)
+                    pick = trace_pick(t_mat, dec)
                     value = dec.points[pick] @ t_mat @ dec.points[pick]
                     assert value >= rank / d - 1e-9
                     hits += 1
         assert hits >= 1000
-
-    def test_raises_when_guarantee_unreachable(self):
-        # two copies of one axis pair leave the y axis untouched by x-heavy
-        # points; a fake overweight decomposition cannot reach tr/d
-        pts = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        dec = ContactDecomposition(
-            points=pts,
-            weights=np.array([0.5, 0.5]),
-            source_indices=np.arange(2),
-            validate=False,
-        )
-        with pytest.raises(NumericalBreakdown):
-            trace_pick(np.diag([0.0, 1.0]), dec, slack=1e-9)
 
 
 class TestDRSelect:
@@ -120,10 +107,11 @@ class TestDRSelect:
         assert rows.min() >= 0 and rows.max() < dec.size
 
     def test_window_below_its_floor_is_refused(self, monkeypatch):
-        floors = dr.eq3_lower_bounds
-        monkeypatch.setattr(dr, "eq3_lower_bounds", lambda d: floors(d) + 1e-6)
-        with pytest.raises(NumericalBreakdown, match="selection window"):
-            dr_select(random_decomposition(3, seed=0))
-        with pytest.raises(PipelineError) as info:
-            select(gen_tangent_random(3, 8, seed=0))
-        assert info.value.stage == "select"
+        # the selection measures no window; the checker refuses a certificate
+        # whose windows miss their floors, here floors lifted past them
+        floors = checker.eq3_lower_bounds
+        poly = gen_tangent_random(3, 8, seed=0)
+        assert check_certificate(select(poly))["selection_window"].passed
+        monkeypatch.setattr(checker, "eq3_lower_bounds", lambda d: floors(d) + 1e-6)
+        report = check_certificate(select(poly))
+        assert report.failures() == ("selection_window",)

@@ -8,6 +8,8 @@ import time
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_simplex
 
@@ -27,17 +29,11 @@ from hellycert.bounds import (
     simplex_volume_floor,
     window_allowance,
 )
-from hellycert.certificate import verify_decomposition
+from hellycert.certificate import SELECTORS, verify_decomposition
 from hellycert.checker import DEFAULT_SCALE, check_certificate
 from hellycert.dr import dr_select
-from hellycert.errors import (
-    CapExceeded,
-    DegenerateSimplex,
-    Misaligned,
-    NumericalBreakdown,
-    PipelineError,
-    ReductionFailed,
-)
+from hellycert.config import FACET_CAP
+from hellycert.errors import CapExceeded, HellyError, PipelineError
 from hellycert.generators import gen_affine_warp, gen_cube, gen_tangent_random
 from hellycert.geometry import facets_from_vertices, polar_of_points, vertex_enumeration, volume
 from hellycert.john import normalize_position
@@ -64,12 +60,8 @@ class TestBuildS1:
         ratio = ellipsoid_volume(e1) / 0.5
         assert ratio == pytest.approx(math.pi / (3.0 * math.sqrt(3.0)), rel=1e-9)
 
-    def test_floor_violation_raises(self):
-        with pytest.raises(DegenerateSimplex):
-            build_S1(0.1 * np.eye(2))
-
     def test_floor_skippable_for_sampled_selections(self):
-        e1 = build_S1(0.1 * np.eye(2), enforce_floor=False)
+        e1 = build_S1(0.1 * np.eye(2))
         # the simplex's volume is 0.005
         assert ellipsoid_volume(e1) == pytest.approx(0.005 * simplex_ellipsoid_ratio(2), rel=1e-12)
 
@@ -123,8 +115,10 @@ class TestRayHitBoundary:
             ray_hit_boundary(DIAMOND, np.array([1.0, 1.0]))
 
     def test_shallow_hull_fails_depth_floor(self):
-        with pytest.raises(NumericalBreakdown):
-            ray_hit_boundary(0.05 * DIAMOND, np.array([1.0, 0.0]))
+        # the hit point below the 1/d floor is returned; the checker's
+        # ray_depth item refuses it
+        w, _ = ray_hit_boundary(0.05 * DIAMOND, np.array([1.0, 0.0]))
+        assert np.linalg.norm(w) == pytest.approx(0.05, rel=1e-12)
 
     def test_random_hulls_match_membership_oracle(self):
         rng = np.random.default_rng(11)
@@ -136,16 +130,13 @@ class TestRayHitBoundary:
                     continue  # origin not interior; precondition not met
                 direction = rng.standard_normal(d)
                 direction /= np.linalg.norm(direction)
-                try:
-                    w, coeffs = ray_hit_boundary(pts, direction)
-                except NumericalBreakdown:
-                    continue  # hull too shallow along this ray
+                w, coeffs = ray_hit_boundary(pts, direction)
                 assert hull_gap(w, pts) <= 1e-8
                 assert hull_gap(w * (1.0 + 1e-6), pts) > 1e-10
 
     def test_combination_is_convex_after_many_pivots(self):
         # on this instance the pivoted tableau's rhs drifted until the ray
-        # weights summed to 1 + 1.3e-9, which `caratheodory_reduce` refuses
+        # weights summed to 1 + 1.3e-9, which hull_chain refuses at scale 1
         seed = 4000295462
         poly, _, _ = gen_affine_warp(gen_tangent_random(4, 16, seed=seed), seed=seed + 1)
         dec = normalize_position(poly).decomposition
@@ -158,40 +149,14 @@ class TestRayHitBoundary:
 
 class TestCaratheodoryReduce:
     def test_already_small_passes_through(self):
-        pts = np.array([[1.0, 0.0], [0.0, 1.0]])
-        idx, coeffs = caratheodory_reduce(np.array([0.5, 0.5]), pts, np.array([0.5, 0.5]))
+        idx, coeffs = caratheodory_reduce(np.array([0.5, 0.5]))
         assert idx.tolist() == [0, 1]
         assert np.allclose(coeffs, [0.5, 0.5], atol=1e-12)
 
     def test_vertex_itself(self):
-        pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        idx, coeffs = caratheodory_reduce(
-            np.array([0.0, 1.0]), pts, np.array([0.0, 1.0, 0.0])
-        )
+        idx, coeffs = caratheodory_reduce(np.array([0.0, 1.0, 0.0]))
         assert idx.tolist() == [1]
         assert coeffs[0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_square_facet_reduces(self):
-        # four weights on a square facet in 3-space are more than d: the ray
-        # LP's basic solution never hands over more, so none are walked away
-        pts = np.array(
-            [[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, 1.0], [1.0, -1.0, -1.0]]
-        )
-        w = np.array([1.0, 0.0, 0.0])
-        with pytest.raises(ReductionFailed, match="more than d"):
-            caratheodory_reduce(w, pts, np.full(4, 0.25))
-
-    def test_interior_point_raises(self):
-        pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        coeffs = np.array([0.5, 0.1, 0.4])
-        w = pts.T @ coeffs
-        with pytest.raises(ReductionFailed):
-            caratheodory_reduce(w, pts, coeffs)
-
-    def test_bad_combination_rejected(self):
-        pts = np.array([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ReductionFailed):
-            caratheodory_reduce(np.array([0.5, 0.5]), pts, np.array([0.9, 0.5]))
 
 
 class TestContractE1:
@@ -207,16 +172,6 @@ class TestContractE1:
         e2, lam = contract_E1(e1, np.array([-0.5, 0.0]))
         assert lam == 1.0
         assert np.allclose(e2.shape, e1.shape, atol=0.0)
-
-    def test_same_side_point_misaligned(self):
-        e1 = Ellipsoid(np.array([0.2, 0.0]), 0.1 * np.eye(2))
-        with pytest.raises(Misaligned):
-            contract_E1(e1, np.array([0.5, 0.0]))
-
-    def test_off_axis_point_misaligned(self):
-        e1 = Ellipsoid(np.array([0.2, 0.0]), 0.1 * np.eye(2))
-        with pytest.raises(Misaligned):
-            contract_E1(e1, np.array([-0.5, 0.01]))
 
 
 def simplex_instance(d, scale=2.0):
@@ -476,6 +431,40 @@ class TestSelectEndToEnd:
     def test_unknown_selector_rejected(self):
         with pytest.raises(ValueError):
             select(gen_cube(2), selector="greedy")
+
+
+@st.composite
+def bodies_in_the_domain(draw):
+    """A body of the advertised domain (d <= 8, m <= 64), with a selector and
+    its seed: tangent rows, an optional affine warp, up to three rows
+    repeated exactly or moved by 1e-11, then every offset scaled by 2^k."""
+    d = draw(st.integers(2, 8))
+    copies = draw(st.integers(0, 3))
+    m = draw(st.integers(d + 1, FACET_CAP - copies))
+    seed = draw(st.integers(0, 2**32 - 1))
+    poly = gen_tangent_random(d, m, seed=seed)
+    if draw(st.booleans()):
+        poly, _, _ = gen_affine_warp(poly, seed=seed + 1)
+    rows = draw(st.lists(st.integers(0, m - 1), min_size=copies, max_size=copies))
+    moved = draw(st.sampled_from([0.0, 1e-11]))
+    normals = poly.normals[rows] + moved * np.random.default_rng(seed).standard_normal((copies, d))
+    offsets = np.concatenate([poly.offsets, poly.offsets[rows]])
+    k = draw(st.integers(-40, 40))
+    body = hpolytope_from_arrays(np.vstack([poly.normals, normals]), 2.0**k * offsets)
+    return body, draw(st.sampled_from(SELECTORS)), seed
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=bodies_in_the_domain())
+def test_select_ends_in_a_passing_certificate_or_a_typed_error(case):
+    # the producer re-measures nothing the checker replays, so this property
+    # is what holds it to its own checker
+    poly, selector, seed = case
+    try:
+        cert = select(poly, selector=selector, seed=seed)
+    except HellyError:
+        return  # a typed refusal: small bodies are refused as Degenerate
+    assert check_certificate(cert).failures() == ()
 
 
 class TestSampledSelector:
