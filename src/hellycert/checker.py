@@ -110,7 +110,7 @@ def check_certificate(cert: Certificate, scale: float | None = None) -> CheckRep
         _item(
             "instance_map",
             inscribed,
-            DEFAULT.feasibility * k,
+            1e-8 * k,
             f"min normalized offset 1{inscribed:+.2e}",
         )
     )

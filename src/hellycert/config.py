@@ -1,17 +1,16 @@
 """The producer's tolerance record, and the size caps.
 
 `Tolerances` governs the John solver and the position normalization: how
-far a solved ellipsoid may poke out of the body (`feasibility`), how near
-tangency a facet must be to count as a contact (`contact`), the largest
-residual the contact decomposition may leave (`decomposition`), the
-duality gap the solver stops at (`solver_gap`) and its step budget
+near tangency a facet must be to count as a contact (`contact`), the
+largest residual the contact decomposition may leave (`decomposition`),
+the duality gap the solver stops at (`solver_gap`) and its step budget
 (`newton_cap`). `select(..., tolerances=DEFAULT.scaled(k))` and `hellycert
-select --tol-scale k` move the four thresholds together. The checker reads
-`feasibility` and `decomposition` from `DEFAULT`, times its own scale.
-Every other threshold is a constant where it is read, which no option
-moves: named ones such as `geometry.INCIDENCE`, `bodies.DEDUPE`,
-`certificate.DEGENERATE_RAY` and `checker.DEFAULT_SCALE`, and literal slacks
-in the pipeline's and the checker's inequalities.
+select --tol-scale k` move the three thresholds together. The checker reads
+`decomposition` from `DEFAULT` and the certificate's recorded `contact_tol`,
+times its own scale. Every other threshold is a constant where it is read,
+which no option moves: named ones such as `geometry.INCIDENCE`,
+`bodies.DEDUPE`, `certificate.DEGENERATE_RAY` and `checker.DEFAULT_SCALE`,
+and literal slacks in the pipeline and in the checker's inequalities.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ FACET_CAP = 64
 
 @dataclass(frozen=True)
 class Tolerances:
-    feasibility: float = 1e-8      # membership / containment re-checks
     contact: float = 1e-7          # near-tangency admission for contact points
     decomposition: float = 1e-6    # identity / barycenter residual cap
     solver_gap: float = 1e-9       # John solver duality gap at exit (log-volume)

