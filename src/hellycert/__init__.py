@@ -28,7 +28,7 @@ from .bounds import (
 )
 from .certificate import Certificate, verify_decomposition
 from .checker import CheckItem, CheckReport, check_certificate
-from .config import DEFAULT, DIM_CAP, FACET_CAP, VERSION, Tolerances
+from .config import DIM_CAP, FACET_CAP, VERSION
 from .documents import (
     certificate_from_doc,
     certificate_to_doc,
@@ -75,7 +75,6 @@ __all__ = [
     "CheckItem",
     "CheckReport",
     "ContactDecomposition",
-    "DEFAULT",
     "DIM_CAP",
     "DegenerateSimplex",
     "Ellipsoid",
@@ -91,7 +90,6 @@ __all__ = [
     "NumericalBreakdown",
     "PipelineError",
     "Simplex",
-    "Tolerances",
     "TrialSpec",
     "Unbounded",
     "VPolytope",

@@ -32,7 +32,7 @@ import numpy as np
 from .bodies import DEDUPE, Simplex, simplex_volume
 from .bounds import eq3_lower_bounds, explicit_bound, selection_windows, simplex_volume_floor, window_allowance
 from .certificate import DEGENERATE_RAY, Certificate, certified_ratio, verify_decomposition
-from .config import DEFAULT
+from .config import DECOMPOSITION
 from .errors import DegenerateSimplex, HellyError, MalformedCertificate
 
 DEFAULT_SCALE = 10.0  # checker tolerance = producer tolerance x this, unless asked
@@ -90,10 +90,12 @@ def _item(name, margin, tol, detail, applicable=True) -> CheckItem:
 def check_certificate(cert: Certificate, scale: float | None = None) -> CheckReport:
     """Replay every inequality of the construction from stored data.
 
-    scale loosens the producer tolerances of `DEFAULT` (default:
-    DEFAULT_SCALE, 10x); raising it separates genuine violations from float
-    noise, lowering it sharpens the audit. It must be finite and positive
-    (ValueError otherwise), since an infinite scale would pass anything.
+    scale multiplies every tolerance applied here: `config.DECOMPOSITION`,
+    the certificate's recorded `contact_tol` and the literal slacks of the
+    inequalities (default: DEFAULT_SCALE, 10x); raising it separates
+    genuine violations from float noise, lowering it sharpens the audit. It
+    must be finite and positive (ValueError otherwise), since an infinite
+    scale would pass anything.
     """
     if not isinstance(cert, Certificate):
         raise MalformedCertificate("checker needs a Certificate")
@@ -121,7 +123,7 @@ def check_certificate(cert: Certificate, scale: float | None = None) -> CheckRep
     sum_res = abs(res.weight_sum - d)
     tangency = float((cert.norm_offsets[cert.contact_indices] - 1.0).max(initial=-math.inf))
     dec_bad = max(identity_res, bary, sum_res, -weight_floor if weight_floor <= 0 else 0.0)
-    dec_tol = DEFAULT.decomposition * k
+    dec_tol = DECOMPOSITION * k
     tangency_ok = tangency <= cert.contact_tol * k
     items.append(
         CheckItem(

@@ -13,7 +13,7 @@ import sys
 
 from .certificate import SELECTORS
 from .checker import check_certificate
-from .config import DEFAULT, DIM_CAP, FACET_CAP
+from .config import DIM_CAP, FACET_CAP
 from .documents import (
     canonical_dumps,
     certificate_from_doc,
@@ -55,11 +55,6 @@ def _write_text(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _producer_tolerances(args):
-    scale = getattr(args, "tol_scale", None)
-    return DEFAULT if scale in (None, 1.0) else DEFAULT.scaled(scale)
-
-
 def _print_items(report, file) -> None:
     for item in report.items:
         if not item.applicable:
@@ -72,7 +67,7 @@ def _print_items(report, file) -> None:
 
 def cmd_select(args) -> int:
     poly, _ = instance_from_doc(load_document(args.infile))
-    cert = select(poly, selector=args.selector, seed=args.seed, tolerances=_producer_tolerances(args))
+    cert = select(poly, selector=args.selector, seed=args.seed)
     doc = certificate_to_doc(cert)
     _emit(doc, args.out)
     report = check_certificate(certificate_from_doc(doc))
@@ -179,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.add_argument("--seed", type=int, default=None, help="sampled-selector seed")
     p.add_argument("--selector", choices=SELECTORS, default="dr")
-    p.add_argument("--tol-scale", type=float, default=None, help="scale the John solver's tolerances")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("verify", help="re-check a certificate from its stored data")

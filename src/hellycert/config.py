@@ -1,22 +1,18 @@
-"""The producer's tolerance record, and the size caps.
+"""The size caps, and the two tolerances that the producer and the checker share.
 
-`Tolerances` governs the John solver and the position normalization: how
-near tangency a facet must be to count as a contact (`contact`), the
-largest residual the contact decomposition may leave (`decomposition`),
-the duality gap the solver stops at (`solver_gap`) and its step budget
-(`newton_cap`). `select(..., tolerances=DEFAULT.scaled(k))` and `hellycert
-select --tol-scale k` move the three thresholds together. The checker reads
-`decomposition` from `DEFAULT` and the certificate's recorded `contact_tol`,
-times its own scale. Every other threshold is a constant where it is read,
-which no option moves: named ones such as `geometry.INCIDENCE`,
-`bodies.DEDUPE`, `certificate.DEGENERATE_RAY` and `checker.DEFAULT_SCALE`,
-and literal slacks in the pipeline and in the checker's inequalities.
+`CONTACT` is how near tangency a facet must be to count as a contact, and
+`DECOMPOSITION` the largest residual the contact decomposition may leave.
+The John solver settles on half of each, in the frame of its start point,
+where no digits are lost. `john.normalize_position` records as the
+certificate's `contact_tol` the larger of `CONTACT` and what rounding of
+the body's offsets can add to a contact's normalized offset, so a body far
+from the origin certifies without an option. The checker reads
+`DECOMPOSITION` and the recorded `contact_tol`, times its own scale (`verify
+--tol-scale`). Every other threshold is a constant where it is read, which
+no option moves: named ones such as `geometry.INCIDENCE`, `bodies.DEDUPE`,
+`certificate.DEGENERATE_RAY` and `checker.DEFAULT_SCALE`, and literal
+slacks in the pipeline and in the checker's inequalities.
 """
-
-from __future__ import annotations
-
-import math
-from dataclasses import dataclass, fields, replace
 
 VERSION = "0.1.0"
 
@@ -25,24 +21,5 @@ VERSION = "0.1.0"
 DIM_CAP = 8
 FACET_CAP = 64
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    contact: float = 1e-7          # near-tangency admission for contact points
-    decomposition: float = 1e-6    # identity / barycenter residual cap
-    solver_gap: float = 1e-9       # John solver duality gap at exit (log-volume)
-    newton_cap: int = 500          # John solver primal-dual iteration budget
-
-    def scaled(self, factor: float) -> "Tolerances":
-        """Return a copy with every tolerance multiplied by factor, which
-        must be finite and positive; the iteration budget `newton_cap`
-        stays."""
-        if not (math.isfinite(factor) and factor > 0):
-            raise ValueError(f"tolerance scale must be finite and positive, got {factor}")
-        return replace(
-            self,
-            **{f.name: getattr(self, f.name) * factor for f in fields(self) if f.name != "newton_cap"},
-        )
-
-
-DEFAULT = Tolerances()
+CONTACT = 1e-7  # near-tangency admission for contact points
+DECOMPOSITION = 1e-6  # identity / barycenter residual cap

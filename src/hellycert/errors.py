@@ -30,7 +30,9 @@ class Unbounded(HellyError):
 
 
 class Degenerate(HellyError):
-    """The body is not full-dimensional (no interior ball of radius 1e-10)."""
+    """The body is not full-dimensional (no interior ball of radius 1e-10), or
+    its offsets have lost the digits that place it (a body far from the
+    origin)."""
 
 
 class DegenerateSimplex(HellyError):
@@ -42,8 +44,7 @@ class NoConvergence(HellyError):
 
 
 class NoDecomposition(HellyError):
-    """Contact weights leave an identity or barycenter residual above tolerance,
-    or a contact lies beyond the contact tolerance (a body far from the origin)."""
+    """Contact weights leave an identity or barycenter residual above tolerance."""
 
 
 class NumericalBreakdown(HellyError):

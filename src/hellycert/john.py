@@ -12,8 +12,8 @@ an affine step taken out of the same factorization, and the step goes ever
 closer to the boundary of y, z > 0 as the gap closes. Each step is taken in
 the frame where the current ellipsoid is the unit ball, so the linear
 algebra stays well conditioned however elongated the body is. The
-iteration stops when the log-volume duality gap sum y_i h_i z_i reaches the
-configured target and the residuals vanish; the ellipsoid is then shrunk
+iteration stops when the log-volume duality gap sum y_i h_i z_i reaches
+_SOLVER_GAP and the residuals vanish; the ellipsoid is then shrunk
 about its center until every half-space holds exactly.
 
 The start is a point with a ball of radius at least the flatness floor
@@ -26,7 +26,10 @@ exit iterate is itself Stiemke's certificate of it (y > 0 with sum y_i a_i
 vanishing and sum y_i a_i a_i^T = I), so the boundedness LP runs only when
 the iteration fails or is still open after _BOUNDEDNESS_PROBE steps, to tell
 an unbounded body from a numerical failure. A cone whose inscribed radius
-is unbounded passes the least-squares start and is typed there.
+is unbounded passes the least-squares start and is typed there. A slack at
+the start point that is not positive is typed Degenerate: only offsets that
+have lost their digits give one, as on a body about 1e16 inradii from the
+origin.
 
 Normalizing an instance maps the solved ellipsoid to the unit ball; the
 half-spaces then have unit normals and offsets >= 1. The solver's final
@@ -35,7 +38,9 @@ unit-ball frame sum y_i a_i a_i^T = I holds by construction and sum y_i a_i
 vanishes by the exit test, and the normalized normals are the a_i up to a
 rotation. The contacts are the rows the solver leaves tangent, weighted by
 y_i; it runs past its target gap until the other rows carry no weight.
-None of this is re-measured here: the checker replays it in the
+The recorded contact tolerance is CONTACT, or, on a body far from the
+origin, a few times the rounding that its offsets add to a normalized
+offset. None of this is re-measured here: the checker replays it in the
 normalized frame, where it does not depend on the body's size. Nonnegative
 least squares (`john_weights`) fits weights to arbitrary unit vectors for
 the random decompositions.
@@ -50,8 +55,8 @@ import numpy as np
 
 from .bodies import Ellipsoid, HPolytope
 from .certificate import normalized_rows, verify_decomposition
-from .config import DEFAULT, Tolerances
-from .errors import GenerationFailed, NoConvergence, NoDecomposition
+from .config import CONTACT, DECOMPOSITION
+from .errors import Degenerate, GenerationFailed, NoConvergence, NoDecomposition
 from .geometry import ensure_bounded, interior_point
 from .nnls import nnls
 
@@ -61,9 +66,16 @@ _CENTERING_MIN = 1e-4  # ... and at least at this share, whatever the affine ste
 _CENTERING_FLOOR = 1e-3  # ... but never below this share of the target gap / m
 _STEP_FRACTION = 0.99  # share of the step to the boundary of y, z > 0 taken
 _RESIDUAL_STOP = 1e-12  # stationarity and slack residuals at exit, unit-ball frame
-_SETTLE_SHARE = 0.5  # share of the contact / decomposition tolerances a settled split uses
+_SETTLE_SHARE = 0.5  # share of CONTACT and DECOMPOSITION a settled split uses
 _GAP_SHRINK = 0.01  # an unsettled split goes on toward this share of the gap reached
 _WEIGHT_FLOOR = 1e-10  # fitted contact weights at or below this are zeroed
+_SOLVER_GAP = 1e-9  # log-volume duality gap the solve stops at
+_NEWTON_CAP = 500  # primal-dual step budget
+# a far contact's normalized offset exceeded 1 by at most 1.45 eps (|b| +
+# |c|) / slack on 8000 random bodies (d <= 8, m <= 64, warps of condition up
+# to 1e4, shifts of 1e8 to 1e15); 4 covers that and the solver's CONTACT / 2
+# with a margin of 2.5 (see normalize_position)
+_OFFSET_ROUNDING = 4.0
 # a solve still open after this many steps runs the boundedness LP once:
 # bounded bodies converge in at most about 20, while a cone that passes the
 # start's checks runs hundreds of steps before it fails
@@ -128,17 +140,19 @@ def _newton_step(a, y, z, r1, r2, floor):
     return alpha * dx, y * (1.0 + alpha * v), z + alpha * dz
 
 
-def inscribed_ellipsoid(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> Ellipsoid:
+def inscribed_ellipsoid(poly: HPolytope) -> Ellipsoid:
     """Maximum-volume ellipsoid inscribed in a bounded full-dimensional polytope.
 
-    The log volume of the result is within `tolerances.solver_gap` of the
-    optimum, by the duality gap sum y_i h_i z_i. `tolerances.newton_cap`
-    bounds the number of primal-dual iterations.
+    The log volume of the result is within _SOLVER_GAP of the optimum, by
+    the duality gap sum y_i h_i z_i. _NEWTON_CAP bounds the number of
+    primal-dual iterations.
 
     Raises, in this order, all before any Newton step: when the
     least-squares start point misses the flatness floor, Empty or Unbounded
     from the Chebyshev LP and Degenerate when the inscribed radius is below
-    the floor; then Unbounded when the normals do not span R^d. Then
+    the floor; then Unbounded when the normals do not span R^d; then
+    Degenerate when a slack at the start point is not positive, which
+    happens only when the offsets have lost their digits. Then
     Unbounded from the Stiemke LP of `ensure_bounded` when the iteration is
     still open after _BOUNDEDNESS_PROBE steps or fails (its budget runs out,
     an iterate leaves the finite range or a system is singular), and
@@ -146,19 +160,17 @@ def inscribed_ellipsoid(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> El
     the final shrink makes every half-space hold up to rounding, which
     the checker's `instance_map` item replays in the normalized frame.
     """
-    return _john_solve(poly, tolerances)[0]
+    return _john_solve(poly)[0]
 
 
-def _john_solve(
-    poly: HPolytope, tolerances: Tolerances
-) -> tuple[Ellipsoid, np.ndarray, np.ndarray]:
+def _john_solve(poly: HPolytope) -> tuple[Ellipsoid, np.ndarray, np.ndarray]:
     """`inscribed_ellipsoid`, also returning the row weights y of the final
     unit-ball frame (a John decomposition, see the module) and the mask of
-    the tangent rows, whose slack z is at most _SETTLE_SHARE of the contact
-    tolerance. y z ends near each row's share of the gap, so a contact of
-    weight 5e-6 can still have a slack of 1e-5 there; the iteration goes on
-    at smaller gaps until the other rows carry at most _SETTLE_SHARE of the
-    caller's decomposition tolerance in total.
+    the tangent rows, whose slack z is at most _SETTLE_SHARE of CONTACT.
+    y z ends near each row's share of the gap, so a contact of weight 5e-6
+    can still have a slack of 1e-5 there; the iteration goes on at smaller
+    gaps until the other rows carry at most _SETTLE_SHARE of DECOMPOSITION
+    in total.
 
     Typed errors come in the order `inscribed_ellipsoid` gives. The
     boundedness LP runs only on a long or failing solve: a converged
@@ -166,9 +178,7 @@ def _john_solve(
     _RESIDUAL_STOP in its last frame, which is Stiemke's certificate that
     the body is bounded.
     """
-    gap = tolerances.solver_gap
-    cap = tolerances.newton_cap
-    dropped_cap = _SETTLE_SHARE * tolerances.decomposition
+    gap = _SOLVER_GAP
     center, radius = interior_point(poly)
 
     # Iterates live in the start's frame (shifted to the interior point,
@@ -176,6 +186,14 @@ def _john_solve(
     # normals.
     a0 = poly.normals
     b0 = (poly.offsets - a0 @ center) / radius
+    if not (b0 > 0.0).all():
+        # the Chebyshev LP's center, recomputed from offsets that carry
+        # fewer digits than the body's width
+        raise Degenerate(
+            f"a slack at the start point is {radius * b0.min():.2e}, not positive: offsets "
+            f"of magnitude {np.abs(poly.offsets).max():.1e} have lost the digits of a body "
+            f"of inradius {radius:.1e}"
+        )
     m, d = a0.shape
     x = np.zeros(d)
     floor = _CENTERING_FLOOR * gap / m
@@ -190,7 +208,7 @@ def _john_solve(
         frame *= scale
         y0 = w0 / scale**2
         z0 = b0 - scale * reach
-        for step in range(cap + 1):
+        for step in range(_NEWTON_CAP + 1):
             # move to the frame where the current ellipsoid is the unit ball
             raw = a0 @ frame
             n = np.sqrt(np.einsum("ij,ij->i", raw, raw))
@@ -204,14 +222,14 @@ def _john_solve(
             r1 = a.T @ y
             r2 = b - 1.0 - z
             if y @ z <= gap and max(np.abs(r1).max(), np.abs(r2).max()) <= _RESIDUAL_STOP:
-                tangent = z <= _SETTLE_SHARE * tolerances.contact
-                if y[~tangent].sum() <= dropped_cap:
+                tangent = z <= _SETTLE_SHARE * CONTACT
+                if y[~tangent].sum() <= _SETTLE_SHARE * DECOMPOSITION:
                     break
                 # a row is neither tangent nor weightless yet: go on at a smaller gap
                 gap = _GAP_SHRINK * float(y @ z)
                 floor = _CENTERING_FLOOR * gap / m
-            if step == cap:
-                raise NoConvergence(f"primal-dual budget {cap} exhausted")
+            if step == _NEWTON_CAP:
+                raise NoConvergence(f"primal-dual budget {_NEWTON_CAP} exhausted")
             if step == _BOUNDEDNESS_PROBE:
                 ensure_bounded(poly)
             dx, y, z = _newton_step(a, y, z, r1, r2, floor)
@@ -274,7 +292,7 @@ class ContactDecomposition:
 
 def john_weights(
     points: np.ndarray,
-    residual_tol: float = DEFAULT.decomposition,
+    residual_tol: float = DECOMPOSITION,
     balanced: bool = True,
 ) -> np.ndarray:
     """Nonnegative weights making unit vectors resolve the identity.
@@ -313,7 +331,7 @@ def john_weights(
 
 
 def contact_points(
-    poly: HPolytope, tol: float = DEFAULT.contact
+    poly: HPolytope, tol: float = CONTACT
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normals of the half-spaces within tol of tangency to the unit ball.
 
@@ -353,30 +371,27 @@ class NormalizedInstance:
         return self.original.dim
 
 
-def normalize_position(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> NormalizedInstance:
+def normalize_position(poly: HPolytope) -> NormalizedInstance:
     """Solve for the inscribed ellipsoid, map it to the unit ball, and read
     the contact decomposition off the solver's final weights.
 
     The contacts are the rows the solver leaves tangent, weighted by y (by
     slack, not y >= z: a tangent row of zero weight has y and z shrinking
-    together); contact_tol is `tolerances.contact`. The solver leaves them
-    within half that tolerance of tangency and drops at most half of
-    `tolerances.decomposition` in weight, so nothing here re-measures the
-    residuals: the checker's `decomposition` item does. Beyond the solver's
-    errors it raises only NoDecomposition, when an admitted contact's
-    normalized offset exceeds 1 + contact_tol: the offsets have lost their
-    digits, as on a body about 1e9 inradii or more from the origin.
+    together). The solver leaves them within half of CONTACT of tangency in
+    its start's frame and drops at most half of DECOMPOSITION in weight.
+    Reading a contact's normalized offset off the offsets b_i and the
+    center c adds rounding of about eps (|b_i| + |c|) / (b_i - a_i.c),
+    which on a body far from the origin outgrows CONTACT: contact_tol is
+    the larger of CONTACT and _OFFSET_ROUNDING times that loss at its worst
+    contact, so it is CONTACT near the origin. Nothing is re-measured or
+    raised here beyond the solver's errors: the checker's `decomposition`
+    item replays the residuals and the tangency.
     """
-    ell, y, tangent = _john_solve(poly, tolerances)
+    ell, y, tangent = _john_solve(poly)
     new_a, new_b = normalized_rows(poly.normals, poly.offsets, ell.shape, ell.center)
     idx = np.flatnonzero(tangent)
-    far = float(new_b[idx].max())
-    if far > 1.0 + tolerances.contact:
-        raise NoDecomposition(
-            f"a contact's normalized offset is 1{far - 1.0:+.2e}, beyond the contact "
-            f"tolerance {tolerances.contact:.1e}: the offsets lost their digits, "
-            "as on a body far from the origin"
-        )
+    b, c = poly.offsets[idx], ell.center
+    loss = float(((np.abs(b) + np.linalg.norm(c)) / (b - poly.normals[idx] @ c)).max())
     return NormalizedInstance(
         original=poly,
         map_matrix=ell.shape,
@@ -384,7 +399,7 @@ def normalize_position(poly: HPolytope, tolerances: Tolerances = DEFAULT) -> Nor
         norm_normals=new_a,
         norm_offsets=new_b,
         decomposition=ContactDecomposition(new_a[idx], y[idx], source_indices=idx),
-        contact_tol=tolerances.contact,
+        contact_tol=max(CONTACT, _OFFSET_ROUNDING * np.finfo(float).eps * loss),
     )
 
 

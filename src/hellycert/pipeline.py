@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bodies import DEDUPE, Ellipsoid, HPolytope, Simplex, max_ellipsoid_in_simplex
+from .bodies import DEDUPE, Ellipsoid, HPolytope, Simplex
 from .certificate import DEGENERATE_RAY, SELECTORS, Certificate, contraction_ratio
-from .config import DEFAULT, Tolerances
 from .dr import dr_select
 from .errors import DegenerateSimplex, HellyError, NumericalBreakdown, PipelineError
 from .john import NormalizedInstance, normalize_position
@@ -31,12 +30,11 @@ _SAMPLE_CAP = 200
 _DROP_TOL = 1e-12  # combination weights below this count as zero
 
 
-def build_S1(points: np.ndarray) -> Ellipsoid:
-    """Largest ellipsoid inscribed in the simplex over the origin and the d
-    selected points; its center u is the simplex's centroid. A flat simplex
-    raises DegenerateSimplex."""
+def build_S1(points: np.ndarray) -> Simplex:
+    """The base simplex S1 over the origin and the d selected points. A flat
+    simplex raises DegenerateSimplex."""
     d = points.shape[1]
-    return max_ellipsoid_in_simplex(Simplex(np.vstack([np.zeros(d), points])))
+    return Simplex(np.vstack([np.zeros(d), points]))
 
 
 def ray_hit_boundary(points: np.ndarray, direction: np.ndarray):
@@ -147,15 +145,13 @@ def select(
     poly: HPolytope,
     selector: str = "dr",
     seed: int | None = None,
-    tolerances: Tolerances = DEFAULT,
 ) -> Certificate:
     """Run the whole construction on a bounded full-dimensional instance.
 
     Deterministic for the default greedy selector (input order decides
-    ties); the sampling selector takes its randomness from seed; tolerances
-    govern the position normalization. Errors are wrapped with the stage
-    that raised them. The certificate is returned unchecked: run
-    `check_certificate` on it to trust it.
+    ties); the sampling selector takes its randomness from seed. Errors are
+    wrapped with the stage that raised them. The certificate is returned
+    unchecked: run `check_certificate` on it to trust it.
     """
     if selector not in SELECTORS:
         raise ValueError(f"unknown selector {selector!r}")
@@ -168,18 +164,20 @@ def select(
         except HellyError as exc:
             raise PipelineError(name, str(exc)) from exc
 
-    inst = stage("normalize", normalize_position, poly, tolerances)
+    inst = stage("normalize", normalize_position, poly)
     dec = inst.decomposition
     d = poly.dim
     if selector == "dr":
         rows = stage("select", dr_select, dec)
     else:
         rows = stage("select", _sample_selection, dec, seed)
-    e1 = stage("simplex", build_S1, dec.points[rows])
-    # u is S1's centroid, so (d+1)<u, z_d> is the last window: only rounding
-    # puts |u| at DEGENERATE_RAY, and any axis then keeps the ray LP defined
-    nu = np.linalg.norm(e1.center)
-    direction = -e1.center / nu if nu > DEGENERATE_RAY else np.eye(d)[0]
+    s1 = stage("simplex", build_S1, dec.points[rows])
+    # u, E1's center, is S1's centroid, as `max_ellipsoid_in_simplex` takes
+    # it, so (d+1)<u, z_d> is the last window: only rounding puts |u| at
+    # DEGENERATE_RAY, and any axis then keeps the ray LP defined
+    u = s1.vertices.mean(axis=0)
+    nu = np.linalg.norm(u)
+    direction = -u / nu if nu > DEGENERATE_RAY else np.eye(d)[0]
     w, coeffs = stage("ray", ray_hit_boundary, dec.points, direction)
     cara_rows, cara_coeffs = stage("reduce", caratheodory_reduce, coeffs)
     return stage("assemble", assemble_subfamily, inst, selector, rows, w, cara_rows, cara_coeffs)

@@ -21,7 +21,7 @@ from hellycert.bodies import (
 )
 from hellycert.certificate import verify_decomposition
 from hellycert.checker import check_certificate
-from hellycert.config import DEFAULT
+from hellycert.config import CONTACT, DECOMPOSITION
 from hellycert.errors import (
     Degenerate,
     Empty,
@@ -189,12 +189,13 @@ def test_solver_on_ill_conditioned_cube(d):
     assert worst_violation(warped, ell) <= 0.0
 
 
-def test_solver_budget_exhaustion_raises():
+def test_solver_budget_exhaustion_raises(monkeypatch):
     # the iteration cap is a hard stop: an unfinished solve is never returned
     poly = gen_affine_warp(gen_tangent_random(3, 10, seed=1), seed=1)[0]
     for cap in (0, 2):
+        monkeypatch.setattr(john, "_NEWTON_CAP", cap)
         with pytest.raises(NoConvergence):
-            inscribed_ellipsoid(poly, dataclasses.replace(DEFAULT, newton_cap=cap))
+            inscribed_ellipsoid(poly)
 
 
 def test_solver_regression_far_center():
@@ -230,8 +231,8 @@ def test_solver_property_feasible_and_certified(d, extra, seed, log_scale, log_c
     assert worst_violation(poly, inscribed_ellipsoid(poly)) <= 1e-8
     dec = normalize_position(poly).decomposition
     rep = verify_decomposition(dec.points, dec.weights)
-    assert rep.identity_residual <= DEFAULT.decomposition
-    assert rep.barycenter_norm <= DEFAULT.decomposition
+    assert rep.identity_residual <= DECOMPOSITION
+    assert rep.barycenter_norm <= DECOMPOSITION
 
 
 # ------------------------------------------------------------------ weights
@@ -330,18 +331,24 @@ def test_contact_source_indices_are_consistent():
     np.testing.assert_allclose(
         ni.decomposition.points, ni.norm_normals[src], atol=1e-12
     )
-    assert ni.contact_tol == DEFAULT.contact
-    assert ni.norm_offsets[src].max() <= 1.0 + DEFAULT.contact
+    assert ni.contact_tol == CONTACT
+    assert ni.norm_offsets[src].max() <= 1.0 + CONTACT
 
 
 def test_recorded_contact_beyond_the_contact_tolerance_is_refused():
     # shifted by 1e12 inradii, the normalized offsets keep about four digits
-    # of the body, and a contact's offset lands beyond 1 + contact tolerance
+    # of the body: the recorded contact tolerance grows to cover a contact's
+    # offset, and the checker refuses the certificate if it does not
     poly = gen_tangent_random(2, 8, seed=0)
     shift = 1e12 * np.array([1.0, 1.0]) / math.sqrt(2.0)
     far = HPolytope(poly.normals, poly.offsets + poly.normals @ shift)
-    with pytest.raises(NoDecomposition, match="lost their digits"):
-        normalize_position(far)
+    cert = select(far)
+    tangency = cert.norm_offsets[cert.contact_indices].max() - 1.0
+    assert cert.contact_tol > 10 * CONTACT and 10 * CONTACT < tangency <= cert.contact_tol
+    assert check_certificate(cert, scale=1).passed
+    # both items that replay a contact's tangency refuse the narrow record
+    narrow = dataclasses.replace(cert, contact_tol=CONTACT)
+    assert set(check_certificate(narrow).failures()) == {"decomposition", "subfamily_membership"}
 
 
 def _square_with_light_contact(delta):
@@ -368,27 +375,25 @@ def test_contact_of_small_weight_is_admitted_at_the_contact_tolerance(warp_seed)
     src = ni.decomposition.source_indices
     np.testing.assert_array_equal(src, np.arange(5))
     np.testing.assert_allclose(ni.decomposition.weights, exact, rtol=1e-3)
-    assert ni.contact_tol == DEFAULT.contact
-    assert ni.norm_offsets[src].max() <= 1.0 + DEFAULT.contact
+    assert ni.contact_tol == CONTACT
+    assert ni.norm_offsets[src].max() <= 1.0 + CONTACT
 
 
-@pytest.mark.parametrize("scale", [1.0, 10.0])
 @pytest.mark.parametrize("pull, want", [(0.0, [0, 1, 3]), (1e-3, [0, 2, 3]), (5e-3, [0, 2, 3])])
-def test_row_just_off_the_ellipsoid_keeps_no_weight(pull, want, scale):
+def test_row_just_off_the_ellipsoid_keeps_no_weight(pull, want):
     # this instance's John ellipsoid is that of the triangle of rows 0, 1, 3;
     # row 2 misses it by 9e-6. Pulling row 2 in by 1e-3 or more swaps its
     # part with row 1, which then misses by 3e-5 or more. At the target gap
     # the missing row still carries a weight of 1e-6 to 1e-5: dropping it
     # there breaks the residual cap, admitting it needs a wider tolerance.
-    tolerances = DEFAULT.scaled(scale)
     poly = gen_tangent_random(2, 5, seed=172)
     offsets = poly.offsets.copy()
     offsets[2] -= pull
-    ni = normalize_position(HPolytope(poly.normals, offsets), tolerances)
+    ni = normalize_position(HPolytope(poly.normals, offsets))
     np.testing.assert_array_equal(ni.decomposition.source_indices, want)
-    assert ni.contact_tol == tolerances.contact
+    assert ni.contact_tol == CONTACT
     rep = verify_decomposition(ni.decomposition.points, ni.decomposition.weights)
-    assert max(rep.identity_residual, rep.barycenter_norm) <= DEFAULT.decomposition
+    assert max(rep.identity_residual, rep.barycenter_norm) <= DECOMPOSITION
 
 
 def test_decomposition_residual_is_checked_at_the_callers_tolerance(monkeypatch):
@@ -396,13 +401,13 @@ def test_decomposition_residual_is_checked_at_the_callers_tolerance(monkeypatch)
     # above the default cap of 1e-6 and within the 1e-5 of a tenfold scale
     solve = john._john_solve
 
-    def heavy(poly, tolerances):
-        ell, y, tangent = solve(poly, tolerances)
+    def heavy(poly):
+        ell, y, tangent = solve(poly)
         return ell, y * (1.0 + 3e-6), tangent
 
     monkeypatch.setattr(john, "_john_solve", heavy)
     square = gen_cube(2)
-    ni = normalize_position(square, DEFAULT.scaled(10.0))
+    ni = normalize_position(square)
     rep = verify_decomposition(ni.decomposition.points, ni.decomposition.weights)
     assert 1e-6 < rep.identity_residual <= 1e-5
     # at the default tolerance the checker is the one that refuses it

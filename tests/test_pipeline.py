@@ -20,6 +20,7 @@ from hellycert.bodies import (
     Simplex,
     ellipsoid_volume,
     hpolytope_from_arrays,
+    max_ellipsoid_in_simplex,
 )
 from hellycert.bounds import (
     eq3_lower_bounds,
@@ -33,7 +34,7 @@ from hellycert.certificate import SELECTORS, verify_decomposition
 from hellycert.checker import DEFAULT_SCALE, check_certificate
 from hellycert.dr import dr_select
 from hellycert.config import FACET_CAP
-from hellycert.errors import CapExceeded, HellyError, PipelineError
+from hellycert.errors import CapExceeded, Degenerate, HellyError, PipelineError
 from hellycert.generators import gen_affine_warp, gen_cube, gen_tangent_random
 from hellycert.geometry import facets_from_vertices, polar_of_points, vertex_enumeration, volume
 from hellycert.john import normalize_position
@@ -49,19 +50,19 @@ from hellycert.pipeline import (
 class TestBuildS1:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_cube_basis(self, d):
-        e1 = build_S1(np.eye(d))
+        e1 = max_ellipsoid_in_simplex(build_S1(np.eye(d)))
         assert np.allclose(e1.center, np.full(d, 1.0 / (d + 1)), atol=1e-9)
         assert ellipsoid_volume(e1) == pytest.approx(
             simplex_ellipsoid_ratio(d) / math.factorial(d), rel=1e-9
         )
 
     def test_corner_simplex_ellipsoid_area_ratio(self):
-        e1 = build_S1(np.eye(2))
+        e1 = max_ellipsoid_in_simplex(build_S1(np.eye(2)))
         ratio = ellipsoid_volume(e1) / 0.5
         assert ratio == pytest.approx(math.pi / (3.0 * math.sqrt(3.0)), rel=1e-9)
 
     def test_floor_skippable_for_sampled_selections(self):
-        e1 = build_S1(0.1 * np.eye(2))
+        e1 = max_ellipsoid_in_simplex(build_S1(0.1 * np.eye(2)))
         # the simplex's volume is 0.005
         assert ellipsoid_volume(e1) == pytest.approx(0.005 * simplex_ellipsoid_ratio(2), rel=1e-12)
 
@@ -140,7 +141,7 @@ class TestRayHitBoundary:
         seed = 4000295462
         poly, _, _ = gen_affine_warp(gen_tangent_random(4, 16, seed=seed), seed=seed + 1)
         dec = normalize_position(poly).decomposition
-        u = build_S1(dec.points[dr_select(dec)]).center
+        u = build_S1(dec.points[dr_select(dec)]).vertices.mean(axis=0)
         w, coeffs = ray_hit_boundary(dec.points, -u / np.linalg.norm(u))
         assert abs(coeffs.sum() - 1.0) <= 1e-14
         assert np.linalg.norm(dec.points.T @ coeffs - w) <= 1e-14
@@ -438,9 +439,10 @@ def bodies_in_the_domain(draw):
     """A body of the advertised domain (d <= 8, m <= 64), with a selector and
     its seed: tangent rows, an optional affine warp of condition up to 1e4,
     up to three rows repeated exactly or moved by 1e-11, up to three far
-    rows at offsets 2^j, a shift by up to 1e12 along a random unit vector,
+    rows at offsets 2^j, a shift by up to 1e16 along a random unit vector,
     then every offset scaled by 2^k (so the shift counts in units of the
-    tangent body's inradius, 1)."""
+    tangent body's inradius, 1). At 1e16 the offsets carry no digit of the
+    body, which then certifies or is refused as `Degenerate`."""
     d = draw(st.integers(2, 8))
     copies = draw(st.integers(0, 3))
     far = draw(st.integers(0, 3))
@@ -461,7 +463,8 @@ def bodies_in_the_domain(draw):
     offsets = np.concatenate([poly.offsets, poly.offsets[rows], far_offsets])
     k = draw(st.integers(-40, 40))
     direction = rng.standard_normal(d)
-    shift = draw(st.sampled_from([0.0, 1e3, 1e6, 1e9, 1e12])) * direction / np.linalg.norm(direction)
+    shifts = [0.0, 1e3, 1e6, 1e9, 1e12, 1e15, 1e16]
+    shift = draw(st.sampled_from(shifts)) * direction / np.linalg.norm(direction)
     body = hpolytope_from_arrays(normals, 2.0**k * (offsets + normals @ shift))
     return body, draw(st.sampled_from(SELECTORS)), seed
 
@@ -475,7 +478,7 @@ def test_select_ends_in_a_passing_certificate_or_a_typed_error(case):
     try:
         cert = select(poly, selector=selector, seed=seed)
     except HellyError:
-        return  # a typed refusal: a body shifted far from the origin, or flat
+        return  # a typed refusal: a body flat, or shifted beyond the digits of its offsets
     assert check_certificate(cert).failures() == ()
 
 
@@ -495,6 +498,44 @@ def test_selection_does_not_depend_on_the_body_size(d, selector):
                 assert check_certificate(got).passed
                 assert np.array_equal(got.g_indices, want.g_indices)
                 assert got.ratio == pytest.approx(want.ratio, rel=1e-12, abs=0.0)
+
+
+def shifted(poly, seed, shift):
+    """poly moved by shift along a unit vector drawn from seed."""
+    direction = np.random.default_rng(seed).standard_normal(poly.dim)
+    direction *= shift / np.linalg.norm(direction)
+    return HPolytope(poly.normals, poly.offsets + poly.normals @ direction)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
+def test_far_bodies_certify_without_a_flag(d):
+    # the recorded contact tolerance covers the digits the offsets lose, so
+    # a body 1e8 to 1e15 inradii from the origin certifies as one near it
+    for seed in range(8):
+        poly = gen_tangent_random(d, min(4 * d, FACET_CAP), seed=seed)
+        if seed % 2:
+            poly, _, _ = gen_affine_warp(poly, seed=seed + 10007)
+        for shift in 10.0 ** np.arange(8, 16):
+            body = shifted(poly, seed, shift)
+            for selector in SELECTORS:
+                assert check_certificate(select(body, selector=selector, seed=seed)).passed
+
+
+@pytest.mark.parametrize("d", [2, 5, 8])
+def test_a_start_slack_lost_to_rounding_is_degenerate(d):
+    # 1e16 inradii from the origin, a slack at the solver's start point can
+    # round to zero or below: a typed refusal, not a division by zero
+    refused = []
+    for seed in range(6):
+        body = shifted(gen_tangent_random(d, 4 * d, seed=seed), seed, 1e16)
+        try:
+            cert = select(body)
+        except PipelineError as exc:
+            assert isinstance(exc.__cause__, Degenerate)
+            refused.append(str(exc))
+        else:
+            assert check_certificate(cert).passed
+    assert any("lost the digits" in message for message in refused)
 
 
 class TestSampledSelector:
