@@ -3,10 +3,11 @@
 The Certificate stores each fact of the run once and derives the rest by
 the producer's own formulas, so an independent checker can replay each
 inequality from the serialized data alone. Those formulas live here and
-nowhere else: the normalized rows, the subfamily's rows, the contraction
-ratio and the certified volume ratio. This module and what it imports (the
-closed-form bodies, the bounds, the caps and the error types) are all that
-`check_certificate` trusts; no LP, solver or selection code is among them.
+nowhere else: the normalized rows, the contact allowance, the subfamily's
+rows, the contraction ratio and the certified volume ratio. This module and
+what it imports (the closed-form bodies, the bounds, the caps and the error
+types) are all that `check_certificate` trusts; no LP, solver or selection
+code is among them.
 """
 
 from __future__ import annotations
@@ -19,11 +20,15 @@ import numpy as np
 
 from .bodies import Ellipsoid, HPolytope, Simplex, max_ellipsoid_in_simplex
 from .bounds import explicit_bound
-from .config import DIM_CAP, VERSION
+from .config import CONTACT, DIM_CAP, VERSION
 from .errors import HellyError, MalformedCertificate
 
 DEGENERATE_RAY = 1e-10  # |u| at or below which the ray direction is moot
 SELECTORS = ("dr", "pivovarov")  # the greedy pass and the weighted draw
+# covers 2.5 x a far contact's worst excess over 1, 1.45 eps (|b| + |c|) / slack on 8000 bodies
+_OFFSET_ROUNDING = 4.0
+# 10 x this (the checker's default scale) off tangency loosens the ratio by (1 + 1e-3)^8 < 1.01
+CONTACT_CAP = 1e-4  # reached 1e10 to 3e11 inradii from the origin
 
 ARRAY_FIELDS = {
     "normals": 2,
@@ -52,6 +57,20 @@ def normalized_rows(normals, offsets, map_matrix, map_offset) -> tuple[np.ndarra
     raw = normals @ map_matrix
     scale = np.linalg.norm(raw, axis=1)
     return raw / scale[:, None], (offsets - normals @ map_offset) / scale
+
+
+def contact_allowance(normals, offsets, center, rows) -> float:
+    """How far past tangency the contact rows may read from center c: the
+    larger of CONTACT and _OFFSET_ROUNDING times the rounding eps (|b_i| + |c|)
+    / (b_i - a_i.c) that b and c add to a normalized offset, at its worst row;
+    inf past CONTACT_CAP or at a slack that is not positive (lost digits)."""
+    b = offsets[rows]
+    slack = b - normals[rows] @ center
+    if not (slack > 0.0).all():
+        return math.inf
+    loss = float(((np.abs(b) + math.sqrt(center @ center)) / slack).max(initial=0.0))
+    allowance = max(CONTACT, _OFFSET_ROUNDING * np.finfo(float).eps * loss)
+    return allowance if allowance <= CONTACT_CAP else math.inf
 
 
 @dataclass(frozen=True)

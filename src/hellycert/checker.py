@@ -5,10 +5,11 @@ reads besides (the normalized rows, the contact points, X and G, the
 selection windows and their allowance, E1, the contraction ratio, E2 and
 the certified ratio) it derives with closed-form linear algebra only: no
 LP, no vertex enumeration, no ellipsoid solver, no greedy selection, no
-trust in any producer-side invariant, and no stored copy of a derived
-value. Each of the ten links of the argument gets its own named check with
-a measured slack (positive means margin, negative means violation), and the
-report passes when every applicable check passes.
+trust in any producer-side invariant; the one stored tolerance,
+`contact_tol`, is held to the allowance its rows derive. Each of the ten
+links of the argument gets its own named check with a measured slack
+(positive means margin, negative means violation), and the report passes
+when every applicable check passes.
 
 Checks gated on the greedy selector (the window floors, the simplex volume
 floor, and the ratio bound they imply) are reported as not applicable for
@@ -31,7 +32,7 @@ import numpy as np
 
 from .bodies import DEDUPE, Simplex, simplex_volume
 from .bounds import eq3_lower_bounds, explicit_bound, selection_windows, simplex_volume_floor, window_allowance
-from .certificate import DEGENERATE_RAY, Certificate, certified_ratio, verify_decomposition
+from .certificate import DEGENERATE_RAY, Certificate, certified_ratio, contact_allowance, verify_decomposition
 from .config import DECOMPOSITION
 from .errors import DegenerateSimplex, HellyError, MalformedCertificate
 
@@ -92,10 +93,11 @@ def check_certificate(cert: Certificate, scale: float | None = None) -> CheckRep
 
     scale multiplies every tolerance applied here: `config.DECOMPOSITION`,
     the certificate's recorded `contact_tol` and the literal slacks of the
-    inequalities (default: DEFAULT_SCALE, 10x); raising it separates
-    genuine violations from float noise, lowering it sharpens the audit. It
-    must be finite and positive (ValueError otherwise), since an infinite
-    scale would pass anything.
+    inequalities (default: DEFAULT_SCALE, 10x), which may not exceed its
+    `contact_allowance`; raising the scale separates genuine violations
+    from float noise, lowering it sharpens the audit. It must be finite and
+    positive (ValueError otherwise), since an infinite scale would pass
+    anything.
     """
     if not isinstance(cert, Certificate):
         raise MalformedCertificate("checker needs a Certificate")
@@ -124,17 +126,20 @@ def check_certificate(cert: Certificate, scale: float | None = None) -> CheckRep
     tangency = float((cert.norm_offsets[cert.contact_indices] - 1.0).max(initial=-math.inf))
     dec_bad = max(identity_res, bary, sum_res, -weight_floor if weight_floor <= 0 else 0.0)
     dec_tol = DECOMPOSITION * k
+    allowed = contact_allowance(cert.normals, cert.offsets, cert.map_offset, cert.contact_indices)
+    recorded_ok = cert.contact_tol <= allowed < math.inf  # inf: past the cap, nothing is allowed
+    recorded = "" if recorded_ok else f", contact tolerance {cert.contact_tol:.2e} beyond {allowed:.2e}"
     tangency_ok = tangency <= cert.contact_tol * k
     items.append(
         CheckItem(
             name="decomposition",
-            passed=bool(dec_bad <= dec_tol and tangency_ok),
+            passed=bool(dec_bad <= dec_tol and tangency_ok and recorded_ok),
             applicable=True,
             slack=float(dec_tol - dec_bad),
             detail=(
                 f"identity {identity_res:.2e}, barycenter {bary:.2e}, "
                 f"weight sum off by {sum_res:.2e}, min weight {weight_floor:.2e}, "
-                f"worst tangency 1+{max(tangency, 0.0):.2e}"
+                f"worst tangency 1+{max(tangency, 0.0):.2e}{recorded}"
             ),
         )
     )

@@ -3,15 +3,14 @@
 `CONTACT` is how near tangency a facet must be to count as a contact, and
 `DECOMPOSITION` the largest residual the contact decomposition may leave.
 The John solver settles on half of each, in the frame of its start point,
-where no digits are lost. `john.normalize_position` records as the
-certificate's `contact_tol` the larger of `CONTACT` and what rounding of
-the body's offsets can add to a contact's normalized offset, so a body far
-from the origin certifies without an option. The checker reads
-`DECOMPOSITION` and the recorded `contact_tol`, times its own scale (`verify
---tol-scale`). Every other threshold is a constant where it is read, which
-no option moves: named ones such as `geometry.INCIDENCE`, `bodies.DEDUPE`,
-`certificate.DEGENERATE_RAY` and `checker.DEFAULT_SCALE`, and literal
-slacks in the pipeline and in the checker's inequalities.
+where no digits are lost. A certificate's `contact_tol` is
+`certificate.contact_allowance`, `CONTACT` widened by the rounding of a far
+body's offsets up to `certificate.CONTACT_CAP`; producer and checker both
+derive it. The checker reads `DECOMPOSITION` and `contact_tol` times its
+own scale (`verify --tol-scale`). Every other threshold is a constant where
+it is read, which no option moves: named ones such as `geometry.INCIDENCE`,
+`bodies.DEDUPE`, `certificate.DEGENERATE_RAY` and `checker.DEFAULT_SCALE`,
+and literal slacks in the pipeline and in the checker's inequalities.
 """
 
 VERSION = "0.1.0"

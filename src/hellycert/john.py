@@ -26,10 +26,9 @@ exit iterate is itself Stiemke's certificate of it (y > 0 with sum y_i a_i
 vanishing and sum y_i a_i a_i^T = I), so the boundedness LP runs only when
 the iteration fails or is still open after _BOUNDEDNESS_PROBE steps, to tell
 an unbounded body from a numerical failure. A cone whose inscribed radius
-is unbounded passes the least-squares start and is typed there. A slack at
-the start point that is not positive is typed Degenerate: only offsets that
-have lost their digits give one, as on a body about 1e16 inradii from the
-origin.
+is unbounded passes the least-squares start and is typed there, and a
+slack at the start point that is not positive, which only offsets that have
+lost their digits give (about 1e16 inradii out), as Degenerate.
 
 Normalizing an instance maps the solved ellipsoid to the unit ball; the
 half-spaces then have unit normals and offsets >= 1. The solver's final
@@ -38,9 +37,9 @@ unit-ball frame sum y_i a_i a_i^T = I holds by construction and sum y_i a_i
 vanishes by the exit test, and the normalized normals are the a_i up to a
 rotation. The contacts are the rows the solver leaves tangent, weighted by
 y_i; it runs past its target gap until the other rows carry no weight.
-The recorded contact tolerance is CONTACT, or, on a body far from the
-origin, a few times the rounding that its offsets add to a normalized
-offset. None of this is re-measured here: the checker replays it in the
+The recorded contact tolerance is `certificate.contact_allowance`, which
+grows with the rounding of a far body's offsets up to CONTACT_CAP; beyond
+it the body is Degenerate. The checker replays the rest in the
 normalized frame, where it does not depend on the body's size. Nonnegative
 least squares (`john_weights`) fits weights to arbitrary unit vectors for
 the random decompositions.
@@ -54,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import Ellipsoid, HPolytope
-from .certificate import normalized_rows, verify_decomposition
+from .certificate import CONTACT_CAP, contact_allowance, normalized_rows, verify_decomposition
 from .config import CONTACT, DECOMPOSITION
 from .errors import Degenerate, GenerationFailed, NoConvergence, NoDecomposition
 from .geometry import ensure_bounded, interior_point
@@ -71,11 +70,6 @@ _GAP_SHRINK = 0.01  # an unsettled split goes on toward this share of the gap re
 _WEIGHT_FLOOR = 1e-10  # fitted contact weights at or below this are zeroed
 _SOLVER_GAP = 1e-9  # log-volume duality gap the solve stops at
 _NEWTON_CAP = 500  # primal-dual step budget
-# a far contact's normalized offset exceeded 1 by at most 1.45 eps (|b| +
-# |c|) / slack on 8000 random bodies (d <= 8, m <= 64, warps of condition up
-# to 1e4, shifts of 1e8 to 1e15); 4 covers that and the solver's CONTACT / 2
-# with a margin of 2.5 (see normalize_position)
-_OFFSET_ROUNDING = 4.0
 # a solve still open after this many steps runs the boundedness LP once:
 # bounded bodies converge in at most about 20, while a cone that passes the
 # start's checks runs hundreds of steps before it fails
@@ -151,8 +145,7 @@ def inscribed_ellipsoid(poly: HPolytope) -> Ellipsoid:
     least-squares start point misses the flatness floor, Empty or Unbounded
     from the Chebyshev LP and Degenerate when the inscribed radius is below
     the floor; then Unbounded when the normals do not span R^d; then
-    Degenerate when a slack at the start point is not positive, which
-    happens only when the offsets have lost their digits. Then
+    Degenerate when a slack at the start point is not positive. Then
     Unbounded from the Stiemke LP of `ensure_bounded` when the iteration is
     still open after _BOUNDEDNESS_PROBE steps or fails (its budget runs out,
     an iterate leaves the finite range or a system is singular), and
@@ -187,12 +180,10 @@ def _john_solve(poly: HPolytope) -> tuple[Ellipsoid, np.ndarray, np.ndarray]:
     a0 = poly.normals
     b0 = (poly.offsets - a0 @ center) / radius
     if not (b0 > 0.0).all():
-        # the Chebyshev LP's center, recomputed from offsets that carry
-        # fewer digits than the body's width
+        # the Chebyshev LP's center, read off offsets with fewer digits than the body's width
         raise Degenerate(
-            f"a slack at the start point is {radius * b0.min():.2e}, not positive: offsets "
-            f"of magnitude {np.abs(poly.offsets).max():.1e} have lost the digits of a body "
-            f"of inradius {radius:.1e}"
+            f"a slack at the start point is {radius * b0.min():.2e}, not positive: offsets of magnitude "
+            f"{np.abs(poly.offsets).max():.1e} have lost the digits of a body of inradius {radius:.1e}"
         )
     m, d = a0.shape
     x = np.zeros(d)
@@ -379,19 +370,19 @@ def normalize_position(poly: HPolytope) -> NormalizedInstance:
     slack, not y >= z: a tangent row of zero weight has y and z shrinking
     together). The solver leaves them within half of CONTACT of tangency in
     its start's frame and drops at most half of DECOMPOSITION in weight.
-    Reading a contact's normalized offset off the offsets b_i and the
-    center c adds rounding of about eps (|b_i| + |c|) / (b_i - a_i.c),
-    which on a body far from the origin outgrows CONTACT: contact_tol is
-    the larger of CONTACT and _OFFSET_ROUNDING times that loss at its worst
-    contact, so it is CONTACT near the origin. Nothing is re-measured or
-    raised here beyond the solver's errors: the checker's `decomposition`
-    item replays the residuals and the tangency.
+    contact_tol is `contact_allowance`; beyond the solver's errors it raises
+    only Degenerate, when that is inf. The checker's `decomposition` item
+    replays all three.
     """
     ell, y, tangent = _john_solve(poly)
     new_a, new_b = normalized_rows(poly.normals, poly.offsets, ell.shape, ell.center)
     idx = np.flatnonzero(tangent)
-    b, c = poly.offsets[idx], ell.center
-    loss = float(((np.abs(b) + np.linalg.norm(c)) / (b - poly.normals[idx] @ c)).max())
+    contact_tol = contact_allowance(poly.normals, poly.offsets, ell.center, idx)
+    if math.isinf(contact_tol):
+        raise Degenerate(
+            f"offsets of magnitude {np.abs(poly.offsets).max():.1e} have lost the digits of the "
+            f"body: their rounding passes the contact cap {CONTACT_CAP:.0e}"
+        )
     return NormalizedInstance(
         original=poly,
         map_matrix=ell.shape,
@@ -399,7 +390,7 @@ def normalize_position(poly: HPolytope) -> NormalizedInstance:
         norm_normals=new_a,
         norm_offsets=new_b,
         decomposition=ContactDecomposition(new_a[idx], y[idx], source_indices=idx),
-        contact_tol=max(CONTACT, _OFFSET_ROUNDING * np.finfo(float).eps * loss),
+        contact_tol=contact_tol,
     )
 
 

@@ -19,7 +19,7 @@ from hellycert.bodies import (
     max_ellipsoid_in_simplex,
     unit_ball_volume,
 )
-from hellycert.certificate import verify_decomposition
+from hellycert.certificate import CONTACT_CAP, contact_allowance, verify_decomposition
 from hellycert.checker import check_certificate
 from hellycert.config import CONTACT, DECOMPOSITION
 from hellycert.errors import (
@@ -336,19 +336,52 @@ def test_contact_source_indices_are_consistent():
 
 
 def test_recorded_contact_beyond_the_contact_tolerance_is_refused():
-    # shifted by 1e12 inradii, the normalized offsets keep about four digits
+    # shifted by 1e10 inradii, the normalized offsets keep about six digits
     # of the body: the recorded contact tolerance grows to cover a contact's
     # offset, and the checker refuses the certificate if it does not
     poly = gen_tangent_random(2, 8, seed=0)
-    shift = 1e12 * np.array([1.0, 1.0]) / math.sqrt(2.0)
+    shift = 1e10 * np.array([1.0, 1.0]) / math.sqrt(2.0)
     far = HPolytope(poly.normals, poly.offsets + poly.normals @ shift)
     cert = select(far)
     tangency = cert.norm_offsets[cert.contact_indices].max() - 1.0
     assert cert.contact_tol > 10 * CONTACT and 10 * CONTACT < tangency <= cert.contact_tol
+    assert cert.contact_tol == contact_allowance(far.normals, far.offsets, cert.map_offset, cert.contact_indices)
     assert check_certificate(cert, scale=1).passed
     # both items that replay a contact's tangency refuse the narrow record
     narrow = dataclasses.replace(cert, contact_tol=CONTACT)
     assert set(check_certificate(narrow).failures()) == {"decomposition", "subfamily_membership"}
+
+
+def test_recorded_contact_tolerance_is_held_to_the_rows_allowance():
+    # the checker derives the allowance from the stored rows and center, by
+    # the producer's formula: a wider record fails, and so does a body moved
+    # so far that its allowance passes CONTACT_CAP
+    cert = select(gen_tangent_random(3, 12, seed=0))
+    allowed = contact_allowance(cert.normals, cert.offsets, cert.map_offset, cert.contact_indices)
+    assert cert.contact_tol == allowed == CONTACT
+    assert check_certificate(cert).passed
+    wide = dataclasses.replace(cert, contact_tol=1.0)
+    assert check_certificate(wide).failures() == ("decomposition",)
+    assert "contact tolerance 1.00e+00 beyond 1.00e-07" in check_certificate(wide)["decomposition"].detail
+    shift = np.full(3, 1e12)
+    moved = dataclasses.replace(
+        cert,
+        offsets=cert.offsets + cert.normals @ shift,
+        map_offset=cert.map_offset + shift,
+        contact_tol=CONTACT_CAP,
+    )
+    assert contact_allowance(moved.normals, moved.offsets, moved.map_offset, moved.contact_indices) == math.inf
+    report = check_certificate(moved, scale=1e6)
+    assert "decomposition" in report.failures() and "beyond inf" in report["decomposition"].detail
+
+
+def test_a_body_beyond_the_contact_cap_is_degenerate():
+    # 1e11 inradii out, the rounding of this body's offsets allows contacts
+    # 1.8e-4 off tangency: past CONTACT_CAP, so a typed refusal
+    poly = gen_tangent_random(2, 8, seed=0)
+    shift = 1e11 * np.array([1.0, 1.0]) / math.sqrt(2.0)
+    with pytest.raises(Degenerate, match="lost the digits of the body"):
+        normalize_position(HPolytope(poly.normals, poly.offsets + poly.normals @ shift))
 
 
 def _square_with_light_contact(delta):

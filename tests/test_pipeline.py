@@ -441,8 +441,8 @@ def bodies_in_the_domain(draw):
     up to three rows repeated exactly or moved by 1e-11, up to three far
     rows at offsets 2^j, a shift by up to 1e16 along a random unit vector,
     then every offset scaled by 2^k (so the shift counts in units of the
-    tangent body's inradius, 1). At 1e16 the offsets carry no digit of the
-    body, which then certifies or is refused as `Degenerate`."""
+    tangent body's inradius, 1). At 1e15 and 1e16 the offsets have lost the
+    digits a contact needs, and the body is refused as `Degenerate`."""
     d = draw(st.integers(2, 8))
     copies = draw(st.integers(0, 3))
     far = draw(st.integers(0, 3))
@@ -510,15 +510,25 @@ def shifted(poly, seed, shift):
 @pytest.mark.parametrize("d", [2, 3, 4, 6, 8])
 def test_far_bodies_certify_without_a_flag(d):
     # the recorded contact tolerance covers the digits the offsets lose, so
-    # a body 1e8 to 1e15 inradii from the origin certifies as one near it
+    # a body 1e8 to 1e10 inradii from the origin certifies as one near it
     for seed in range(8):
         poly = gen_tangent_random(d, min(4 * d, FACET_CAP), seed=seed)
         if seed % 2:
             poly, _, _ = gen_affine_warp(poly, seed=seed + 10007)
-        for shift in 10.0 ** np.arange(8, 16):
+        for shift in (1e8, 1e9, 1e10):
             body = shifted(poly, seed, shift)
             for selector in SELECTORS:
                 assert check_certificate(select(body, selector=selector, seed=seed)).passed
+
+
+def test_a_body_whose_certificate_failed_its_bound_is_refused():
+    # 1e15 inradii out, a contact of this body read 1.3 past tangency, which
+    # a recorded contact tolerance of 12.5 admitted, and its certificate
+    # failed `ratio_bound`; its allowance passes CONTACT_CAP
+    poly, _, _ = gen_affine_warp(gen_tangent_random(2, 63, seed=16), seed=17, cond_cap=100)
+    with pytest.raises(PipelineError, match="lost the digits of the body") as exc:
+        select(shifted(poly, 2, 1e15))
+    assert exc.value.stage == "normalize" and isinstance(exc.value.__cause__, Degenerate)
 
 
 @pytest.mark.parametrize("d", [2, 5, 8])
@@ -528,14 +538,11 @@ def test_a_start_slack_lost_to_rounding_is_degenerate(d):
     refused = []
     for seed in range(6):
         body = shifted(gen_tangent_random(d, 4 * d, seed=seed), seed, 1e16)
-        try:
-            cert = select(body)
-        except PipelineError as exc:
-            assert isinstance(exc.__cause__, Degenerate)
-            refused.append(str(exc))
-        else:
-            assert check_certificate(cert).passed
-    assert any("lost the digits" in message for message in refused)
+        with pytest.raises(PipelineError) as exc:
+            select(body)
+        assert isinstance(exc.value.__cause__, Degenerate)
+        refused.append(str(exc.value))
+    assert any("slack at the start point" in message for message in refused)
 
 
 class TestSampledSelector:
