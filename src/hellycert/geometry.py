@@ -144,10 +144,11 @@ def interior_point(poly: HPolytope) -> tuple[np.ndarray, float]:
     is at least _INTERIOR_FLOOR the body is nonempty and not flat, and no
     LP runs. Otherwise the Chebyshev LP decides: it raises Empty or
     Unbounded, then Degenerate when the inscribed radius is below
-    _INTERIOR_FLOOR, and its center and radius are returned. Either way
-    Unbounded follows when the normals have rank below d (one SVD, so a
-    body holding a line is typed before any iteration starts from this
-    point). The witness's radius is at most the Chebyshev radius, so it
+    _INTERIOR_FLOOR (naming the lost digits when the offsets' rounding
+    eps max|b| is itself at least that floor), and its center and radius
+    are returned. Either way Unbounded follows when the normals have rank
+    below d (one SVD, so a body holding a line is typed before any
+    iteration starts from this point). The witness's radius is at most the Chebyshev radius, so it
     never passes a body the LP would type Empty or Degenerate; a cone whose
     inscribed radius is unbounded can pass it, and boundedness beyond the
     rank is left to `ensure_bounded`.
@@ -160,7 +161,11 @@ def interior_point(poly: HPolytope) -> tuple[np.ndarray, float]:
     if radius < _INTERIOR_FLOOR:
         center, radius = chebyshev_center(poly)
         if radius < _INTERIOR_FLOOR:
-            raise Degenerate(f"inscribed radius {radius:.3e} below {_INTERIOR_FLOOR:.0e}")
+            reason = f"inscribed radius {radius:.3e} below {_INTERIOR_FLOOR:.0e}"
+            magnitude = float(np.abs(b).max())
+            if np.finfo(float).eps * magnitude >= _INTERIOR_FLOOR:
+                reason += f": offsets of magnitude {magnitude:.1e} have lost the digits of the body"
+            raise Degenerate(reason)
     _ensure_full_rank(a)
     return center, radius
 

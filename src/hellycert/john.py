@@ -6,15 +6,21 @@ optimality conditions, after Zhang and Gao, "On numerical solution of the
 maximum volume ellipsoid problem" (SIAM J. Optim. 14, 2003). Row weights
 y > 0 define the ellipsoid, E = (A^T Y A)^(-1/2) and h_i = |E a_i|, and
 slacks z > 0 close the constraints; Newton steps drive A^T (y h) = 0,
-b - A x - h - z = 0 and y z toward a shrinking centering target. The
-target is set adaptively by Mehrotra's rule (SIAM J. Optim. 2, 1992) from
-an affine step taken out of the same factorization, and the step goes ever
-closer to the boundary of y, z > 0 as the gap closes. Each step is taken in
-the frame where the current ellipsoid is the unit ball, so the linear
-algebra stays well conditioned however elongated the body is. The
-iteration stops when the log-volume duality gap sum y_i h_i z_i reaches
-_SOLVER_GAP and the residuals vanish; the ellipsoid is then shrunk
-about its center until every half-space holds exactly.
+b - A x - h - z = 0 and y z toward a shrinking centering target. Each step
+solves one bordered system of order m + d for the weights' and the
+center's moves (`_newton_step`). The target is set adaptively by
+Mehrotra's rule (SIAM J. Optim. 2, 1992) from an affine step taken out of
+the same solve, and while the gap is well above its target his
+second-order corrector costs one more solve with the same matrix and saves
+about a quarter of the steps. The step goes ever closer to the boundary of
+y, z > 0 as the gap closes. Each step is taken in the frame where the
+current ellipsoid is the unit ball, so the linear algebra stays well
+conditioned however elongated the body is; the frame moves by the
+symmetric root of the new A^T Y A, and the rows are read off the body
+through it afresh each step, so the exit test measures the body itself.
+The iteration stops when the log-volume duality gap sum y_i h_i z_i
+reaches _SOLVER_GAP and the residuals vanish; the ellipsoid is then shrunk
+about its center until every half-space holds as evaluated in floats.
 
 The start is a point with a ball of radius at least the flatness floor
 about it, and normals of full rank (`geometry.interior_point`): the
@@ -70,68 +76,116 @@ _GAP_SHRINK = 0.01  # an unsettled split goes on toward this share of the gap re
 _WEIGHT_FLOOR = 1e-10  # fitted contact weights at or below this are zeroed
 _SOLVER_GAP = 1e-9  # log-volume duality gap the solve stops at
 _NEWTON_CAP = 500  # primal-dual step budget
+_CORRECTOR_SPAN = 10.0  # Mehrotra's corrector applies while mu > this times the target gap / m
 # a solve still open after this many steps runs the boundedness LP once:
 # bounded bodies converge in at most about 20, while a cone that passes the
 # start's checks runs hundreds of steps before it fails
 _BOUNDEDNESS_PROBE = 50
+_EPS = float(np.finfo(float).eps)
 
 
-def _newton_step(a, y, z, r1, r2, floor):
+def _newton_step(a, b, y, z, mu, gap, work):
     """One damped primal-dual Newton step in the frame where the current
     ellipsoid is the unit ball (so h = 1, A^T Y A = I and Q = A A^T);
-    returns (dx, y, z) after it.
+    returns (dx, y, z) after it. b holds the offsets, mu the mean y z, gap
+    the solve's current target gap and work the arrays of `_workspace`.
 
     Solves for v = dy / y, so the weights of inactive rows, which fall
-    toward zero, stay well scaled: G v = g0 + P dx with
-    G = Y (Q o Q) Y + diag(2 y z), then the d x d stationarity block for
-    dx. Each row's dz comes from the equation that is well conditioned
-    there: complementarity where y >= z, the linearized slack equation
-    elsewhere.
+    toward zero, stay well scaled, and for dx, together, from one bordered
+    system of order m + d:
+
+        [[G / 2, -Y A], [R^T, -I]] [v; dx] = [g / 2; h]
+
+    with G = Y (Q o Q) Y + diag(2 y z), R = Y (1 + Z) A and
+    h = A^T g / 2 - r1, r1 = A^T y. Its first block row is the slack and
+    complementarity equations with dz eliminated, halved; its second is the
+    stationarity equation. Each row's dz comes from the equation that is
+    well conditioned there: complementarity where y >= z, the linearized
+    slack equation elsewhere.
 
     The centering target c enters only the right-hand side, through
-    y z + z dy + y dz = c, so the direction is an affine part (c = 0) plus
-    c times a second part, both from one factorization of G. Mehrotra's
-    rule (SIAM J. Optim. 2, 1992) sets sigma = (mu_aff / mu)^3 from the
-    mean y z after the longest affine step that keeps y, z >= 0, clipped to
-    [_CENTERING_MIN, _CENTERING], and c = max(sigma mu, floor). The lower
-    clip matters where more rows are tangent than G has rank: G is then
-    singular but for diag(2 y z), which one step to a tiny target would
-    push below rounding. The step goes to eta = max(_STEP_FRACTION, 1 - mu)
-    of the boundary of y, z > 0.
+    y z + z dy + y dz = c, which puts 2 c in g, so the direction is an
+    affine part (c = 0) plus c times a second part, two columns of one
+    solve. Mehrotra's rule (SIAM J. Optim. 2, 1992) sets
+    sigma = (mu_aff / mu)^3 from the mean y z after the longest affine step
+    that keeps y, z >= 0, clipped to [_CENTERING_MIN, _CENTERING], and
+    c = max(sigma mu, _CENTERING_FLOOR gap / m). The lower clip matters
+    where more rows are tangent than G has rank: G is then singular but for
+    diag(2 y z), which one step to a tiny target would push below rounding.
+
+    While mu > _CORRECTOR_SPAN gap / m, Mehrotra's second-order corrector
+    adds corr = -dy_aff dz_aff = y z v_aff (1 + v_aff) to the
+    complementarity target, so 2 corr to g: one more solve with the same
+    matrix takes c + corr at once, in place of the centering column. Near
+    the target gap it is left out: there it moves the weights of light
+    contacts, which the exit test does not measure (a contact of weight
+    5e-6 came out 3% off with it). The step goes to
+    eta = max(_STEP_FRACTION, 1 - mu) of the boundary of y, z > 0.
     """
     m, d = a.shape
+    top, diag, p_blk, r_blk, mat, rhs, h_rhs = work
     yz = y * z
-    mu = yz.sum() / m
     qq = a @ a.T
-    qq *= qq
-    g_mat = qq * np.outer(y, y)
-    g_mat.flat[:: m + 1] += 2.0 * yz
-    rhs = np.empty((m, d + 2))  # [g0 at c = 0, g0 per unit of c, P]
-    rhs[:, 0] = -2.0 * (yz + y * r2)
-    rhs[:, 1] = 2.0
-    rhs[:, 2:] = (2.0 * y)[:, None] * a
-    sol = np.linalg.solve(g_mat, rhs)
-    v0, v_dx = sol[:, :2], sol[:, 2:]
-    rows = (y * (1.0 + z))[:, None] * a
-    lhs = rows.T @ v_dx
-    lhs.flat[:: d + 1] -= 1.0
-    dx_rhs = a.T @ (0.5 * rhs[:, :2]) - rows.T @ v0
-    dx_rhs[:, 0] -= r1
-    dx = np.linalg.solve(lhs, dx_rhs)  # columns: affine part, part per unit of c
-    v = v0 + v_dx @ dx
-    v_aff = v[:, 0]
-    # with c = 0, y z + z dy + y dz = 0 gives dz = -z (1 + v) in every row
-    alpha = 1.0 / max(1.0, np.maximum(-v_aff, 1.0 + v_aff).max())
-    t = alpha * v_aff
-    mu_aff = yz @ ((1.0 + t) * (1.0 - alpha - t)) / m
+    qq *= 0.5 * qq  # half of Q o Q
+    np.multiply(qq, y[:, None] * y, top)
+    diag += yz
+    ya = y[:, None] * a
+    np.negative(ya, p_blk)
+    np.multiply(a.T, y + yz, r_blk)
+    yb = y * b
+    np.subtract(y, yb, rhs[:m, 0])  # g / 2 = -y (b - 1) at c = 0; column 1 holds 1 per unit of c
+    np.negative(yb, h_rhs[:, 0])
+    np.matmul(a.T, h_rhs, rhs[m:])  # h = A^T g / 2 - r1 = -A^T (y b) at c = 0, A^T 1 per unit of c
+    sol = np.linalg.solve(mat, rhs)
+    v_aff = sol[:m, 0]
+    # with c = 0, y z + z dy + y dz = 0 gives dz = -z (1 + v) in every row;
+    # the longest step keeping both >= 0 is 1 / max(1, -v, 1 + v)
+    alpha = 1.0 / (max(0.5, np.abs(v_aff + 0.5).max()) + 0.5)
+    corr = yz * v_aff * (1.0 + v_aff)
+    # mean y z after that step: (1 - alpha) mu - alpha^2 mean(corr)
+    mu_aff = (1.0 - alpha) * mu - alpha * alpha * corr.sum() / m
     sigma = min(_CENTERING, max((mu_aff / mu) ** 3, _CENTERING_MIN))
-    c = max(sigma * mu, floor)
-    dx = dx[:, 0] + c * dx[:, 1]
-    v = v_aff + c * v[:, 1]
-    dz = np.where(y >= z, (c - yz) / y - z * v, r2 - a @ dx + 0.5 * (qq @ (y * v)))
+    c = max(sigma * mu, _CENTERING_FLOOR * gap / m)
+    if mu > _CORRECTOR_SPAN * gap / m:
+        # one more solve, for the centering and corrector parts together
+        shift = np.add(corr, c, rhs[:m, 0])  # c + corr, written where the solve reads it
+        np.matmul(a.T, shift, rhs[m:, 0])
+        step = sol[:, 0] + np.linalg.solve(mat, rhs[:, 0])
+    else:
+        shift = c
+        step = sol[:, 0] + c * sol[:, 1]
+    v, dx = step[:m], step[m:]
+    dy = y * v
+    # complementarity: y z + z dy + y dz = c + corr
+    dz = np.where(y >= z, shift / y - z * (1.0 + v), b - 1.0 - z - a @ dx + qq @ dy)
     eta = max(_STEP_FRACTION, 1.0 - mu)
     alpha = eta / max(eta, -np.minimum(v, dz / z).min())
-    return alpha * dx, y * (1.0 + alpha * v), z + alpha * dz
+    return alpha * dx, y + alpha * dy, z + alpha * dz
+
+
+def _workspace(m, d):
+    """The bordered matrix of `_newton_step` with its -I block set; views
+    of its G / 2 block, that block's diagonal and its -Y A and R^T blocks;
+    the right-hand sides with the centering column's g / 2 set; and a
+    scratch whose column 1 of ones gives that column's h."""
+    mat = np.zeros((m + d, m + d))
+    flat = mat.reshape(-1)
+    flat[m * (m + d + 1) :: m + d + 1] = -1.0
+    rhs = np.empty((m + d, 2))
+    rhs[:m, 1] = 1.0
+    h_rhs = np.ones((m, 2))
+    diag = flat[: m * (m + d + 1) : m + d + 1]
+    return mat[:m, :m], diag, mat[:m, m:], mat[m:, :m], mat, rhs, h_rhs
+
+
+def _unit_frame(mat):
+    """The symmetric T = mat^(-1/2) of a positive definite mat, so that
+    T^T mat T = I, from one eigendecomposition. Raises NoConvergence when
+    mat is not positive definite in floats (or not finite)."""
+    lam, vec = np.linalg.eigh(mat)
+    if not lam[0] > 0.0:
+        raise NoConvergence("the primal-dual weights lost their rank")
+    return (vec / np.sqrt(lam)) @ vec.T
 
 
 def inscribed_ellipsoid(poly: HPolytope) -> Ellipsoid:
@@ -149,17 +203,20 @@ def inscribed_ellipsoid(poly: HPolytope) -> Ellipsoid:
     Unbounded from the Stiemke LP of `ensure_bounded` when the iteration is
     still open after _BOUNDEDNESS_PROBE steps or fails (its budget runs out,
     an iterate leaves the finite range or a system is singular), and
-    otherwise NoConvergence on that failure. The result is not re-measured:
-    the final shrink makes every half-space hold up to rounding, which
-    the checker's `instance_map` item replays in the normalized frame.
+    otherwise NoConvergence on that failure. Last, Degenerate when the
+    solved center is not inside every half-space, which only offsets that
+    have lost their digits give. The result is not re-measured: the final
+    shrink makes every half-space hold as evaluated in floats, which the
+    checker's `instance_map` item replays in the normalized frame.
     """
-    return _john_solve(poly)[0]
+    return Ellipsoid(*_john_solve(poly)[0])
 
 
-def _john_solve(poly: HPolytope) -> tuple[Ellipsoid, np.ndarray, np.ndarray]:
-    """`inscribed_ellipsoid`, also returning the row weights y of the final
-    unit-ball frame (a John decomposition, see the module) and the mask of
-    the tangent rows, whose slack z is at most _SETTLE_SHARE of CONTACT.
+def _john_solve(poly: HPolytope) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """`inscribed_ellipsoid` as its (center, symmetric shape), unchecked,
+    also returning the row weights y of the final unit-ball frame (a John
+    decomposition, see the module) and the mask of the tangent rows, whose
+    slack z is at most _SETTLE_SHARE of CONTACT.
     y z ends near each row's share of the gap, so a contact of weight 5e-6
     can still have a slack of 1e-5 there; the iteration goes on at smaller
     gaps until the other rows carry at most _SETTLE_SHARE of DECOMPOSITION
@@ -186,47 +243,45 @@ def _john_solve(poly: HPolytope) -> tuple[Ellipsoid, np.ndarray, np.ndarray]:
             f"{np.abs(poly.offsets).max():.1e} have lost the digits of a body of inradius {radius:.1e}"
         )
     m, d = a0.shape
-    x = np.zeros(d)
-    floor = _CENTERING_FLOOR * gap / m
+    work = _workspace(m, d)
     try:
         # the current ellipsoid is {x + frame u : |u| <= 1}; start from the
         # Dikin ellipsoid of the interior point, weights 1 / b0^2 (uniform
         # where every row is tangent to the start ball), scaled by _START_REACH
         w0 = b0**-2
-        frame = np.linalg.inv(np.linalg.cholesky((a0.T * w0) @ a0)).T
-        reach = np.linalg.norm(a0 @ frame, axis=1)
+        frame = _unit_frame((a0.T * w0) @ a0)
+        raw = a0 @ frame
+        reach = np.sqrt(np.einsum("ij,ij->i", raw, raw))
         scale = _START_REACH * float((b0 / reach).min())
-        frame *= scale
         y0 = w0 / scale**2
         z0 = b0 - scale * reach
+        frame *= scale
+        x = np.zeros(d)
         for step in range(_NEWTON_CAP + 1):
             # move to the frame where the current ellipsoid is the unit ball
             raw = a0 @ frame
-            n = np.sqrt(np.einsum("ij,ij->i", raw, raw))
-            if not np.isfinite(n).all():
+            nn = np.einsum("ij,ij->i", raw, raw)  # overflows to inf without a warning
+            if not nn.max() < math.inf:
                 # an unbounded body's ellipsoid outgrows the floats, while
                 # the weights y0 of its far rows underflow to zero
                 raise NoConvergence("the primal-dual ellipsoid left the finite range")
-            a, b, y, z = raw / n[:, None], (b0 - a0 @ x) / n, y0 * n * n, z0 / n
-            if not (np.isfinite(y).all() and np.isfinite(z).all()):
-                raise NoConvergence("the primal-dual iterate left the finite range")
-            r1 = a.T @ y
-            r2 = b - 1.0 - z
-            if y @ z <= gap and max(np.abs(r1).max(), np.abs(r2).max()) <= _RESIDUAL_STOP:
+            n = np.sqrt(nn)
+            a, b, y, z = raw / n[:, None], (b0 - a0 @ x) / n, y0 * nn, z0 / n
+            total = float(y @ z)
+            if total <= gap and max(np.abs(a.T @ y).max(), np.abs(b - 1.0 - z).max()) <= _RESIDUAL_STOP:
                 tangent = z <= _SETTLE_SHARE * CONTACT
                 if y[~tangent].sum() <= _SETTLE_SHARE * DECOMPOSITION:
                     break
                 # a row is neither tangent nor weightless yet: go on at a smaller gap
-                gap = _GAP_SHRINK * float(y @ z)
-                floor = _CENTERING_FLOOR * gap / m
+                gap = _GAP_SHRINK * total
             if step == _NEWTON_CAP:
                 raise NoConvergence(f"primal-dual budget {_NEWTON_CAP} exhausted")
             if step == _BOUNDEDNESS_PROBE:
                 ensure_bounded(poly)
-            dx, y, z = _newton_step(a, y, z, r1, r2, floor)
-            y0, z0 = y / (n * n), z * n
-            x = x + frame @ dx
-            frame = frame @ np.linalg.inv(np.linalg.cholesky((a.T * y) @ a)).T
+            dx, y, z = _newton_step(a, b, y, z, total / m, gap, work)
+            y0, z0 = y / nn, z * n
+            x += frame @ dx
+            frame = frame @ _unit_frame((a.T * y) @ a)
     except np.linalg.LinAlgError as exc:
         ensure_bounded(poly)  # an unbounded body fails here as Unbounded
         raise NoConvergence(f"primal-dual system broke down: {exc}") from exc
@@ -234,15 +289,24 @@ def _john_solve(poly: HPolytope) -> tuple[Ellipsoid, np.ndarray, np.ndarray]:
         ensure_bounded(poly)
         raise
 
-    # the symmetric shape with the same image as frame, from its SVD so that
-    # its condition number is not squared as in sqrtm(frame @ frame.T)
+    # the symmetric shape with the same image as the frame, from its SVD so
+    # that its condition number is not squared as in sqrtm(frame @ frame.T)
     u, s, _ = np.linalg.svd(frame)
     mat = radius * (u * s) @ u.T
     c = center + radius * x
-    # shrink about the center until every half-space holds exactly
-    reach = np.linalg.norm(poly.normals @ mat, axis=1)
-    mat *= min(1.0, max(float(((poly.offsets - poly.normals @ c) / reach).min()), 0.0))
-    return Ellipsoid(c, mat), y, tangent
+    # shrink about the center until every half-space holds as evaluated in
+    # floats: clear of the rounding of |mat a_i|, at most about
+    # (d + 2) eps |mat|_F for a unit a_i (the dot-product bound); without
+    # that margin about one body in a hundred is left over by an ulp
+    reach = np.linalg.norm(poly.normals @ mat, axis=1) + 4.0 * (d + 2) * _EPS * radius * math.hypot(*s)
+    shrink = float(((poly.offsets - poly.normals @ c) / reach).min())
+    if not shrink > 0.0:
+        raise Degenerate(
+            f"the solved center is not inside every half-space, read off offsets of magnitude "
+            f"{np.abs(poly.offsets).max():.1e}"
+        )
+    mat *= min(1.0, shrink)
+    return (c, 0.5 * (mat + mat.T)), y, tangent
 
 
 # ------------------------------------------------------------- decompositions
@@ -374,10 +438,10 @@ def normalize_position(poly: HPolytope) -> NormalizedInstance:
     only Degenerate, when that is inf. The checker's `decomposition` item
     replays all three.
     """
-    ell, y, tangent = _john_solve(poly)
-    new_a, new_b = normalized_rows(poly.normals, poly.offsets, ell.shape, ell.center)
+    (center, shape), y, tangent = _john_solve(poly)
+    new_a, new_b = normalized_rows(poly.normals, poly.offsets, shape, center)
     idx = np.flatnonzero(tangent)
-    contact_tol = contact_allowance(poly.normals, poly.offsets, ell.center, idx)
+    contact_tol = contact_allowance(poly.normals, poly.offsets, center, idx)
     if math.isinf(contact_tol):
         raise Degenerate(
             f"offsets of magnitude {np.abs(poly.offsets).max():.1e} have lost the digits of the "
@@ -385,8 +449,8 @@ def normalize_position(poly: HPolytope) -> NormalizedInstance:
         )
     return NormalizedInstance(
         original=poly,
-        map_matrix=ell.shape,
-        map_offset=ell.center,
+        map_matrix=shape,
+        map_offset=center,
         norm_normals=new_a,
         norm_offsets=new_b,
         decomposition=ContactDecomposition(new_a[idx], y[idx], source_indices=idx),

@@ -20,13 +20,12 @@ import numpy as np
 
 from .bodies import DEDUPE, Ellipsoid, HPolytope, Simplex
 from .certificate import DEGENERATE_RAY, SELECTORS, Certificate, contraction_ratio
-from .dr import dr_select
-from .errors import DegenerateSimplex, HellyError, NumericalBreakdown, PipelineError
+from .dr import dr_select, spanning_rows
+from .errors import HellyError, NumericalBreakdown, PipelineError
 from .john import NormalizedInstance, normalize_position
 from .lp import LPStatus, lp_solve
-from .pivovarov import sample_indices
 
-_SAMPLE_CAP = 200
+_SAMPLE_FLATNESS = 1e-9  # |det| floor of a sampled simplex
 _DROP_TOL = 1e-12  # combination weights below this count as zero
 
 
@@ -129,16 +128,22 @@ def assemble_subfamily(
 
 
 def _sample_selection(dec, seed) -> np.ndarray:
-    """Random alternative to the greedy pick: the rows of d contact points
-    drawn by `sample_indices`, as `pivovarov_sample` draws them. Draws whose
-    simplex is numerically flat are rejected, since the downstream ellipsoid
-    needs interior to live in; no window guarantee travels with the result."""
+    """Random alternative to the greedy pick: d contact rows drawn one at a
+    time, each by weight c_i among the contacts whose square length off the
+    span of those drawn before exceeds _SAMPLE_FLATNESS^(2/d), so the drawn
+    simplex's |det| stays above _SAMPLE_FLATNESS. Some contact always
+    qualifies: off a span of rank k their weighted square lengths add up to
+    d - k, and the weights to d. No window guarantee travels with the
+    result; `pivovarov_sample` keeps the i.i.d. draws."""
     rng = np.random.default_rng(seed)
-    for _ in range(_SAMPLE_CAP):
-        rows = sample_indices(dec, rng, dec.dim)
-        if abs(np.linalg.det(dec.points[rows])) > 1e-9:
-            return rows
-    raise DegenerateSimplex(f"no full-dimensional sample in {_SAMPLE_CAP} draws")
+    floor = _SAMPLE_FLATNESS ** (2.0 / dec.dim)
+
+    def draw(k, projector):
+        spread = np.einsum("ip,pq,iq->i", dec.points, projector, dec.points)
+        p = np.where(spread > floor, dec.weights, 0.0)
+        return int(rng.choice(dec.size, p=p / p.sum()))
+
+    return spanning_rows(dec, draw)
 
 
 def select(

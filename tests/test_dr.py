@@ -40,6 +40,16 @@ class TestTracePick:
         # x-components squared are 0, 3/4, 3/4; first argmax wins
         assert trace_pick(projector, dec) == 1
 
+    def test_equal_picks_go_to_the_lowest_index(self):
+        # rows 1 and 2 tie: exactly, then with row 2 ahead only in its last
+        # bits, as rounding leaves a tie; the first row within the tie band
+        # of the maximum wins both times, and a real lead still wins
+        projector = np.diag([0.0, 1.0])
+        for lead in (0.0, 1e-14, 1e-9):
+            pts = np.array([[1.0, 0.0], [0.6, 0.8], [-0.6, 0.8 * (1.0 + lead)]])
+            dec = ContactDecomposition(points=pts, weights=np.ones(3))
+            assert trace_pick(projector, dec) == (2 if lead > 1e-12 else 1), lead
+
     def test_guarantee_holds_over_random_pairs(self):
         hits = 0
         for d in range(2, 7):

@@ -534,7 +534,9 @@ def test_a_body_whose_certificate_failed_its_bound_is_refused():
 @pytest.mark.parametrize("d", [2, 5, 8])
 def test_a_start_slack_lost_to_rounding_is_degenerate(d):
     # 1e16 inradii from the origin, a slack at the solver's start point can
-    # round to zero or below: a typed refusal, not a division by zero
+    # round to zero or below: a typed refusal, not a division by zero. A body
+    # whose start falls back to the Chebyshev LP is refused there, naming the
+    # lost digits as well; a flat body near the origin keeps the plain message
     refused = []
     for seed in range(6):
         body = shifted(gen_tangent_random(d, 4 * d, seed=seed), seed, 1e16)
@@ -543,6 +545,15 @@ def test_a_start_slack_lost_to_rounding_is_degenerate(d):
         assert isinstance(exc.value.__cause__, Degenerate)
         refused.append(str(exc.value))
     assert any("slack at the start point" in message for message in refused)
+    for message in refused:
+        if "inscribed radius" in message:
+            assert "offsets of magnitude 1.0e+16 have lost the digits" in message
+    offsets = np.ones(2 * d)
+    offsets[[0, d]] = 0.0  # the slab 0 <= x_0 <= 0
+    flat = HPolytope(np.vstack([np.eye(d), -np.eye(d)]), offsets)
+    with pytest.raises(PipelineError, match=r"inscribed radius \S+ below 1e-10$") as exc:
+        select(flat)
+    assert isinstance(exc.value.__cause__, Degenerate)
 
 
 class TestSampledSelector:
@@ -559,6 +570,16 @@ class TestSampledSelector:
         b = select(poly, selector="pivovarov", seed=42)
         assert np.array_equal(a.x_points, b.x_points)
         assert a.ratio == b.ratio
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_cube_certifies_on_every_seed(self, d):
+        # the 2d contacts +-e_i come in antipodal pairs, so i.i.d. draws are
+        # rarely full-dimensional; drawing off the span of the rows already
+        # drawn never fails
+        cube = gen_cube(d)
+        for seed in range(100):
+            cert = select(cube, selector="pivovarov", seed=seed)
+            assert check_certificate(cert).passed, seed
 
     def test_containments_hold_without_window_guarantee(self):
         for seed in range(6):
