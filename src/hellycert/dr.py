@@ -30,7 +30,7 @@ def trace_pick(projector: np.ndarray, dec: ContactDecomposition) -> int:
     residual), so the maximum is at least that, and the winner at least that
     less the band, far inside the checker's window tolerance.
     """
-    values = np.einsum("ip,pq,iq->i", dec.points, projector, dec.points)
+    values = ((dec.points @ projector) * dec.points).sum(axis=1)
     return int(np.argmax(values >= values.max() * (1.0 - _TIE_BAND)))
 
 
@@ -60,8 +60,8 @@ def spanning_rows(dec: ContactDecomposition, pick) -> np.ndarray:
             # second projection pass keeps the basis orthonormal to working
             # precision even when tv is small
             z = z - basis[:k].T @ (basis[:k] @ z)
-            z = z / np.linalg.norm(z)
+            z = z / math.sqrt(float(z @ z))
         basis[k] = z
         rows[k] = row
-        projector = projector - np.outer(z, z)
+        projector = projector - z[:, None] * z
     return rows

@@ -139,7 +139,7 @@ def _sample_selection(dec, seed) -> np.ndarray:
     floor = _SAMPLE_FLATNESS ** (2.0 / dec.dim)
 
     def draw(k, projector):
-        spread = np.einsum("ip,pq,iq->i", dec.points, projector, dec.points)
+        spread = ((dec.points @ projector) * dec.points).sum(axis=1)
         p = np.where(spread > floor, dec.weights, 0.0)
         return int(rng.choice(dec.size, p=p / p.sum()))
 
