@@ -2,7 +2,8 @@
 
 Half-space polytopes, simplices and ellipsoids as validated read-only
 arrays, with the closed forms the checker relies on: simplex and ellipsoid
-volume and the largest ellipsoid inscribed in a simplex. Nothing
+volume, and the largest ellipsoid inscribed in a simplex, also read without
+its matrix root (`inscribed_reach`, `inscribed_det`). Nothing
 here solves an LP or enumerates a vertex; that code lives in `geometry`.
 
 An `HPolytope` is two read-only C-contiguous arrays, unit normals (m, d)
@@ -39,9 +40,9 @@ def simplex_volume(edges: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(edges)) / math.factorial(edges.shape[-1])
 
 
-def freeze(arr: np.ndarray) -> np.ndarray:
-    """A read-only C-contiguous float copy of arr."""
-    out = np.array(arr, dtype=float, order="C")
+def freeze(arr: np.ndarray, ndmin: int = 0) -> np.ndarray:
+    """A read-only C-contiguous float copy of arr, of at least ndmin axes."""
+    out = np.array(arr, dtype=float, order="C", ndmin=ndmin)
     out.setflags(write=False)
     return out
 
@@ -97,17 +98,21 @@ def hpolytope_from_arrays(a, b) -> HPolytope:
 
 @dataclass(frozen=True, eq=False)
 class Simplex:
-    """d+1 affinely independent points in dimension d."""
+    """d+1 affinely independent points in dimension d; edge_det, the
+    determinant of the edges vertices[1:] - vertices[0], is taken unless given."""
 
     vertices: np.ndarray
+    edge_det: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", freeze(np.atleast_2d(self.vertices)))
+        object.__setattr__(self, "vertices", freeze(self.vertices, ndmin=2))
         n, d = self.vertices.shape
         if n != d + 1:
             raise DegenerateSimplex(f"{n} vertices in dimension {d}")
-        edges = self.vertices[1:] - self.vertices[0]
-        if abs(np.linalg.det(edges)) <= 1e-12:
+        if self.edge_det is None:
+            edges = self.vertices[1:] - self.vertices[0]
+            object.__setattr__(self, "edge_det", float(np.linalg.det(edges)))
+        if abs(self.edge_det) <= 1e-12:
             raise DegenerateSimplex("vertices are affinely dependent")
 
     @property
@@ -115,7 +120,7 @@ class Simplex:
         return self.vertices.shape[1]
 
     def volume(self) -> float:
-        return float(simplex_volume(self.vertices[1:] - self.vertices[0]))
+        return abs(self.edge_det) / math.factorial(self.dim)
 
     def facets(self) -> tuple[np.ndarray, np.ndarray]:
         """Unit normals and offsets of the facets; row i is opposite vertex i.
@@ -124,9 +129,11 @@ class Simplex:
         barycentric coordinates of x are [x, 1] @ C, so facet i is
         -C[:d, i].x <= C[d, i].
         """
-        inv = np.linalg.inv(np.hstack([self.vertices, np.ones((self.dim + 1, 1))]))
+        bary = np.ones((self.dim + 1, self.dim + 1))
+        bary[:, :-1] = self.vertices
+        inv = np.linalg.inv(bary)
         a = -inv[:-1].T
-        norms = np.linalg.norm(a, axis=1)
+        norms = _row_norms(a)
         return a / norms[:, None], inv[-1] / norms
 
 
@@ -189,3 +196,17 @@ def max_ellipsoid_in_simplex(simplex: Simplex) -> Ellipsoid:
     center = simplex.vertices.mean(axis=0)
     _, spread, axes = np.linalg.svd(simplex.vertices - center, full_matrices=False)
     return Ellipsoid(center, (axes.T * (spread / math.sqrt(d * (d + 1)))) @ axes)
+
+
+def inscribed_reach(centered: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """|E a| for each row a of directions, E the largest ellipsoid in the
+    simplex whose centered vertices are the rows V_c of `centered`: E^2 is
+    V_c^T V_c / (d (d+1)), so |E a| = |V_c a| / sqrt(d (d+1)), with no root."""
+    return _row_norms(directions @ centered.T) / math.sqrt(centered.size)
+
+
+def inscribed_det(edge_det: float, d: int) -> float:
+    """|det E| of the largest ellipsoid in a d-simplex whose edges have
+    determinant edge_det: |edge_det| / (d^(d/2) (d+1)^((d+1)/2)), as
+    kappa_d |det E| / (|edge_det| / d!) is `simplex_ellipsoid_ratio(d)`."""
+    return abs(edge_det) / math.sqrt(d**d * (d + 1) ** (d + 1))

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .bodies import unit_ball_volume
+from .bodies import freeze, unit_ball_volume
 
 WINDOW_TOL = 1e-9  # how far a window may dip below its floor at zero residual
 
@@ -75,10 +76,10 @@ def simplex_volume_floor(d: int) -> float:
     return math.exp(-0.5 * math.lgamma(d + 1) - 0.5 * d * math.log(d))
 
 
+@cache
 def eq3_lower_bounds(d: int) -> np.ndarray:
-    """Guaranteed floor of <v_i, z_i> for i = 1..d: sqrt((d-i+1)/d)."""
-    i = np.arange(1, d + 1)
-    return np.sqrt((d - i + 1) / d)
+    """Guaranteed floor of <v_i, z_i> for i = 1..d: sqrt((d-i+1)/d), read-only."""
+    return freeze(np.sqrt((d - np.arange(d)) / d))
 
 
 def selection_windows(points: np.ndarray) -> np.ndarray:
@@ -86,7 +87,7 @@ def selection_windows(points: np.ndarray) -> np.ndarray:
     part of v_i orthogonal to v_1..v_{i-1}: the diagonal of the Cholesky
     factor of their Gram matrix. np.linalg.LinAlgError when the rows are
     linearly dependent."""
-    return np.diag(np.linalg.cholesky(points @ points.T))
+    return np.linalg.cholesky(points @ points.T).diagonal()
 
 
 def window_allowance(d: int, residual: float) -> float:

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .bodies import Ellipsoid, HPolytope, Simplex, max_ellipsoid_in_simplex
+from .bodies import Ellipsoid, HPolytope, Simplex, inscribed_det, max_ellipsoid_in_simplex
 from .bounds import explicit_bound
 from .config import CONTACT, DIM_CAP, VERSION
 from .errors import HellyError, MalformedCertificate
@@ -30,19 +29,25 @@ _OFFSET_ROUNDING = 4.0
 # 10 x this (the checker's default scale) off tangency loosens the ratio by (1 + 1e-3)^8 < 1.01
 CONTACT_CAP = 1e-4  # reached 1e10 to 3e11 inradii from the origin
 
+# each array field and its rank, in the order `Certificate` holds them to shapes
 ARRAY_FIELDS = {
-    "normals": 2,
-    "offsets": 1,
-    "map_matrix": 2,
-    "map_offset": 1,
-    "contact_weights": 1,
-    "contact_indices": 1,
-    "selected_rows": 1,
-    "w": 1,
-    "cara_rows": 1,
-    "cara_coeffs": 1,
+    "normals": 2, "offsets": 1, "map_matrix": 2, "map_offset": 1, "contact_weights": 1,
+    "contact_indices": 1, "selected_rows": 1, "w": 1, "cara_rows": 1, "cara_coeffs": 1,
 }
 INT_FIELDS = {"contact_indices", "selected_rows", "cara_rows"}
+
+
+class _once:
+    """Computed on first read, then kept: `cached_property` without Python 3.11's lock."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        obj.__dict__[self.name] = value = self.fn(obj)
+        return value
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -79,7 +84,6 @@ class DecompositionReport:
     barycenter_norm: float  # |sum c w|
     weight_sum: float  # sum c (should be the dimension)
     min_weight: float  # inf when there are no weights
-    max_unit_deviation: float  # max | |w_i| - 1 |
 
 
 def verify_decomposition(points, weights) -> DecompositionReport:
@@ -88,48 +92,24 @@ def verify_decomposition(points, weights) -> DecompositionReport:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     wts = np.asarray(weights, dtype=float).ravel()
     outer = np.einsum("i,ip,iq->pq", wts, pts, pts)
+    outer.flat[:: pts.shape[1] + 1] -= 1.0  # less the identity
+    bary = wts @ pts
     return DecompositionReport(
-        identity_residual=float(np.abs(outer - np.eye(pts.shape[1])).max()),
-        barycenter_norm=float(np.linalg.norm(wts @ pts)),
+        identity_residual=float(np.abs(outer).max()),
+        barycenter_norm=math.sqrt(bary @ bary),
         weight_sum=float(wts.sum()),
         min_weight=float(wts.min(initial=math.inf)),
-        max_unit_deviation=float(np.abs(np.linalg.norm(pts, axis=1) - 1.0).max(initial=0.0)),
     )
-
-
-def subfamily_rows(selected_rows, cara_rows) -> np.ndarray:
-    """The contact rows of X: the selected rows, then the hull rows, each
-    once, in the order first seen."""
-    rows = dict.fromkeys(np.concatenate([selected_rows, cara_rows]).tolist())
-    return np.array(list(rows), dtype=int)
 
 
 def contraction_ratio(u, w) -> float:
     """|w| / (|u| + |w|), which carries the center u of E1 to the origin when
     w lies opposite u; 1 when |u| is at most DEGENERATE_RAY."""
-    nu = float(np.linalg.norm(u))
+    nu = math.sqrt(u @ u)
     if nu <= DEGENERATE_RAY:
         return 1.0
-    nw = float(np.linalg.norm(w))
+    nw = math.sqrt(w @ w)
     return nw / (nu + nw)
-
-
-def certified_ratio(norm_offsets, g_indices, e2_shape) -> float:
-    """Upper bound on vol(G)/vol(K) from one determinant.
-
-    In the normalized frame K holds the ball of radius beta = min b_i. The
-    hull chain E2 in S2 in conv(X) puts X* inside the polar of E2, and
-    G = {y : a_g.y <= b_g} lies in (max_g b_g) X*. So
-    vol(G)/vol(K) <= (max_g b_g / beta)^d / |det E2|. It is computed as
-    1 / |det((beta / max_g b_g) E2)|, so no power can overflow; a certificate
-    whose offsets or E2 admit no bound reads inf.
-    """
-    beta = float(norm_offsets.min())
-    if beta <= 0.0:
-        return math.inf
-    scale = beta / float(norm_offsets[g_indices].max())
-    det = abs(float(np.linalg.det(scale * e2_shape)))
-    return 1.0 / det if det > 0.0 else math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,12 +123,14 @@ class Certificate:
 
     The properties below derive everything else from these fields, by the
     same formulas the producer uses: the normalized rows, the contact
-    points, the subfamily X and its rows G, the simplex ellipsoid E1 with
-    center u, the contraction ratio lam, E2 = lam E1 and the certified
-    volume ratio from E2's determinant; `bound` is the a priori
+    points, the subfamily X and its rows G, the base simplex S1 with det P
+    and its centered vertices, which give the simplex ellipsoid E1 with
+    center u in closed form, the contraction ratio lam, E2 = lam E1 and the
+    certified volume ratio from det P; `bound` is the a priori
     `explicit_bound(dim)`. They are computed on first use, so a certificate
-    whose base simplex is flat still constructs; reading E1 from it raises a
-    HellyError (DegenerateSimplex), and its ratio reads inf.
+    whose base simplex is flat still constructs; reading S1 or E1 from it
+    raises a HellyError (DegenerateSimplex), and its ratio reads inf. `e1`,
+    `e1_shape` and `e2_shape` take E1's matrix root, which no check needs.
     """
 
     dim: int
@@ -167,47 +149,36 @@ class Certificate:
     library: str = "hellycert " + VERSION
 
     def __post_init__(self):
+        shapes = []
         for name, ndim in ARRAY_FIELDS.items():
-            dtype = int if name in INT_FIELDS else float
-            arr = np.array(getattr(self, name), dtype=dtype)  # a copy: the caller's stays writable
+            exact = name in INT_FIELDS  # an integer array is finite by its type
+            arr = np.array(getattr(self, name), dtype=int if exact else float)  # a copy: the caller's stays writable
             if arr.ndim != ndim:
                 raise MalformedCertificate(f"{name} must have {ndim} axes")
-            if not np.isfinite(arr).all():
+            if not (exact or np.isfinite(arr).all()):
                 raise MalformedCertificate(f"{name} has non-finite entries")
             object.__setattr__(self, name, _frozen(arr))
+            shapes.append(arr.shape)
         d = int(self.dim)
         if not 1 <= d <= DIM_CAP:
             raise MalformedCertificate(f"dimension {d} outside [1, {DIM_CAP}]")
-        m = self.normals.shape[0]
-        n = self.contact_indices.shape[0]
-        shapes = {
-            "normals": (m, d),
-            "offsets": (m,),
-            "map_matrix": (d, d),
-            "map_offset": (d,),
-            "contact_weights": (n,),
-            "selected_rows": (d,),
-            "w": (d,),
-            "cara_rows": (self.cara_coeffs.shape[0],),
-        }
-        for name, want in shapes.items():
-            if getattr(self, name).shape != want:
-                raise MalformedCertificate(f"{name} has shape {getattr(self, name).shape}, want {want}")
+        m, n, h = shapes[0][0], shapes[5][0], shapes[9][0]  # rows, contacts, hull rows
+        want = [(m, d), (m,), (d, d), (d,), (n,), (n,), (d,), (d,), (h,), (h,)]  # ARRAY_FIELDS order
+        if shapes != want:
+            name, got, need = next(t for t in zip(ARRAY_FIELDS, shapes, want) if t[1] != t[2])
+            raise MalformedCertificate(f"{name} has shape {got}, want {need}")
         if self.selector not in SELECTORS:
             raise MalformedCertificate(f"unknown selector {self.selector!r}")
-        for idx, limit in (
-            (self.contact_indices, m),
-            (self.selected_rows, n),
-            (self.cara_rows, n),
-        ):
+        for idx, limit in ((self.contact_indices, m), (self.selected_rows, n), (self.cara_rows, n)):
             if idx.size and (idx.min() < 0 or idx.max() >= limit):
                 raise MalformedCertificate("an index field points outside its table")
         if not math.isfinite(float(self.contact_tol)):
             raise MalformedCertificate("contact_tol is not finite")
-        if not all(np.isfinite(arr).all() for arr in self._normalized):
+        rows, offsets = self._normalized
+        if not (np.isfinite(rows).all() and np.isfinite(offsets).all()):
             raise MalformedCertificate("the map sends a normal to zero or out of range")
 
-    @cached_property
+    @_once
     def _normalized(self) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             rows = normalized_rows(self.normals, self.offsets, self.map_matrix, self.map_offset)
@@ -221,61 +192,94 @@ class Certificate:
     def norm_offsets(self) -> np.ndarray:
         return self._normalized[1]
 
-    @cached_property
+    @_once
     def contact_points(self) -> np.ndarray:
         return _frozen(self.norm_normals[self.contact_indices])
 
-    @cached_property
+    @_once
     def x_rows(self) -> np.ndarray:
-        return _frozen(subfamily_rows(self.selected_rows, self.cara_rows))
+        """The contact rows of X: the selected rows, then the hull rows, each
+        once, in the order first seen."""
+        rows = dict.fromkeys(np.concatenate([self.selected_rows, self.cara_rows]).tolist())
+        return _frozen(np.array(list(rows), dtype=int))
 
-    @property
+    @_once
     def x_points(self) -> np.ndarray:
-        return self.contact_points[self.x_rows]
+        return _frozen(self.contact_points[self.x_rows])
 
-    @property
+    @_once
     def g_indices(self) -> np.ndarray:
-        return self.contact_indices[self.x_rows]
+        return _frozen(self.contact_indices[self.x_rows])
 
-    @property
+    @_once
     def selected_points(self) -> np.ndarray:
-        return self.contact_points[self.selected_rows]
+        return _frozen(self.contact_points[self.selected_rows])
 
     @property
     def s2_vertices(self) -> np.ndarray:
         return np.vstack([self.w, self.selected_points])
 
-    @cached_property
-    def s1(self) -> Simplex:
-        return Simplex(np.vstack([np.zeros(self.dim), self.selected_points]))
+    @_once
+    def s1_det(self) -> float:
+        """det P of the selected points P, the edges of S1 = conv{0, P}."""
+        return float(np.linalg.det(self.selected_points))
 
-    @cached_property
+    @_once
+    def s1(self) -> Simplex:
+        vertices = np.zeros((self.dim + 1, self.dim))
+        vertices[1:] = self.selected_points
+        return Simplex(vertices, self.s1_det)
+
+    @_once
+    def u(self) -> np.ndarray:
+        return _frozen(self.s1.vertices.sum(axis=0) / (self.dim + 1))  # S1's centroid
+
+    @_once
+    def s1_centered(self) -> np.ndarray:
+        """S1's vertices less u, which read E1 in closed form (`inscribed_reach`)."""
+        return _frozen(self.s1.vertices - self.u)
+
+    @_once
     def e1(self) -> Ellipsoid:
         return max_ellipsoid_in_simplex(self.s1)
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.e1.center
 
     @property
     def e1_shape(self) -> np.ndarray:
         return self.e1.shape
 
-    @cached_property
+    @_once
     def lam(self) -> float:
         return contraction_ratio(self.u, self.w)
 
-    @cached_property
+    @_once
     def e2_shape(self) -> np.ndarray:
         return _frozen(self.lam * self.e1_shape)
 
-    @cached_property
+    def certified_ratio(self, lam: float) -> float:
+        """Upper bound on vol(G)/vol(K) from one determinant, with E2 = lam E1.
+
+        In the normalized frame K holds the ball of radius beta = min b_i. The
+        hull chain E2 in S2 in conv(X) puts X* inside the polar of E2, and
+        G = {y : a_g.y <= b_g} lies in (max_g b_g) X*. So
+        vol(G)/vol(K) <= (max_g b_g / beta)^d / |det E2|, with |det E2| =
+        lam^d |det E1| and |det E1| = `inscribed_det(det P, d)`. It is
+        computed as 1 / ((lam beta / max_g b_g)^d |det E1|), so no power can
+        overflow; a certificate whose offsets or E1 admit no bound reads inf.
+        """
+        beta = float(self.norm_offsets.min())
+        if beta <= 0.0:
+            return math.inf
+        scale = lam * beta / float(self.norm_offsets[self.g_indices].max())
+        det = scale**self.dim * inscribed_det(self.s1_det, self.dim)
+        return 1.0 / det if det > 0.0 else math.inf
+
+    @_once
     def ratio(self) -> float:
         try:
-            e2_shape = self.e2_shape
+            lam = self.lam
         except HellyError:  # a flat base simplex inscribes no E1
             return math.inf
-        return certified_ratio(self.norm_offsets, self.g_indices, e2_shape)
+        return self.certified_ratio(lam)
 
     @property
     def bound(self) -> float:

@@ -15,12 +15,15 @@ Checks gated on the greedy selector (the window floors, the simplex volume
 floor, and the ratio bound they imply) are reported as not applicable for
 sampled selections, whose guarantee is distributional rather than per-run.
 
-No polytope volume is taken. The volume ratio of the selected subfamily
-to the whole family is bounded by one determinant, (max_g b_g / min_i b_i)^d
-/ |det E2| in the normalized frame, which the hull chain and polarity make
-an upper bound for the selected half-spaces themselves: E2 inside an apex
-simplex built from points of X puts X* inside the polar of E2, so that
-inclusion is proved rather than measured.
+No polytope volume and no matrix root is taken. E1 and E2 = lam E1 are
+read through the centered vertices V_c of S1 = conv{0, P}: |E1 a| =
+|V_c a| / sqrt(d (d+1)) and |det E1| = |det P| / (d^(d/2) (d+1)^((d+1)/2)),
+one det P serving the simplex floor, S1's flatness and the ratio. The
+subfamily's volume ratio to the whole family is at most (max_g b_g /
+min_i b_i)^d / |det E2| in the normalized frame, which the hull chain and
+polarity make an upper bound for the selected half-spaces themselves: E2
+inside an apex simplex built from points of X puts X* inside the polar of
+E2, so that inclusion is proved rather than measured.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import DEDUPE, Simplex, simplex_volume
+from .bodies import DEDUPE, Simplex, inscribed_reach
 from .bounds import eq3_lower_bounds, explicit_bound, selection_windows, simplex_volume_floor, window_allowance
-from .certificate import DEGENERATE_RAY, Certificate, certified_ratio, contact_allowance, verify_decomposition
+from .certificate import DEGENERATE_RAY, Certificate, contact_allowance, verify_decomposition
 from .config import DECOMPOSITION
 from .errors import DegenerateSimplex, HellyError, MalformedCertificate
 
@@ -110,14 +113,7 @@ def check_certificate(cert: Certificate, scale: float | None = None) -> CheckRep
 
     # The unit ball inside the mapped instance: no normalized offset below 1.
     inscribed = float(cert.norm_offsets.min() - 1.0)
-    items.append(
-        _item(
-            "instance_map",
-            inscribed,
-            1e-8 * k,
-            f"min normalized offset 1{inscribed:+.2e}",
-        )
-    )
+    items.append(_item("instance_map", inscribed, 1e-8 * k, f"min normalized offset 1{inscribed:+.2e}"))
 
     # Decomposition of the identity over near-tangent facets.
     res = verify_decomposition(cert.contact_points, cert.contact_weights)
@@ -170,42 +166,29 @@ def check_certificate(cert: Certificate, scale: float | None = None) -> CheckRep
         )
     )
 
-    # Base simplex volume: the floor only the greedy windows guarantee.
-    vol_s1 = float(simplex_volume(selected))
+    # Base simplex volume: the floor only the greedy windows guarantee. S1's
+    # edges are the selected points P, so this det P is S1's flatness test too.
+    vol_s1 = abs(cert.s1_det) / math.factorial(d)
     floor_margin = vol_s1 - simplex_volume_floor(d)
-    items.append(
-        _item(
-            "simplex_floor",
-            floor_margin,
-            1e-9 * k,
-            f"vol {vol_s1:.6e}, floor margin {floor_margin:+.2e}",
-            applicable=dr,
-        )
-    )
+    floor_detail = f"vol {vol_s1:.6e}, floor margin {floor_margin:+.2e}"
+    items.append(_item("simplex_floor", floor_margin, 1e-9 * k, floor_detail, applicable=dr))
 
     # Boundary point depth.
-    w_norm = float(np.linalg.norm(cert.w))
-    items.append(
-        _item(
-            "ray_depth",
-            w_norm - 1.0 / d,
-            1e-8 * k,
-            f"|w| = {w_norm:.6f} vs floor 1/{d}",
-        )
-    )
+    w_norm = math.sqrt(cert.w @ cert.w)
+    items.append(_item("ray_depth", w_norm - 1.0 / d, 1e-8 * k, f"|w| = {w_norm:.6f} vs floor 1/{d}"))
 
-    # Contraction: the derived E1 (centered at the centroid by construction)
-    # sits in the base simplex tangent to every facet; w lies opposite its
-    # center u; the derived ratio clears its floor. A flat base simplex
-    # inscribes nothing, which fails every item that reads E1 or E2.
+    # Contraction: E1, centered at S1's centroid u and read through S1's
+    # centered vertices, sits in S1 tangent to every facet; w lies opposite
+    # u; the derived ratio clears its floor. A flat base simplex inscribes
+    # nothing, which fails every item that reads E1 or E2.
     try:
-        u, e1_shape, lam, e2_shape = cert.u, cert.e1_shape, cert.lam, cert.e2_shape
+        u, centered, lam = cert.u, cert.s1_centered, cert.lam
     except HellyError as exc:
-        e2_shape = None
+        lam = None
         contraction_ok, lam_margin = False, -math.inf
         contraction_detail = f"no inscribed ellipsoid: {exc}"
     else:
-        nu = float(np.linalg.norm(u))
+        nu = math.sqrt(u @ u)
         if nu <= DEGENERATE_RAY:
             align_err = 0.0
         elif w_norm > 0.0:
@@ -214,9 +197,9 @@ def check_certificate(cert: Certificate, scale: float | None = None) -> CheckRep
             align_err = math.inf
         lam_margin = lam - 1.0 / (d + 1)
         fa1, fb1 = cert.s1.facets()
-        e1_support = fa1 @ u + np.linalg.norm(fa1 @ e1_shape, axis=1)
-        e1_out = float((e1_support - fb1).max())
-        e1_gap = float(np.abs(e1_support - fb1).max())  # tangency on every facet
+        excess = fa1 @ u + inscribed_reach(centered, fa1) - fb1
+        e1_out = float(excess.max())
+        e1_gap = float(np.abs(excess).max())  # tangency on every facet
         contraction_ok = (
             abs(align_err) <= 1e-8 * k
             and lam_margin >= -1e-9 * k
@@ -238,22 +221,23 @@ def check_certificate(cert: Certificate, scale: float | None = None) -> CheckRep
     )
 
     # Hull chain: the boundary point rewrites over at most d selected hull
-    # points, and the contracted ellipsoid fits in the apex simplex S2' whose
-    # apex is rebuilt from the clipped, renormalized hull coefficients. S2'
-    # lies in conv(X) by construction, so E2/(1 + delta) inside S2' puts X*
-    # inside (1 + delta) times the polar of E2: the polar inclusion the
-    # ratio needs.
+    # points, and the contracted ellipsoid E2 = lam E1 fits in the apex
+    # simplex S2' whose apex is rebuilt from the clipped, renormalized hull
+    # coefficients. S2' lies in conv(X) by construction, so E2/(1 + delta)
+    # inside S2' puts X* inside (1 + delta) times the polar of E2: the polar
+    # inclusion the ratio needs.
     cara_pts = cert.contact_points[cert.cara_rows]
     coeff_floor = float(cert.cara_coeffs.min(initial=math.inf))
     coeff_sum = abs(float(cert.cara_coeffs.sum()) - 1.0)
-    recon_err = float(np.linalg.norm(cara_pts.T @ cert.cara_coeffs - cert.w))
+    recon = cara_pts.T @ cert.cara_coeffs - cert.w
+    recon_err = math.sqrt(recon @ recon)
     try:
-        clipped = np.clip(cert.cara_coeffs, 0.0, None)
-        if e2_shape is None or clipped.sum() <= 0.0:
+        clipped = np.maximum(cert.cara_coeffs, 0.0)
+        if lam is None or clipped.sum() <= 0.0:
             raise DegenerateSimplex("no E2, or no hull coefficient is positive")
         apex = cara_pts.T @ (clipped / clipped.sum())
-        fa2, fb2 = Simplex(np.vstack([apex, cert.selected_points])).facets()
-        e2_out = float((np.linalg.norm(fa2 @ e2_shape, axis=1) - fb2).max())
+        fa2, fb2 = Simplex(np.concatenate([apex[None], cert.selected_points])).facets()
+        e2_out = float((lam * inscribed_reach(centered, fa2) - fb2).max())
         s2_floor = float(fb2.min())
     except HellyError:
         e2_out, s2_floor = math.inf, 0.0
@@ -282,30 +266,19 @@ def check_certificate(cert: Certificate, scale: float | None = None) -> CheckRep
     # the ratio of the shrunk ellipsoid is a true upper bound, not a rounded
     # one. No E2 (delta is then inf) certifies no ratio.
     delta = max(e2_out, 0.0) / s2_floor if s2_floor > 0.0 else math.inf
-    ratio_for_bound = (
-        math.inf
-        if math.isinf(delta)
-        else certified_ratio(cert.norm_offsets, cert.g_indices, e2_shape / (1.0 + delta))
-    )
+    ratio_for_bound = math.inf if math.isinf(delta) else cert.certified_ratio(lam / (1.0 + delta))
     bound = explicit_bound(d)
     bound_margin = (bound - ratio_for_bound) / bound
-    items.append(
-        _item(
-            "ratio_bound",
-            bound_margin,
-            1e-9 * k,
-            f"ratio {ratio_for_bound:.6e} vs bound {bound:.6e} "
-            f"(relative margin {bound_margin:+.2e})",
-            applicable=dr,
-        )
-    )
+    ratio_detail = f"ratio {ratio_for_bound:.6e} vs bound {bound:.6e} (relative margin {bound_margin:+.2e})"
+    items.append(_item("ratio_bound", bound_margin, 1e-9 * k, ratio_detail, applicable=dr))
 
     # Subfamily size, and its rows: distinct input half-spaces, all tangent.
     x_points, g = cert.x_points, cert.g_indices
     p = x_points.shape[0]
-    gaps = np.linalg.norm(x_points[:, None, :] - x_points[None, :, :], axis=2)
-    np.fill_diagonal(gaps, np.inf)
-    min_gap = float(gaps.min()) if p > 1 else math.inf
+    diff = x_points[:, None, :] - x_points[None, :, :]
+    square_gaps = (diff * diff).sum(axis=2)
+    square_gaps.flat[:: p + 1] = np.inf  # a point's gap to itself
+    min_gap = math.sqrt(square_gaps.min()) if p > 1 else math.inf
     items.append(
         CheckItem(
             name="subfamily_size",

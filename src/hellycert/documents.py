@@ -153,9 +153,7 @@ def _float_array(value, name: str, ndim: int) -> np.ndarray:
 
 
 def _int_array(value, name: str) -> np.ndarray:
-    if not isinstance(value, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in value
-    ):
+    if not isinstance(value, list) or not {int}.issuperset(map(type, value)):  # type(True) is bool
         raise _fail(f"{name} must be a list of integers")
     return np.array(value, dtype=int)
 

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hellycert.bodies import Simplex, inscribed_det, inscribed_reach, max_ellipsoid_in_simplex
 from hellycert.bounds import eq3_lower_bounds
 from hellycert.checker import CheckReport, check_certificate
 from hellycert.documents import certificate_from_doc, certificate_to_doc
-from hellycert.errors import MalformedCertificate
+from hellycert.errors import DegenerateSimplex, MalformedCertificate
 from hellycert.generators import gen_affine_warp, gen_cube, gen_tangent_random
 from hellycert.pipeline import select
 
@@ -359,3 +360,70 @@ class TestFaultInjection:
         # simplex_floor fails only beside selection_window, when a selected
         # row repeats
         assert covered <= applicable
+
+
+@pytest.mark.parametrize("d, m", [(2, 64), (4, 16), (8, 64)])
+def test_check_takes_one_factorization_per_fact(monkeypatch, d, m):
+    # E1 is read through S1's centered vertices, so a check takes no matrix
+    # root: no SVD and no eigenvalues. det P serves the simplex floor, S1's
+    # flatness test and the ratio; S2' takes its own det; each simplex one
+    # inverse for its facets; the windows one Cholesky factor
+    cert = select(gen_affine_warp(gen_tangent_random(d, m, seed=3), seed=5003)[0])
+    fresh = certificate_from_doc(certificate_to_doc(cert))  # nothing derived yet
+    calls = []
+    for name in ("svd", "eigvalsh", "eigh", "eig", "inv", "cholesky", "det", "slogdet", "solve"):
+        inner = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _inner=inner, **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert check_certificate(fresh).passed
+    monkeypatch.undo()
+    assert not {"svd", "eigvalsh", "eigh", "eig"} & set(calls)
+    assert calls.count("inv") <= 2 and calls.count("cholesky") <= 1 and calls.count("det") <= 2
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_closed_form_e1_matches_the_matrix_root(d):
+    # The checker reads |E1 a| as |V_c a| / sqrt(d (d+1)) and |det E1| as
+    # |det P| / (d^(d/2) (d+1)^((d+1)/2)), where max_ellipsoid_in_simplex
+    # takes the root of V_c^T V_c by SVD. Without that `Ellipsoid`, its SPD
+    # floor (eigenvalues of E1 at least 1e-12) no longer runs in a check; the
+    # floor that stands for it is S1's flatness test |det P| <= 1e-12, which
+    # ran before it and still refuses E1, E2 and the ratio of a flat S1. It is
+    # the weaker floor on a thin S1: one just above it may have E1
+    # eigenvalues below 1e-12, and then reads a tiny |det E1| and so a large
+    # ratio, where the SPD floor failed to build E1.
+    rng = np.random.default_rng(900 + d)
+    for target in (1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10):
+        p = rng.normal(size=(d, d))
+        p *= (target / abs(np.linalg.det(p))) ** (1.0 / d)
+        vertices = np.vstack([np.zeros(d), p])
+        simplex = Simplex(vertices, float(np.linalg.det(p)))
+        shape = max_ellipsoid_in_simplex(simplex).shape
+        centered = vertices - vertices.sum(axis=0) / (d + 1)
+        directions = np.vstack([simplex.facets()[0], rng.normal(size=(4, d))])
+        want = np.linalg.norm(directions @ shape, axis=1)
+        np.testing.assert_allclose(inscribed_reach(centered, directions), want, rtol=1e-12, atol=0.0)
+        det = inscribed_det(simplex.edge_det, d)
+        assert det == pytest.approx(abs(np.linalg.det(shape)), rel=1e-12, abs=0.0)
+    flat = p * (1e-13 / target) ** (1.0 / d)  # |det P| = 1e-13
+    with pytest.raises(DegenerateSimplex):
+        Simplex(np.vstack([np.zeros(d), flat]))
+
+
+def test_producer_and_checker_share_one_ratio():
+    # with no hull-chain excess (delta = 0) the report's ratio and the
+    # certificate's are one formula at one contraction: equal to the bit
+    checked = 0
+    for d in range(2, 7):
+        for seed in range(3):
+            for selector in ("dr", "pivovarov"):
+                cert = select(gen_tangent_random(d, 3 * d, seed=seed), selector=selector, seed=seed)
+                report = check_certificate(cert)
+                if report["hull_chain"].slack >= 0.0:
+                    assert report.ratio == cert.ratio
+                    checked += 1
+    assert checked >= 20
