@@ -16,7 +16,7 @@ alone, so a polytope's bits do not depend on the memory order of its input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,9 +40,9 @@ def simplex_volume(edges: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(edges)) / math.factorial(edges.shape[-1])
 
 
-def freeze(arr: np.ndarray, ndmin: int = 0) -> np.ndarray:
-    """A read-only C-contiguous float copy of arr, of at least ndmin axes."""
-    out = np.array(arr, dtype=float, order="C", ndmin=ndmin)
+def freeze(arr: np.ndarray) -> np.ndarray:
+    """A read-only C-contiguous float copy of arr."""
+    out = np.array(arr, dtype=float, order="C")
     out.setflags(write=False)
     return out
 
@@ -98,20 +98,19 @@ def hpolytope_from_arrays(a, b) -> HPolytope:
 
 @dataclass(frozen=True, eq=False)
 class Simplex:
-    """d+1 affinely independent points in dimension d; edge_det, the
-    determinant of the edges vertices[1:] - vertices[0], is taken unless given."""
+    """d+1 affinely independent points in dimension d; edge_det is the
+    determinant of the edges vertices[1:] - vertices[0]."""
 
     vertices: np.ndarray
-    edge_det: float | None = None
+    edge_det: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", freeze(self.vertices, ndmin=2))
+        object.__setattr__(self, "vertices", freeze(np.atleast_2d(self.vertices)))
         n, d = self.vertices.shape
         if n != d + 1:
             raise DegenerateSimplex(f"{n} vertices in dimension {d}")
-        if self.edge_det is None:
-            edges = self.vertices[1:] - self.vertices[0]
-            object.__setattr__(self, "edge_det", float(np.linalg.det(edges)))
+        edges = self.vertices[1:] - self.vertices[0]
+        object.__setattr__(self, "edge_det", float(np.linalg.det(edges)))
         if abs(self.edge_det) <= 1e-12:
             raise DegenerateSimplex("vertices are affinely dependent")
 

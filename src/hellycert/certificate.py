@@ -20,7 +20,7 @@ import numpy as np
 from .bodies import Ellipsoid, HPolytope, Simplex, inscribed_det, max_ellipsoid_in_simplex
 from .bounds import explicit_bound
 from .config import CONTACT, DIM_CAP, VERSION
-from .errors import HellyError, MalformedCertificate
+from .errors import DegenerateSimplex, HellyError, MalformedCertificate
 
 DEGENERATE_RAY = 1e-10  # |u| at or below which the ray direction is moot
 SELECTORS = ("dr", "pivovarov")  # the greedy pass and the weighted draw
@@ -29,16 +29,24 @@ _OFFSET_ROUNDING = 4.0
 # 10 x this (the checker's default scale) off tangency loosens the ratio by (1 + 1e-3)^8 < 1.01
 CONTACT_CAP = 1e-4  # reached 1e10 to 3e11 inradii from the origin
 
-# each array field and its rank, in the order `Certificate` holds them to shapes
 ARRAY_FIELDS = {
-    "normals": 2, "offsets": 1, "map_matrix": 2, "map_offset": 1, "contact_weights": 1,
-    "contact_indices": 1, "selected_rows": 1, "w": 1, "cara_rows": 1, "cara_coeffs": 1,
+    "normals": 2,
+    "offsets": 1,
+    "map_matrix": 2,
+    "map_offset": 1,
+    "contact_weights": 1,
+    "contact_indices": 1,
+    "selected_rows": 1,
+    "w": 1,
+    "cara_rows": 1,
+    "cara_coeffs": 1,
 }
 INT_FIELDS = {"contact_indices", "selected_rows", "cara_rows"}
 
 
 class _once:
-    """Computed on first read, then kept: `cached_property` without Python 3.11's lock."""
+    """Computed on first read, then kept: `cached_property` without the lock
+    it takes on Python 3.11 and earlier; it can go once those are unsupported."""
 
     def __init__(self, fn):
         self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
@@ -123,10 +131,10 @@ class Certificate:
 
     The properties below derive everything else from these fields, by the
     same formulas the producer uses: the normalized rows, the contact
-    points, the subfamily X and its rows G, the base simplex S1 with det P
-    and its centered vertices, which give the simplex ellipsoid E1 with
-    center u in closed form, the contraction ratio lam, E2 = lam E1 and the
-    certified volume ratio from det P; `bound` is the a priori
+    points, the subfamily X and its rows G, the base simplex S1 and det P,
+    which give the simplex ellipsoid E1 with center u in closed form, the
+    contraction ratio lam, E2 = lam E1 and the certified volume ratio from
+    det P; `bound` is the a priori
     `explicit_bound(dim)`. They are computed on first use, so a certificate
     whose base simplex is flat still constructs; reading S1 or E1 from it
     raises a HellyError (DegenerateSimplex), and its ratio reads inf. `e1`,
@@ -149,7 +157,6 @@ class Certificate:
     library: str = "hellycert " + VERSION
 
     def __post_init__(self):
-        shapes = []
         for name, ndim in ARRAY_FIELDS.items():
             exact = name in INT_FIELDS  # an integer array is finite by its type
             arr = np.array(getattr(self, name), dtype=int if exact else float)  # a copy: the caller's stays writable
@@ -158,18 +165,31 @@ class Certificate:
             if not (exact or np.isfinite(arr).all()):
                 raise MalformedCertificate(f"{name} has non-finite entries")
             object.__setattr__(self, name, _frozen(arr))
-            shapes.append(arr.shape)
         d = int(self.dim)
         if not 1 <= d <= DIM_CAP:
             raise MalformedCertificate(f"dimension {d} outside [1, {DIM_CAP}]")
-        m, n, h = shapes[0][0], shapes[5][0], shapes[9][0]  # rows, contacts, hull rows
-        want = [(m, d), (m,), (d, d), (d,), (n,), (n,), (d,), (d,), (h,), (h,)]  # ARRAY_FIELDS order
-        if shapes != want:
-            name, got, need = next(t for t in zip(ARRAY_FIELDS, shapes, want) if t[1] != t[2])
-            raise MalformedCertificate(f"{name} has shape {got}, want {need}")
+        m = self.normals.shape[0]
+        n = self.contact_indices.shape[0]
+        shapes = {
+            "normals": (m, d),
+            "offsets": (m,),
+            "map_matrix": (d, d),
+            "map_offset": (d,),
+            "contact_weights": (n,),
+            "selected_rows": (d,),
+            "w": (d,),
+            "cara_rows": (self.cara_coeffs.shape[0],),
+        }
+        for name, want in shapes.items():
+            if getattr(self, name).shape != want:
+                raise MalformedCertificate(f"{name} has shape {getattr(self, name).shape}, want {want}")
         if self.selector not in SELECTORS:
             raise MalformedCertificate(f"unknown selector {self.selector!r}")
-        for idx, limit in ((self.contact_indices, m), (self.selected_rows, n), (self.cara_rows, n)):
+        for idx, limit in (
+            (self.contact_indices, m),
+            (self.selected_rows, n),
+            (self.cara_rows, n),
+        ):
             if idx.size and (idx.min() < 0 or idx.max() >= limit):
                 raise MalformedCertificate("an index field points outside its table")
         if not math.isfinite(float(self.contact_tol)):
@@ -220,24 +240,23 @@ class Certificate:
         return np.vstack([self.w, self.selected_points])
 
     @_once
-    def s1_det(self) -> float:
-        """det P of the selected points P, the edges of S1 = conv{0, P}."""
-        return float(np.linalg.det(self.selected_points))
-
-    @_once
     def s1(self) -> Simplex:
         vertices = np.zeros((self.dim + 1, self.dim))
         vertices[1:] = self.selected_points
-        return Simplex(vertices, self.s1_det)
+        return Simplex(vertices)
+
+    @_once
+    def s1_det(self) -> float:
+        """det P of the selected points P, the edges of S1 = conv{0, P}: S1's
+        own, taken again only when P is too flat to make S1."""
+        try:
+            return self.s1.edge_det
+        except DegenerateSimplex:
+            return float(np.linalg.det(self.selected_points))
 
     @_once
     def u(self) -> np.ndarray:
         return _frozen(self.s1.vertices.sum(axis=0) / (self.dim + 1))  # S1's centroid
-
-    @_once
-    def s1_centered(self) -> np.ndarray:
-        """S1's vertices less u, which read E1 in closed form (`inscribed_reach`)."""
-        return _frozen(self.s1.vertices - self.u)
 
     @_once
     def e1(self) -> Ellipsoid:

@@ -113,7 +113,14 @@ def check_certificate(cert: Certificate, scale: float | None = None) -> CheckRep
 
     # The unit ball inside the mapped instance: no normalized offset below 1.
     inscribed = float(cert.norm_offsets.min() - 1.0)
-    items.append(_item("instance_map", inscribed, 1e-8 * k, f"min normalized offset 1{inscribed:+.2e}"))
+    items.append(
+        _item(
+            "instance_map",
+            inscribed,
+            1e-8 * k,
+            f"min normalized offset 1{inscribed:+.2e}",
+        )
+    )
 
     # Decomposition of the identity over near-tangent facets.
     res = verify_decomposition(cert.contact_points, cert.contact_weights)
@@ -170,19 +177,34 @@ def check_certificate(cert: Certificate, scale: float | None = None) -> CheckRep
     # edges are the selected points P, so this det P is S1's flatness test too.
     vol_s1 = abs(cert.s1_det) / math.factorial(d)
     floor_margin = vol_s1 - simplex_volume_floor(d)
-    floor_detail = f"vol {vol_s1:.6e}, floor margin {floor_margin:+.2e}"
-    items.append(_item("simplex_floor", floor_margin, 1e-9 * k, floor_detail, applicable=dr))
+    items.append(
+        _item(
+            "simplex_floor",
+            floor_margin,
+            1e-9 * k,
+            f"vol {vol_s1:.6e}, floor margin {floor_margin:+.2e}",
+            applicable=dr,
+        )
+    )
 
     # Boundary point depth.
     w_norm = math.sqrt(cert.w @ cert.w)
-    items.append(_item("ray_depth", w_norm - 1.0 / d, 1e-8 * k, f"|w| = {w_norm:.6f} vs floor 1/{d}"))
+    items.append(
+        _item(
+            "ray_depth",
+            w_norm - 1.0 / d,
+            1e-8 * k,
+            f"|w| = {w_norm:.6f} vs floor 1/{d}",
+        )
+    )
 
     # Contraction: E1, centered at S1's centroid u and read through S1's
     # centered vertices, sits in S1 tangent to every facet; w lies opposite
     # u; the derived ratio clears its floor. A flat base simplex inscribes
     # nothing, which fails every item that reads E1 or E2.
     try:
-        u, centered, lam = cert.u, cert.s1_centered, cert.lam
+        u, lam = cert.u, cert.lam
+        centered = cert.s1.vertices - u  # V_c, which reads E1 (`inscribed_reach`)
     except HellyError as exc:
         lam = None
         contraction_ok, lam_margin = False, -math.inf
@@ -269,8 +291,16 @@ def check_certificate(cert: Certificate, scale: float | None = None) -> CheckRep
     ratio_for_bound = math.inf if math.isinf(delta) else cert.certified_ratio(lam / (1.0 + delta))
     bound = explicit_bound(d)
     bound_margin = (bound - ratio_for_bound) / bound
-    ratio_detail = f"ratio {ratio_for_bound:.6e} vs bound {bound:.6e} (relative margin {bound_margin:+.2e})"
-    items.append(_item("ratio_bound", bound_margin, 1e-9 * k, ratio_detail, applicable=dr))
+    items.append(
+        _item(
+            "ratio_bound",
+            bound_margin,
+            1e-9 * k,
+            f"ratio {ratio_for_bound:.6e} vs bound {bound:.6e} "
+            f"(relative margin {bound_margin:+.2e})",
+            applicable=dr,
+        )
+    )
 
     # Subfamily size, and its rows: distinct input half-spaces, all tangent.
     x_points, g = cert.x_points, cert.g_indices

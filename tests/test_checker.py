@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from hellycert.bodies import Simplex, inscribed_det, inscribed_reach, max_ellipsoid_in_simplex
 from hellycert.bounds import eq3_lower_bounds
+from hellycert.certificate import Certificate
 from hellycert.checker import CheckReport, check_certificate
+from hellycert.config import CONTACT
 from hellycert.documents import certificate_from_doc, certificate_to_doc
 from hellycert.errors import DegenerateSimplex, MalformedCertificate
 from hellycert.generators import gen_affine_warp, gen_cube, gen_tangent_random
@@ -401,7 +403,7 @@ def test_closed_form_e1_matches_the_matrix_root(d):
         p = rng.normal(size=(d, d))
         p *= (target / abs(np.linalg.det(p))) ** (1.0 / d)
         vertices = np.vstack([np.zeros(d), p])
-        simplex = Simplex(vertices, float(np.linalg.det(p)))
+        simplex = Simplex(vertices)
         shape = max_ellipsoid_in_simplex(simplex).shape
         centered = vertices - vertices.sum(axis=0) / (d + 1)
         directions = np.vstack([simplex.facets()[0], rng.normal(size=(4, d))])
@@ -412,6 +414,46 @@ def test_closed_form_e1_matches_the_matrix_root(d):
     flat = p * (1e-13 / target) ** (1.0 / d)  # |det P| = 1e-13
     with pytest.raises(DegenerateSimplex):
         Simplex(np.vstack([np.zeros(d), flat]))
+
+
+def test_a_thin_base_simplex_certifies_a_true_loose_ratio():
+    # S1 = conv{0, e1, e2, q} with q = (-1/sqrt2, -1/sqrt2, eps), |det P| = eps
+    # = 2e-12: above S1's flatness floor (1e-12), while E1's least eigenvalue,
+    # 2.1e-13, is below the `Ellipsoid` SPD floor (1e-12) that a check no
+    # longer runs. The checker reads E1 in closed form, so contraction and
+    # hull_chain pass and the sampled certificate passes with a ratio near
+    # 6e13: a true bound, since G = {|x1|, |x2| <= 1, x3 >= -1, q.x <= 1}
+    # holds [0, 1]^2 x [-1, 1/eps] and K lies in [-1, 1]^3, so vol(G)/vol(K)
+    # >= 1 / (8 eps). The greedy selector's floors refuse it.
+    eps = 2e-12
+    q = np.array([-np.sqrt(0.5), -np.sqrt(0.5), eps])
+    normals = np.vstack([np.eye(3), -np.eye(3), q / np.linalg.norm(q)])
+    selected = np.array([0, 1, 6])  # e1, e2, q
+    u = normals[selected].sum(axis=0) / 4
+    w = -u / np.abs(u).sum()  # opposite u, on the facet of -e1, -e2, -e3
+    cert = Certificate(
+        dim=3,
+        selector="pivovarov",
+        normals=normals,
+        offsets=np.ones(7),
+        map_matrix=np.eye(3),
+        map_offset=np.zeros(3),
+        contact_tol=CONTACT,
+        contact_weights=np.r_[np.full(6, 0.5), 0.0],
+        contact_indices=np.arange(7),
+        selected_rows=selected,
+        w=w,
+        cara_rows=np.array([3, 4, 5]),
+        cara_coeffs=np.abs(w),
+    )
+    assert abs(np.linalg.det(normals[selected])) == pytest.approx(eps, rel=1e-9)
+    report = check_certificate(cert)
+    assert report.passed
+    assert report["contraction"].passed and report["hull_chain"].passed
+    assert report.ratio == cert.ratio
+    assert 1.0 / (8.0 * eps) <= report.ratio < 1e14
+    greedy = check_certificate(replace(cert, selector="dr"))
+    assert set(greedy.failures()) == {"selection_window", "simplex_floor", "ratio_bound"}
 
 
 def test_producer_and_checker_share_one_ratio():
