@@ -134,11 +134,11 @@ class Certificate:
     points, the subfamily X and its rows G, the base simplex S1 and det P,
     which give the simplex ellipsoid E1 with center u in closed form, the
     contraction ratio lam, E2 = lam E1 and the certified volume ratio from
-    det P; `bound` is the a priori
-    `explicit_bound(dim)`. They are computed on first use, so a certificate
-    whose base simplex is flat still constructs; reading S1 or E1 from it
-    raises a HellyError (DegenerateSimplex), and its ratio reads inf. `e1`,
-    `e1_shape` and `e2_shape` take E1's matrix root, which no check needs.
+    det P; `bound` is the a priori `explicit_bound(dim)`. They are computed
+    on first use, so a certificate whose base simplex is flat still
+    constructs; reading S1 or E1 from it raises a HellyError
+    (DegenerateSimplex), and its ratio reads inf. `e1`, `e1_shape` and
+    `e2_shape` take E1's matrix root, which no check needs.
     """
 
     dim: int
